@@ -8,7 +8,7 @@ or are destroyed by removing an explicit sparse set of primes.
 """
 
 from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
-                    is_primitive_root, lift_to_window, prime_count,
+                    is_primitive_root, lift_to_window, log_table, prime_count,
                     primes_in_interval, primes_upto, smallest_primitive_root)
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
                       find_collisions_bruteforce, growth_bracket_check)
@@ -19,7 +19,8 @@ from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
                      const_sqrt2, const_sqrt5, const_window, primes_in_block,
                      sidon_params, tapered_params)
 from .encoder import (DigitVector, SidonElement, decode_value, digits_for_block,
-                      digits_of_prime, element_for_prime, encode_value)
+                      digits_of_prime, element_for_prime, element_in_block,
+                      encode_value)
 from .errors import (ArityOutOfRange, BasisGap, ConsistencyError, DegreeTooLarge,
                      DigitOutOfRange, DlogSidonError, DLogUndefined, ExcludedPrime,
                      IneligiblePair, InvalidModulus, MissingDigits, NotIrreducible,

@@ -1,16 +1,20 @@
-"""Arithmetic substrate: primality, interval sieves, primitive roots, and
-baby-step giant-step discrete logarithms.
+"""Arithmetic substrate: primality, interval sieves, prime counting,
+primitive roots, and discrete logarithms.
 
 Everything here is exact integer arithmetic. Primality is deterministic
 Miller-Rabin (the fixed witness set is proven complete far beyond 64 bits),
-prime enumeration is a segmented sieve, and discrete logs take O(sqrt q)
-group operations with a cached baby-step table per (generator, modulus).
+prime enumeration is a segmented sieve, and prime counting is the
+Lucy_Hedgehog recursion in O(n^(3/4)) steps. A single discrete log takes
+O(sqrt q) group operations with a cached baby-step table per (generator,
+modulus); many logs to one modulus are read off a full log table built in
+q - 1 steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import DLogUndefined, InvalidModulus
@@ -94,7 +98,7 @@ def primes_in_interval(iv: PrimeInterval) -> list[int]:
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
         flags = _sieve_segment(seg_lo, seg_hi, base)
-        out.extend(seg_lo + i for i, f in enumerate(flags) if f)
+        out.extend(compress(range(seg_lo, seg_hi + 1), flags))
     # Small primes eaten by their own square-free marking: the segment sieve
     # never kills a base prime p >= seg_lo because marking starts at p*p.
     return out
@@ -102,15 +106,32 @@ def primes_in_interval(iv: PrimeInterval) -> list[int]:
 
 @lru_cache(maxsize=64)
 def prime_count(n: int) -> int:
-    """pi(n): number of primes <= n, by segmented counting."""
+    """pi(n): number of primes <= n, by the Lucy_Hedgehog recursion.
+
+    S(v) counts the integers in [2, v] that survive sieving by the primes
+    below p; only the values v = n // i ever occur. Sieving by the prime p
+    removes from S(v), for v >= p^2, the survivors whose least prime factor
+    is p: S(v // p) - S(p - 1) of them. Once p passes sqrt(n), S(n) = pi(n).
+    small[v] holds S(v) for v <= r = isqrt(n), large[i] holds S(n // i).
+    """
     if n < 2:
         return 0
-    base = primes_upto(isqrt(n))
-    count = 0
-    for seg_lo in range(2, n + 1, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT - 1, n)
-        count += _sieve_segment(seg_lo, seg_hi, base).count(1)
-    return count
+    r = isqrt(n)
+    small = [v - 1 for v in range(r + 1)]
+    large = [0] + [n // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below = small[p - 1]
+        p2 = p * p
+        # Every right-hand side reads values from before this p's update.
+        top = min(r, n // p2)
+        mid = min(top, r // p)
+        large[1 : top + 1] = (
+            [large[i] - large[i * p] + below for i in range(1, mid + 1)]
+            + [large[i] - small[n // (i * p)] + below for i in range(mid + 1, top + 1)])
+        small[p2 : r + 1] = [small[v] - small[v // p] + below for v in range(p2, r + 1)]
+    return large[1]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -194,6 +215,25 @@ def discrete_log(g: int, a: int, q: int) -> int:
             return (i * m + j) % (q - 1) if q > 2 else 0
         y = y * giant % q
     raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a primitive root?")
+
+
+def log_table(g: int, q: int) -> list[int]:
+    """Full discrete-log table t with t[g^x mod q] = x for x in [0, q-2].
+
+    Built in q - 1 multiplications; t[0] = -1, since 0 has no logarithm. g
+    must be a primitive root mod the prime q: a table that does not reach
+    all q - 1 nonzero residues raises the same ValueError as discrete_log.
+    """
+    table = [-1] * q
+    x = 1
+    for e in range(q - 1):
+        table[x] = e
+        x = x * g % q
+    # g^(q-1) = 1 for any g prime to q, and table[1] keeps the largest
+    # exponent below q - 1 that maps to 1: 0 exactly when g has order q - 1.
+    if x != 1 or table[1] != 0:
+        raise ValueError(f"powers of {g} mod {q} miss residues; is g a primitive root?")
+    return table
 
 
 def lift_to_window(d: int, q: int, h: int = 2) -> int:

@@ -93,7 +93,8 @@ class Basis:
         """(q_j, g_j), 1-based, extending on demand."""
         if j < 1:
             raise ValueError(f"basis index must be >= 1, got {j}")
-        self.ensure(j)
+        if j > len(self._entries):
+            self.ensure(j)
         return self._entries[j - 1]
 
     def q(self, j: int) -> int:
@@ -103,13 +104,14 @@ class Basis:
         return self.entry(j)[1]
 
     def radix(self, j: int) -> int:
-        return self.scale * self.q(j)
+        return self.scale * self.entry(j)[0]
 
     def weight(self, j: int) -> int:
         """W_j = prod_{i<j} scale * q_i, so W_1 = 1."""
         if j < 1:
             raise ValueError(f"weight index must be >= 1, got {j}")
-        self.ensure(j - 1)
+        if j > len(self._weights):
+            self.ensure(j - 1)
         return self._weights[j - 1]
 
     def prime_product(self, j_lo: int, j_hi: int) -> int:
@@ -139,7 +141,3 @@ def build_basis(mode: str, scale: int, count: int, seed: int | None = None) -> B
     b = Basis(scale, mode=mode, seed=seed)
     b.ensure(count)
     return b
-
-
-def radix_weight(basis: Basis, j: int) -> int:
-    return basis.weight(j)

@@ -54,15 +54,23 @@ class SidonElement:
                 "a": str(self.value)}
 
 
-def digits_for_block(p: int, k: int, basis: Basis, h: int = 2) -> DigitVector:
-    """Digit vector of p given its block index k."""
+def digits_for_block(p: int, k: int, basis: Basis, h: int = 2,
+                     tables: dict[int, list[int]] | None = None) -> DigitVector:
+    """Digit vector of p given its block index k.
+
+    tables maps a basis index j to the log table of (g_j, q_j) (see
+    arith.log_table); digits of the other indices come from BSGS.
+    """
     basis.ensure(k)
     digits = []
     for j in range(1, k + 1):
         q, g = basis.entry(j)
-        if p % q == 0:
+        r = p % q
+        if r == 0:
             raise ExcludedPrime(p, k, j)
-        digits.append(lift_to_window(discrete_log(g, p % q, q), q, h))
+        table = tables.get(j) if tables else None
+        d = table[r] if table is not None else discrete_log(g, r, q)
+        digits.append(lift_to_window(d, q, h))
     return DigitVector(k=k, digits=tuple(digits), h=h)
 
 
@@ -103,11 +111,25 @@ def decode_value(a: int, basis: Basis) -> DigitVector:
     return DigitVector(k=len(digits), digits=tuple(digits), h=h)
 
 
-def element_for_prime(p: int, basis: Basis, params: BlockParams, h: int = 2) -> SidonElement:
-    """Build the element of p and check its value lands between the block rails."""
-    k = block_of_prime(p, params)
-    d = digits_for_block(p, k, basis, h)
+def element_in_block(p: int, k: int, basis: Basis, h: int = 2,
+                     tables: dict[int, list[int]] | None = None) -> SidonElement:
+    """Element of a prime p of block k, checked to land between the block rails.
+
+    Block generation passes k straight from primes_in_block, whose integer
+    edges floor(2^E(k-1)) < p <= floor(2^E(k)) decide membership exactly:
+    p <= floor(2^E) iff log2(p) <= E. The guarded comparisons behind those
+    edges already cover every prime that block_of_prime could find too close
+    to an edge. For p < 2^64, |log2(p) - E| < 2^-64 forces |p - 2^E| < 1, so
+    p is n or n + 1 for n = floor(2^E), and pow2_floor has compared both
+    against E with the same guard. tables is passed on to digits_for_block.
+    """
+    d = digits_for_block(p, k, basis, h, tables)
     value = encode_value(d, basis)
     if not basis.weight(k) * basis.q(k) < value < basis.weight(k + 1):
         raise ConsistencyError(f"element of {p} escaped (W_k q_k, W_k+1): {value}")
     return SidonElement(p=p, k=k, digits=d, value=value)
+
+
+def element_for_prime(p: int, basis: Basis, params: BlockParams, h: int = 2) -> SidonElement:
+    """Element of p: its block by block_of_prime, its digits by BSGS."""
+    return element_in_block(p, block_of_prime(p, params), basis, h)

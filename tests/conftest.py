@@ -7,6 +7,24 @@ from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.generator import generate_blocks
 
 
+def pytest_addoption(parser):
+    parser.addoption("--slow", action="store_true",
+                     help="also run the tests marked slow (desk-scale runs of a minute or more)")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: desk-scale check, skipped unless --slow is given")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def default_basis():
     return build_basis("deterministic", 4, 8)

@@ -7,6 +7,7 @@ basis container type needed to build synthetic bases.
 
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement
+from math import isqrt
 
 
 def is_prime_trial(n):
@@ -22,6 +23,25 @@ def is_prime_trial(n):
 
 def primes_upto_trial(n):
     return [p for p in range(2, n + 1) if is_prime_trial(p)]
+
+
+def prime_count_sieve(n, segment=1 << 22):
+    """pi(n) by a sieve of Eratosthenes over 2..n, one segment at a time."""
+    if n < 2:
+        return 0
+    root = isqrt(n)
+    base = [p for p in range(2, root + 1) if is_prime_trial(p)]
+    count = 0
+    for lo in range(2, n + 1, segment):
+        hi = min(lo + segment - 1, n)
+        flags = bytearray(b"\x01") * (hi - lo + 1)
+        for p in base:
+            if p * p > hi:
+                break
+            start = max(p * p, (lo + p - 1) // p * p)
+            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+        count += flags.count(1)
+    return count
 
 
 def factorize_trial(n):

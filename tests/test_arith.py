@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -9,11 +10,13 @@ from dlogsidon.arith import (
     is_prime,
     is_primitive_root,
     lift_to_window,
+    log_table,
     prime_count,
     primes_in_interval,
     primes_upto,
     smallest_primitive_root,
 )
+from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.errors import DLogUndefined, InvalidModulus
 
 from oracles import (
@@ -21,6 +24,7 @@ from oracles import (
     is_prime_trial,
     lift_naive,
     power_table,
+    prime_count_sieve,
     primes_upto_trial,
     primitive_root_naive,
 )
@@ -92,6 +96,29 @@ def test_prime_count_matches_primes_upto(seed=613):
         assert prime_count(n) == len(primes_upto(n)), n
 
 
+# Every block edge through k = 9: growth_bracket_check counts primes up to
+# edge(k_max + 2). The sqrt2 edge of block 9 is 1.57e9, a sieve of about
+# 10 s, so it runs only with --slow.
+@pytest.mark.parametrize("c, ks", [
+    pytest.param("sqrt5", range(1, 10), id="sqrt5-k1-9"),
+    pytest.param("sqrt2", range(1, 9), id="sqrt2-k1-8"),
+    pytest.param("sqrt2", (9,), id="sqrt2-k9", marks=pytest.mark.slow),
+])
+def test_prime_count_matches_sieve_at_block_edges(c, ks):
+    params = sidon_params(c={"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[c]())
+    for k in ks:
+        n = params.upper_edge(k)
+        assert prime_count(n) == prime_count_sieve(n), (c, k, n)
+
+
+def test_prime_count_matches_sieve_at_random_n(seed=1017):
+    rng = random.Random(seed)
+    for bits in range(2, 25):
+        n = rng.randrange(1 << (bits - 1), 1 << bits)
+        for m in (n, isqrt(n) ** 2 - 1, isqrt(n) ** 2):
+            assert prime_count(m) == prime_count_sieve(m), m
+
+
 def test_factorize_matches_trial(seed=714):
     rng = random.Random(seed)
     for _ in range(60):
@@ -138,6 +165,24 @@ def test_discrete_log_roundtrip_large(seed=815):
         assert discrete_log(g, pow(g, e, q), q) == e
     with pytest.raises(DLogUndefined):
         discrete_log(g, 0, q)
+
+
+def test_log_table_matches_bsgs_and_power_table():
+    for q in (2, 3, 5, 11, 37, 101, 131, 1009, 2053):
+        for g in {smallest_primitive_root(q),
+                  max(g for g in range(1, q) if is_primitive_root(g, q))}:
+            table = log_table(g, q)
+            want = power_table(q, g)
+            assert len(table) == q and table[0] == -1
+            for a in range(1, q):
+                assert table[a] == discrete_log(g, a, q) == want[a], (q, g, a)
+
+
+def test_log_table_rejects_non_generators():
+    # 4 is a square mod 11 (order 5), 1 and 0 generate nothing, 2 has order 3 mod 7.
+    for g, q in ((4, 11), (1, 11), (0, 11), (11, 11), (2, 7), (0, 2)):
+        with pytest.raises(ValueError):
+            log_table(g, q)
 
 
 def test_lift_to_window_matches_scan(seed=916):

@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 
-from dlogsidon.arith import smallest_primitive_root
+from dlogsidon import encoder, generator
+from dlogsidon.arith import primes_upto, smallest_primitive_root
 from dlogsidon.basis import build_basis
-from dlogsidon.blocks import const_decimal, primes_in_block, sidon_params
+from dlogsidon.bh import bh_params
+from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
+                              primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
-from dlogsidon.errors import PrefixTooShort
+from dlogsidon.errors import ExcludedPrime, PrefixTooShort
 from dlogsidon.generator import (
     count_upto,
     expected_finite_size,
@@ -52,12 +57,72 @@ def test_elements_sorted_and_blockwise_consistent(sqrt5_prefix_k7, default_basis
         assert rebuilt.value == e.value and rebuilt.k == e.k
 
 
+@pytest.mark.slow
+def test_prefix_sqrt5_k8(default_basis, sqrt5_params):
+    # The prefix an exact k <= 8 Sidon audit would take as input.
+    prefix = generate_blocks(8, sqrt5_params, default_basis)
+    assert len(prefix.elements) == 207214
+    for k in range(prefix.k_min, 9):
+        excl = sum(1 for r in prefix.excluded if r.k == k)
+        assert len(prefix.block_elements(k)) == prefix.block_sizes[k] - excl, k
+    for e in prefix.elements:
+        assert default_basis.weight(e.k) * default_basis.q(e.k) < e.value < default_basis.weight(e.k + 1)
+
+
 def test_element_count_matches_block_sizes(sqrt5_prefix_k7):
     prefix = sqrt5_prefix_k7
     per_block = {k: len(prefix.block_elements(k)) for k in range(2, 8)}
     for k in range(2, 8):
         excl = sum(1 for r in prefix.excluded if r.k == k)
         assert per_block[k] + excl == prefix.block_sizes[k], k
+
+
+def _law(name):
+    """(block params, h, k_max) of a law. The B_3 law has two primes through
+    block 6, so it runs to block 11, where its blocks hold 181 primes."""
+    if name == "bh3":
+        return bh_params(3).block, 3, 11
+    c = {"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[name]()
+    return sidon_params(c=c), 2, 6
+
+
+@pytest.mark.parametrize("law", ["sqrt5", "sqrt2", "bh3"])
+@pytest.mark.parametrize("seed", [None, 1207])
+def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
+    # Blocks from integer edges and digits from log tables must agree with
+    # block_of_prime and BSGS, the per-prime route, on every prime in range.
+    params, h, k_max = _law(law)
+    basis = build_basis("deterministic" if seed is None else "random", h * h, k_max, seed=seed)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(encoder, "discrete_log", counted(encoder.discrete_log))
+    monkeypatch.setattr(generator, "log_table", counted(generator.log_table))
+    prefix = generate_blocks(k_max, params, basis, h)
+    # Both sides of the table/BSGS size rule ran.
+    assert calls["discrete_log"] > 0 and calls["log_table"] > 0, calls
+    monkeypatch.undo()
+
+    elements = {e.p: e for e in prefix.elements}
+    excluded = {r.p: r for r in prefix.excluded}
+    primes = primes_upto(params.upper_edge(k_max))
+    assert len(primes) == len(elements) + len(excluded) == sum(prefix.block_sizes.values())
+    for p in primes:
+        k = block_of_prime(p, params)
+        if p in excluded:
+            r = excluded[p]
+            assert r.k == k
+            with pytest.raises(ExcludedPrime) as ei:
+                element_for_prime(p, basis, params, h)
+            assert (ei.value.k, ei.value.index) == (r.k, r.basis_index)
+        else:
+            assert elements[p] == element_for_prime(p, basis, params, h), p
+            assert elements[p].k == k
 
 
 def test_generate_rejects_scale_h_mismatch(default_basis, sqrt5_params):
