@@ -21,11 +21,11 @@ from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
 from .encoder import (DigitVector, SidonElement, decode_value, digits_for_block,
                       digits_of_prime, element_for_prime, element_in_block,
                       encode_value)
-from .errors import (ArityOutOfRange, BasisGap, ConsistencyError, DegreeTooLarge,
-                     DigitOutOfRange, DlogSidonError, DLogUndefined, ExcludedPrime,
-                     IneligiblePair, InvalidModulus, MissingDigits, NotIrreducible,
-                     PrecisionAmbiguity, PrefixTooShort, RatioBoundExceeded,
-                     ValueTooLarge)
+from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
+                     DegreeTooLarge, DigitOutOfRange, DlogSidonError, DLogUndefined,
+                     ExcludedPrime, IneligiblePair, InvalidModulus, MissingDigits,
+                     NotIrreducible, PrecisionAmbiguity, PrefixTooShort,
+                     RatioBoundExceeded, ValueTooLarge)
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
                         expected_finite_size, finite_dlog_sidon_set,
                         generate_blocks, iter_elements)

@@ -1,11 +1,13 @@
 """Exhaustive collision search, structural decomposition of collisions, and
 the growth brackets for counting functions.
 
-Collision search is exact. The fast pair path filters through 61-bit
-residues (numpy) and then confirms every candidate group with full big
-integers, so no collision is ever reported or missed on account of hashing.
-The half-split enumeration and the brute-force enumeration are independent
-routes that must agree; tests hold them to that.
+Collision search is exact. One numpy engine serves every arity l: it
+writes a key for every l-subset sum into one array in lexicographic order
+(the sum mod 2^61 - 1, or mod `modulus`; uint64 unless the modulus is too
+large), sorts it in place, and only when keys repeat regenerates those
+subsets and groups them by exact big-integer sum. Equal sums force equal
+keys, so nothing is missed; the brute-force enumeration is the independent
+oracle the tests hold the engine to.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import mpmath
 import numpy as np
@@ -23,13 +26,16 @@ from .arith import prime_count
 from .basis import Basis
 from .blocks import BlockParams
 from .encoder import SidonElement
-from .errors import ArityOutOfRange, DigitOutOfRange, MissingDigits
+from .errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from .generator import SequencePrefix, count_upto
 
-# Below this many elements the plain dict-of-sums path is fast enough.
-_FILTER_MIN = 2000
+# The engine holds one uint64 key per l-subset, so 2^28 subsets take 2 GiB.
+MAX_SUBSETS = 1 << 28
 
 _MERSENNE61 = (1 << 61) - 1
+
+# Neighbour comparisons after the sort run over this many keys at a time.
+_CHUNK = 1 << 20
 
 
 def _value_of(e):
@@ -76,30 +82,8 @@ def _prepare(elements, l):
     return items, vals
 
 
-def _half_split_groups(vals, l, modulus):
-    """Sum -> increasing index tuples, enumerating each l-subset once as a
-    size-floor(l/2) head merged with a precomputed tail table."""
-    n = len(vals)
-    l1 = l // 2
-    l2 = l - l1
-    tails: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for t in combinations(range(n), l2):
-        tails[t[0]].append((sum(vals[i] for i in t), t))
-    groups: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for head in combinations(range(n), l1):
-        s1 = sum(vals[i] for i in head)
-        start = head[-1] + 1
-        for f in range(start, n):
-            for s2, tail in tails[f]:
-                key = s1 + s2
-                if modulus is not None:
-                    key %= modulus
-                groups[key].append(head + tail)
-    return {k: ts for k, ts in groups.items() if len(ts) > 1}
-
-
 def _brute_groups(vals, l, modulus):
-    """Same grouping by direct enumeration and sorting; the slow oracle."""
+    """Sum -> index tuples by direct enumeration and sorting; the slow oracle."""
     entries = []
     for t in combinations(range(len(vals)), l):
         s = sum(vals[i] for i in t)
@@ -117,46 +101,77 @@ def _brute_groups(vals, l, modulus):
     return groups
 
 
-def _filtered_pair_groups(vals):
-    """Pair sums via 61-bit residues, each candidate confirmed exactly.
+def _add_mod(a, tails, m, out):
+    """out = (a + tails) mod m, for a and tails already reduced mod m."""
+    np.add(tails, a, out=out)
+    np.subtract(out, m, out=out, where=out >= m)
+    return out
 
-    Two passes keep memory at one uint64 per pair: the first sorts the
-    residue sums in place to find duplicated residues, the second recovers
-    the index pairs behind just those residues. Equal exact sums force equal
-    residues, so nothing is missed; unequal sums sharing a residue are
-    separated by the exact-sum grouping.
+
+def _head_rows(res, l, m):
+    """(rank of the first subset, head residue, tail sums) per head index i:
+    the tails, (l-1)-subsets whose smallest index exceeds i, are a suffix of
+    the (l-1)-subset sums in lexicographic order."""
+    n = len(res)
+    tails = _subset_sums(res, l - 1, m)
+    total = comb(n, l)
+    for i in range(n - l + 1):
+        width = comb(n - i - 1, l - 1)
+        yield total - comb(n - i, l), res[i], tails[len(tails) - width:]
+
+
+def _subset_sums(res, l, m):
+    """Residues mod m of all l-subset sums, in lexicographic order."""
+    if l == 1:
+        return res
+    out = np.empty(comb(len(res), l), res.dtype)
+    for pos, a, tails in _head_rows(res, l, m):
+        _add_mod(a, tails, m, out[pos:pos + len(tails)])
+    return out
+
+
+def _repeated_keys(keys):
+    """Sorted distinct keys that occur more than once. Sorts keys in place
+    and compares neighbours a chunk at a time, so no comparison mask spans
+    the whole array."""
+    keys.sort()
+    found = [keys[:0]]
+    for lo in range(0, len(keys), _CHUNK):
+        run = keys[lo:lo + _CHUNK + 1]
+        found.append(run[1:][run[1:] == run[:-1]])
+    return np.unique(np.concatenate(found))
+
+
+def _unrank(rank, n, l):
+    """The rank-th l-subset of range(n) in lexicographic order."""
+    out = []
+    i = 0
+    while l:
+        width = comb(n - i - 1, l - 1)  # subsets whose smallest index is i
+        if rank < width:
+            out.append(i)
+            l -= 1
+        else:
+            rank -= width
+        i += 1
+    return tuple(out)
+
+
+def _confirmed_groups(vals, res, l, m, modulus, repeated):
+    """Exact sum -> index tuples, over the subsets whose key repeats.
+
+    Regenerates the keys one head row at a time, so memory stays at the
+    (l-1)-subset sums plus one row.
     """
-    n = len(vals)
-    res = np.fromiter((v % _MERSENNE61 for v in vals), dtype=np.uint64, count=n)
-
-    def row_sums(i):
-        # Residues are below M, so the sum fits uint64; reducing it keeps
-        # equal exact sums on equal residue sums even when one pair wrapped.
-        row = res[i + 1:] + res[i]
-        row[row >= _MERSENNE61] -= np.uint64(_MERSENNE61)
-        return row
-
-    total = n * (n - 1) // 2
-    sums = np.empty(total, np.uint64)
-    pos = 0
-    for i in range(n):
-        sums[pos:pos + n - 1 - i] = row_sums(i)
-        pos += n - 1 - i
-    sums.sort()
-    dup_vals = np.unique(sums[1:][sums[1:] == sums[:-1]])
-    del sums
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    if dup_vals.size:
-        exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for i in range(n):
-            row = row_sums(i)
-            slot = np.searchsorted(dup_vals, row)
-            slot[slot == dup_vals.size] = 0
-            for off in np.flatnonzero(dup_vals[slot] == row):
-                j = i + 1 + int(off)
-                exact[vals[i] + vals[j]].append((i, j))
-        groups = {key: ts for key, ts in exact.items() if len(ts) > 1}
-    return groups
+    exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for pos, a, tails in _head_rows(res, l, m):
+        row = _add_mod(a, tails, m, np.empty_like(tails))
+        slot = np.minimum(np.searchsorted(repeated, row), len(repeated) - 1)
+        for off in np.flatnonzero(repeated[slot] == row):
+            t = _unrank(pos + int(off), len(vals), l)
+            s = sum(vals[i] for i in t)
+            exact[s if modulus is None else s % modulus].append(t)
+    return {key: ts for key, ts in exact.items() if len(ts) > 1}
 
 
 def _reports_from_groups(items, vals, groups, l):
@@ -176,25 +191,29 @@ def _reports_from_groups(items, vals, groups, l):
     return reports
 
 
-def find_collisions(elements, l: int, modulus: int | None = None,
-                    method: str = "auto") -> list[CollisionReport]:
+def find_collisions(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
     """All unordered pairs of disjoint size-l subsets with equal sums.
 
     Each side is l distinct elements and the two sides share none, so
     [0, 1, 2, 3] at l = 2 carries exactly one collision, 0+3 = 1+2.
-    With `modulus` the sums are compared mod it.
+    With `modulus` the sums are compared mod it. Raises AuditTooLarge,
+    before allocating anything, when there are more than MAX_SUBSETS
+    l-subsets.
     """
     items, vals = _prepare(elements, l)
-    if method == "auto":
-        method = "filtered" if (l == 2 and modulus is None and len(vals) >= _FILTER_MIN) else "halves"
-    if method == "halves":
-        groups = _half_split_groups(vals, l, modulus)
-    elif method == "filtered":
-        if l != 2 or modulus is not None:
-            raise ValueError("the filtered path only handles plain pair sums")
-        groups = _filtered_pair_groups(vals)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if len(vals) < 2 * l:
+        return []  # no two disjoint l-subsets; from here C(n, l) is the largest level
+    subsets = comb(len(vals), l)
+    if subsets > MAX_SUBSETS:
+        raise AuditTooLarge(f"{subsets} {l}-subsets of {len(vals)} elements exceed "
+                            f"the audit limit of {MAX_SUBSETS}")
+    m = _MERSENNE61 if modulus is None else modulus
+    # Two keys below m add up to less than 2^64 while m <= 2^63.
+    res = np.fromiter((v % m for v in vals), np.uint64 if m <= 1 << 63 else object, len(vals))
+    repeated = _repeated_keys(_subset_sums(res, l, m))
+    groups = _confirmed_groups(vals, res, l, m, modulus, repeated) if len(repeated) else {}
     return _reports_from_groups(items, vals, groups, l)
 
 

@@ -3,19 +3,22 @@
 The j-th entry is a prime q_j from (2^(2j-1), 2^(2j+1)] together with a
 primitive root g_j, and the j-th radix is scale * q_j. Entries extend on
 demand, so callers never size the basis up front. A basis parsed back from
-JSON is frozen at its stored length.
+JSON is frozen at its stored length. The deterministic basis finds each
+least prime by a primality scan; random bases draw from a per-interval pool
+that is sieved once per process.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import isqrt
 
 from .arith import PrimeInterval, is_prime, is_primitive_root, primes_in_interval, smallest_primitive_root
 from .errors import BasisGap
 
-# Largest index materialized on demand; the j = 12 interval already needs a
-# sieve to 2^25. Anything past this is out of desk range.
+# Largest index materialized on demand; a random j = 12 entry already needs
+# a sieve to 2^25. Anything past this is out of desk range.
 MAX_INDEX = 12
 
 
@@ -24,6 +27,12 @@ def dyadic_interval(j: int) -> PrimeInterval:
     if j < 1:
         raise ValueError(f"basis index must be >= 1, got {j}")
     return PrimeInterval(1 << (2 * j - 1), 1 << (2 * j + 1))
+
+
+@lru_cache(maxsize=None)
+def _window_pool(j: int) -> tuple[int, ...]:
+    """Every prime of dyadic_interval(j), ascending; shared by all random bases."""
+    return tuple(primes_in_interval(dyadic_interval(j)))
 
 
 class Basis:
@@ -76,10 +85,12 @@ class Basis:
             raise BasisGap(f"fixed basis has {len(self._entries)} entries, no entry {j}")
         if j > self.max_index:
             raise BasisGap(f"entry {j} beyond the materialization bound {self.max_index}")
-        pool = primes_in_interval(dyadic_interval(j))
-        if not pool:
-            raise BasisGap(f"no prime in {dyadic_interval(j)}")
-        q = pool[0] if self.mode == "deterministic" else self._rng.choice(pool)
+        # Bertrand's postulate puts a prime in every window (n, 4n].
+        if self.mode == "deterministic":
+            iv = dyadic_interval(j)
+            q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
+        else:
+            q = self._rng.choice(_window_pool(j))
         self._append(q, smallest_primitive_root(q))
 
     def ensure(self, count: int) -> None:

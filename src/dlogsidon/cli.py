@@ -217,12 +217,8 @@ def _cmd_audit(cfg: RunConfig) -> int:
             continue
         obj = json.loads(line)
         values.append(int(obj["a"]) if isinstance(obj, dict) else int(obj))
-    method = cfg.extras["method"]
-    if method == "brute":
-        reports = find_collisions_bruteforce(values, l, modulus=cfg.extras.get("modulus"))
-    else:
-        reports = find_collisions(values, l, modulus=cfg.extras.get("modulus"),
-                                  method=method)
+    search = find_collisions_bruteforce if cfg.extras["method"] == "brute" else find_collisions
+    reports = search(values, l, modulus=cfg.extras.get("modulus"))
     _write_lines(cfg.out, (r.to_json_obj() for r in reports))
     if reports and not cfg.extras["allow_collisions"]:
         where = "stdout" if cfg.out == "-" else cfg.out
@@ -383,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="element JSONL path, - for stdin")
     p.add_argument("--l", type=int, default=2, help="sum arity (default 2)")
     p.add_argument("--modulus", type=int, help="compare sums modulo this")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "halves", "filtered", "brute"))
+    p.add_argument("--method", default="auto", choices=("auto", "brute"),
+                   help="auto: the numpy engine (default); brute: the direct-enumeration oracle")
     p.add_argument("--allow-collisions", dest="allow_collisions", action="store_true",
                    help="exit 0 even when collisions are found")
     p.add_argument("--out", default="-", help="collision report JSONL path")

@@ -56,6 +56,10 @@ class ArityOutOfRange(DlogSidonError):
     """Collision arity below 2 (or above the audited order) was requested."""
 
 
+class AuditTooLarge(DlogSidonError):
+    """An exhaustive audit would hold more subset sums than the engine allows."""
+
+
 class MissingDigits(DlogSidonError):
     """Structural facts need digit vectors, but only raw values were given."""
 

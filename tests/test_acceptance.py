@@ -262,7 +262,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
             fparams = sidon_params(c=const_decimal(cdec), offset=1, k_min=2)
             fprefix = generate_blocks(4, fparams, fb, h=3)
             assert len(fprefix.elements) == n <= 200
-            reports = find_collisions(fprefix.elements, l, method="halves")
+            reports = find_collisions(fprefix.elements, l)
             assert len(reports) == n_reports
             brute = find_collisions_bruteforce(fprefix.elements, l)
             assert report_keys(reports) == report_keys(brute)

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 
 from dlogsidon.auditor import (
+    MAX_SUBSETS,
     CollisionReport,
     check_collision_structure,
     find_collisions,
@@ -11,7 +14,7 @@ from dlogsidon.auditor import (
 )
 from dlogsidon.blocks import const_decimal, sidon_params
 from dlogsidon.encoder import DigitVector, SidonElement
-from dlogsidon.errors import ArityOutOfRange, DigitOutOfRange, MissingDigits
+from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
 
 from oracles import disjoint_report_keys
@@ -46,55 +49,99 @@ def test_sides_hold_distinct_elements():
     assert (2, 4, (4, 0), (3, 1)) in report_keys(reports)
 
 
-@pytest.mark.parametrize("l,n_lo,n_hi,span", [(2, 25, 80, 3), (3, 18, 36, 25)])
+@pytest.mark.parametrize("l,n_lo,n_hi,span",
+                         [(2, 25, 80, 3), (3, 18, 36, 25), (4, 10, 16, 40)])
 def test_methods_agree_with_oracle(l, n_lo, n_hi, span):
+    # Dense random sets carry many natural collisions.
     rng = random.Random(4000 + l)
     for _ in range(5):
         n = rng.randrange(n_lo, n_hi)
         vals = rng.sample(range(span * n), n)
         expected = disjoint_report_keys(vals, l)
-        halves = find_collisions(vals, l, method="halves")
-        brute = find_collisions_bruteforce(vals, l)
-        assert report_keys(halves) == expected
-        assert report_keys(brute) == expected
-        if l == 2:
-            filt = find_collisions(vals, l, method="filtered")
-            assert report_keys(filt) == expected
+        assert expected
+        assert report_keys(find_collisions(vals, l)) == expected
+        assert report_keys(find_collisions_bruteforce(vals, l)) == expected
 
 
-def test_filtered_path_big_values_and_wraparound():
-    # Values far above 61 bits; the residue filter must still confirm the
-    # one planted collision exactly.
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_engine_finds_planted_collision(l):
+    # Random values above 2^200 are collision-free; plant one equal-sum pair of
+    # disjoint l-subsets by adjusting one element.
+    rng = random.Random(5000 + l)
+    for _ in range(3):
+        vals = [(1 << 201) + rng.getrandbits(190) for _ in range(3 * l + 4)]
+        vals[2 * l - 1] += sum(vals[:l]) - sum(vals[l:2 * l])
+        sides = sorted((tuple(sorted(vals[:l], reverse=True)),
+                        tuple(sorted(vals[l:2 * l], reverse=True))), reverse=True)
+        planted = (l, sum(vals[:l]), *sides)
+        rng.shuffle(vals)
+        assert report_keys(find_collisions(vals, l)) == [planted]
+        assert report_keys(find_collisions_bruteforce(vals, l)) == [planted]
+
+
+def test_engine_big_values_and_wraparound():
+    # Values far above 61 bits; the residue keys must still confirm the
+    # planted collision exactly.
     base = 1 << 200
     vals = [base + 1, base + 4, base + 2, base + 3, base + 9]
     expected = [(2, 2 * base + 5, (base + 4, base + 1), (base + 3, base + 2))]
-    assert report_keys(find_collisions(vals, 2, method="filtered")) == expected
+    assert report_keys(find_collisions(vals, 2)) == expected
     assert report_keys(find_collisions_bruteforce(vals, 2)) == expected
+    vals = [base + 1, base + 2, base + 9, base + 3, base + 4, base + 5]
+    expected = [(3, 3 * base + 12, (base + 9, base + 2, base + 1),
+                 (base + 5, base + 4, base + 3))]
+    assert report_keys(find_collisions(vals, 3)) == expected
+    assert report_keys(find_collisions_bruteforce(vals, 3)) == expected
 
-    # Residue sums that wrap past the Mersenne modulus still group correctly.
+    # Residue sums that wrap past the Mersenne modulus still group
+    # correctly, at the top level and inside the (l-1)-subset sums.
     vals = [M61 - 1, 3, M61 - 2, 4]
-    reports = find_collisions(vals, 2, method="filtered")
+    reports = find_collisions(vals, 2)
     assert report_keys(reports) == [(2, M61 + 2, (M61 - 1, 3), (M61 - 2, 4))]
+    vals = [M61 - 1, M61 - 2, 10, M61 - 3, M61 - 4, 14]
+    reports = find_collisions(vals, 3)
+    assert report_keys(reports) == report_keys(find_collisions_bruteforce(vals, 3))
+    assert (3, 2 * M61 + 7, (M61 - 1, M61 - 2, 10), (M61 - 3, M61 - 4, 14)) \
+        in report_keys(reports)
 
     # Equal residues with unequal exact sums must not be reported.
     vals = [M61 + 5, 10, 7, 8]
-    assert find_collisions(vals, 2, method="filtered") == []
+    assert find_collisions(vals, 2) == []
     assert find_collisions_bruteforce(vals, 2) == []
+    vals = [M61 + 5, 1, 6, 2, 3, 7]
+    assert find_collisions(vals, 3) == []
+    assert find_collisions_bruteforce(vals, 3) == []
 
 
 def test_modular_collision_search():
-    rng = random.Random(71)
-    vals = rng.sample(range(10_000), 60)
-    for mod in (97, 1009):
-        reports = find_collisions(vals, 2, modulus=mod)
-        assert report_keys(reports) == disjoint_report_keys(vals, 2, mod)
+    for mod, l, n in ((3, 2, 20), (3, 3, 12), (97, 2, 60), (97, 3, 24),
+                      (1009, 2, 60), (1009, 4, 14)):
+        rng = random.Random(71 + l)
+        vals = rng.sample(range(10_000), n)
+        reports = find_collisions(vals, l, modulus=mod)
+        assert report_keys(reports) == disjoint_report_keys(vals, l, mod)
+        assert report_keys(find_collisions_bruteforce(vals, l, modulus=mod)) == report_keys(reports)
         for r in reports:
             assert 0 <= r.total < mod
             assert (sum(r.left_values()) - sum(r.right_values())) % mod == 0
         # modular grouping really differs from exact grouping
-        exact_keys = {(lv, rv) for _, _, lv, rv in disjoint_report_keys(vals, 2)}
-        assert any((r.left_values(), r.right_values()) not in exact_keys
-                   for r in reports)
+        exact_keys = {(lv, rv) for _, _, lv, rv in disjoint_report_keys(vals, l)}
+        assert any((r.left_values(), r.right_values()) not in exact_keys for r in reports)
+
+
+def test_moduli_near_and_beyond_uint64():
+    # Below 2^64 two keys can overflow uint64 once m > 2^63; above 2^64 the
+    # keys take the object-dtype route through the same engine. Values
+    # straddle the modulus so the residue sums wrap.
+    rng = random.Random(72)
+    for mod in ((1 << 64) - 59, (1 << 64) + 13):
+        vals = sorted({rng.randrange(mod - 2000, mod + 2000) for _ in range(40)})
+        vals += [v % mod + 3 * mod for v in vals[:4]]
+        for l in (2, 3):
+            expected = disjoint_report_keys(vals, l, mod)
+            assert expected
+            assert report_keys(find_collisions(vals, l, modulus=mod)) == expected
+            assert report_keys(find_collisions_bruteforce(vals, l, modulus=mod)) == expected
 
 
 def test_search_validation():
@@ -105,11 +152,24 @@ def test_search_validation():
     with pytest.raises(ValueError):
         find_collisions([1, 2, 2, 3], 2)
     with pytest.raises(ValueError):
-        find_collisions([1, 2, 3, 4], 3, method="filtered")
-    with pytest.raises(ValueError):
-        find_collisions([1, 2, 3, 4], 2, modulus=7, method="filtered")
-    with pytest.raises(ValueError):
-        find_collisions([1, 2, 3, 4], 2, method="nope")
+        find_collisions([1, 2, 3, 4], 2, modulus=0)
+    assert find_collisions([1, 2, 3], 4) == []
+    assert find_collisions(range(40), 35) == []  # C(40, 20) would not fit
+
+
+def test_audit_limit_raises_before_allocating():
+    # The densest k <= 7 prefix fits; the sqrt5 k <= 8 pair audit does not.
+    assert comb(14_759, 2) <= MAX_SUBSETS < comb(207_214, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AuditTooLarge):
+            find_collisions(range(23_200), 2)
+        with pytest.raises(AuditTooLarge):
+            find_collisions(range(300), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from dlogsidon.arith import is_prime, is_primitive_root
+from dlogsidon.arith import is_prime, is_primitive_root, primes_in_interval
 from dlogsidon.basis import MAX_INDEX, Basis, build_basis, dyadic_interval
 from dlogsidon.errors import BasisGap
 
@@ -77,6 +79,19 @@ def test_random_mode_reproducible_and_in_pool():
         q, g = a.entry(j)
         assert q in dyadic_interval(j)
         assert is_primitive_root(g, q)
+
+
+def test_entries_match_a_fresh_window_sieve():
+    # The primality scan finds each least prime, and the cached pools hand
+    # rng.choice the same sequence a fresh sieve of the window would.
+    pools = [primes_in_interval(dyadic_interval(j)) for j in range(1, 11)]
+    det = build_basis("deterministic", 4, 10)
+    assert [det.q(j) for j in range(1, 11)] == [pool[0] for pool in pools]
+    rng = random.Random(2024)
+    expected = [rng.choice(pool) for pool in pools]
+    for _ in range(2):  # the second basis reuses the cached pools
+        rand = build_basis("random", 9, 10, seed=2024)
+        assert [rand.q(j) for j in range(1, 11)] == expected
 
 
 def test_fixed_mode_never_extends():

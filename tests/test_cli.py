@@ -108,10 +108,10 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
     planted = tmp_path / "planted.jsonl"
     planted.write_text("0\n1\n2\n3\n")
     base = run_cli(capsys, ["audit", "--input", str(planted), "--allow-collisions"])[1]
-    for method in ("brute", "halves", "filtered"):
-        out = run_cli(capsys, ["audit", "--input", str(planted),
-                               "--allow-collisions", "--method", method])[1]
-        assert out == base
+    out = run_cli(capsys, ["audit", "--input", str(planted),
+                           "--allow-collisions", "--method", "brute"])[1]
+    assert out == base
+    run_usage_error(capsys, ["audit", "--input", str(planted), "--method", "halves"])
 
     rc, out, err = run_cli(capsys, ["audit", "--input", str(planted),
                                     "--allow-collisions", "--modulus", "3"])
@@ -121,6 +121,15 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
     run_usage_error(capsys, ["audit", "--input", str(planted), "--l", "1"])
     rc, out, err = run_cli(capsys, ["audit", "--input", str(tmp_path / "missing.jsonl")])
     assert rc == 1 and err.startswith("error:")
+
+
+def test_audit_too_large_is_an_error(capsys, tmp_path):
+    # C(1200, 3) is above the engine's limit; it must refuse, not allocate.
+    wide = tmp_path / "wide.jsonl"
+    wide.write_text("".join(f"{v}\n" for v in range(1200)))
+    rc, out, err = run_cli(capsys, ["audit", "--input", str(wide), "--l", "3"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "audit limit" in err
 
 
 def test_audit_reads_stdin(capsys, monkeypatch):
