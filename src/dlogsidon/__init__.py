@@ -12,7 +12,7 @@ from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
                     primes_in_interval, primes_upto, smallest_primitive_root)
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
                       find_collisions_bruteforce, growth_bracket_check)
-from .basis import Basis, build_basis, dyadic_interval
+from .basis import INTEGERS, Basis, build_basis, dyadic_interval
 from .bh import (BhParams, BhPruneResult, bh_generate, bh_params, bh_prune,
                  montecarlo_bad_ratio, negative_taper_blocks, prune_repeated_sums)
 from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
@@ -29,10 +29,9 @@ from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
                         expected_finite_size, finite_dlog_sidon_set,
                         generate_blocks, iter_elements)
-from .gf2x import (Gf2Basis, Gf2Element, Gf2Prefix, gf2_deg, gf2_discrete_log,
-                   gf2_finite_sidon, gf2_generate_blocks, gf2_generator, gf2_mod,
-                   gf2_mul, gf2_weight, irreducible_count, irreducibles_of_degree,
-                   is_irreducible)
+from .gf2x import (GF2, gf2_deg, gf2_discrete_log, gf2_finite_sidon, gf2_generate_blocks,
+                   gf2_generator, gf2_log_table, gf2_mod, gf2_mul, irreducible_count,
+                   irreducibles_of_degree, is_irreducible)
 from .pruner import (BadPrimeRecord, PruneResult, SRangeBounds, bad_primes,
                      eligible_k2s, pruned_generate, s_bounds)
 

@@ -32,6 +32,10 @@ from .generator import SequencePrefix, count_upto
 # The engine holds one uint64 key per l-subset, so 2^28 subsets take 2 GiB.
 MAX_SUBSETS = 1 << 28
 
+# Pairs of subsets with one key, each a potential report: a small modulus
+# gives O(C(n, l)^2 / m) of them, far more than there are subsets.
+MAX_REPORT_PAIRS = 1 << 20
+
 _MERSENNE61 = (1 << 61) - 1
 
 # Neighbour comparisons after the sort run over this many keys at a time.
@@ -161,20 +165,32 @@ def _confirmed_groups(vals, res, l, m, modulus, repeated):
     """Exact sum -> index tuples, over the subsets whose key repeats.
 
     Regenerates the keys one head row at a time, so memory stays at the
-    (l-1)-subset sums plus one row.
+    (l-1)-subset sums plus one row, and counts the pairs sharing a sum as it
+    goes, so it stops as soon as they pass MAX_REPORT_PAIRS.
     """
     exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    pairs = 0
     for pos, a, tails in _head_rows(res, l, m):
         row = _add_mod(a, tails, m, np.empty_like(tails))
         slot = np.minimum(np.searchsorted(repeated, row), len(repeated) - 1)
         for off in np.flatnonzero(repeated[slot] == row):
             t = _unrank(pos + int(off), len(vals), l)
             s = sum(vals[i] for i in t)
-            exact[s if modulus is None else s % modulus].append(t)
+            group = exact[s if modulus is None else s % modulus]
+            pairs += len(group)
+            _check_report_pairs(pairs, l)
+            group.append(t)
     return {key: ts for key, ts in exact.items() if len(ts) > 1}
 
 
+def _check_report_pairs(pairs, l):
+    if pairs > MAX_REPORT_PAIRS:
+        raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-subsets "
+                            f"share a sum (the report limit)")
+
+
 def _reports_from_groups(items, vals, groups, l):
+    _check_report_pairs(sum(comb(len(tuples), 2) for tuples in groups.values()), l)
     reports = []
     for key, tuples in groups.items():
         for ta, tb in combinations(tuples, 2):
@@ -198,7 +214,8 @@ def find_collisions(elements, l: int, modulus: int | None = None) -> list[Collis
     [0, 1, 2, 3] at l = 2 carries exactly one collision, 0+3 = 1+2.
     With `modulus` the sums are compared mod it. Raises AuditTooLarge,
     before allocating anything, when there are more than MAX_SUBSETS
-    l-subsets.
+    l-subsets, and before building any report when more than
+    MAX_REPORT_PAIRS pairs of subsets share a sum.
     """
     items, vals = _prepare(elements, l)
     if modulus is not None and modulus < 1:
@@ -256,7 +273,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     for i in range(1, l + 1):
         k_i = None
         for j in range(1, max_k + 1):
-            if sums_left[j - 1] >= i * ((h - 1) * basis.q(j) + 1):
+            if sums_left[j - 1] >= i * ((h - 1) * basis.norm(j) + 1):
                 k_i = j
         recovered.append(k_i)
     ks = [e.k for e in left]
@@ -324,7 +341,7 @@ def growth_bracket_check(prefix: SequencePrefix, basis: Basis | None = None,
         lower = prime_count(thr_lo) - sum(1 for r in prefix.excluded if r.p <= thr_lo)
         upper = prime_count(params.upper_edge(k + 2))
         elems = prefix.block_elements(k)
-        rail_lo = basis.weight(k) * basis.q(k)
+        rail_lo = basis.weight(k) * basis.norm(k)
         rail_hi = basis.weight(k + 1)
         out.append({
             "k": k,

@@ -1,11 +1,14 @@
-"""Radix basis: a prime and a primitive root per dyadic interval.
+"""Radix basis over a ring: an irreducible q_j and a generator g_j per index.
 
-The j-th entry is a prime q_j from (2^(2j-1), 2^(2j+1)] together with a
-primitive root g_j, and the j-th radix is scale * q_j. Entries extend on
-demand, so callers never size the basis up front. A basis parsed back from
-JSON is frozen at its stored length. The deterministic basis finds each
-least prime by a primality scan; random bases draw from a per-interval pool
-that is sieved once per process.
+The j-th radix is scale * N_j, where N_j is the norm of q_j: q_j itself
+over Z, 2^deg(q_j) over GF(2)[X]. Entries extend on demand, so callers
+never size the basis up front. A basis parsed back from JSON is frozen at
+its stored length.
+
+The ring (INTEGERS here, GF2 in gf2x) holds all that differs between the
+two constructions. Over Z, q_j is a prime from (2^(2j-1), 2^(2j+1)]: the
+deterministic basis takes the least one by a primality scan, random bases
+draw from a per-interval pool that is sieved once per process.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import random
 from functools import lru_cache
 from math import isqrt
 
-from .arith import PrimeInterval, is_prime, is_primitive_root, primes_in_interval, smallest_primitive_root
+from .arith import (PrimeInterval, discrete_log, is_prime, is_primitive_root, log_table,
+                    primes_in_interval, smallest_primitive_root)
+from .blocks import primes_in_block
 from .errors import BasisGap
 
 # Largest index materialized on demand; a random j = 12 entry already needs
@@ -29,6 +34,35 @@ def dyadic_interval(j: int) -> PrimeInterval:
     return PrimeInterval(1 << (2 * j - 1), 1 << (2 * j + 1))
 
 
+class IntegerRing:
+    """Z: primes, reduction p % q, norm q, primitive roots, dlogs mod q."""
+
+    def block(self, k, params) -> list[int]:
+        return primes_in_block(k, params)
+
+    def reduce(self, p: int, q: int) -> int:
+        return p % q
+
+    def norm(self, q: int) -> int:
+        return q
+
+    def basis_entry(self, j: int) -> tuple[int, int]:
+        """The least prime of dyadic_interval(j) and its least primitive root."""
+        # Bertrand's postulate puts a prime in every window (n, 4n].
+        iv = dyadic_interval(j)
+        q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
+        return q, smallest_primitive_root(q)
+
+    def log_table(self, g: int, q: int) -> list[int]:
+        return log_table(g, q)
+
+    def dlog(self, g: int, r: int, q: int) -> int:
+        return discrete_log(g, r, q)
+
+
+INTEGERS = IntegerRing()
+
+
 @lru_cache(maxsize=None)
 def _window_pool(j: int) -> tuple[int, ...]:
     """Every prime of dyadic_interval(j), ascending; shared by all random bases."""
@@ -36,17 +70,17 @@ def _window_pool(j: int) -> tuple[int, ...]:
 
 
 class Basis:
-    """Append-only list of (q_j, g_j) pairs with cached radix weights.
+    """Append-only list of (q_j, g_j, N_j) entries with cached radix weights.
 
-    mode is one of "deterministic" (least prime per interval), "random"
-    (uniform prime per interval, explicit seed) or "fixed" (entries supplied,
-    never extended). Readers always see a consistent prefix: entries are
-    appended one at a time and never mutated.
+    mode is one of "deterministic" (the ring's basis_entry), "random"
+    (uniform prime per interval, explicit seed; Z only) or "fixed" (entries
+    supplied, never extended; Z only). Readers always see a consistent
+    prefix: entries are appended one at a time and never mutated.
     """
 
     def __init__(self, scale: int, entries=(), *, mode: str = "deterministic",
                  seed: int | None = None, require_dyadic: bool = True,
-                 max_index: int = MAX_INDEX):
+                 max_index: int = MAX_INDEX, ring=INTEGERS):
         root = isqrt(scale)
         if root < 2 or root * root != scale:
             raise ValueError(f"scale must be a perfect square of an integer >= 2, got {scale}")
@@ -54,13 +88,16 @@ class Basis:
             raise ValueError(f"unknown basis mode {mode!r}")
         if mode == "random" and seed is None:
             raise ValueError("random basis needs an explicit seed")
+        if ring is not INTEGERS and (mode != "deterministic" or entries):
+            raise ValueError("only the integer ring takes random or fixed bases")
+        self.ring = ring
         self.scale = scale
         self.mode = mode
         self.seed = seed
         self.max_index = max_index
         self._rng = random.Random(seed) if mode == "random" else None
-        self._entries: list[tuple[int, int]] = []
-        self._weights: list[int] = [1]  # _weights[j-1] = W_j = prod_{i<j} scale*q_i
+        self._entries: list[tuple[int, int, int]] = []
+        self._weights: list[int] = [1]  # _weights[j-1] = W_j = prod_{i<j} scale*N_i
         for j, (q, g) in enumerate(entries, start=1):
             self._check_entry(j, q, g, require_dyadic)
             self._append(q, g)
@@ -72,12 +109,13 @@ class Basis:
             raise ValueError(f"q_{j} = {q} outside {dyadic_interval(j)}")
         if not is_primitive_root(g, q):
             raise ValueError(f"g_{j} = {g} is not a primitive root mod {q}")
-        if any(q == q_i for q_i, _ in self._entries):
+        if any(q == q_i for q_i, _, _ in self._entries):
             raise ValueError(f"duplicate basis prime {q}")
 
     def _append(self, q, g):
-        self._entries.append((q, g))
-        self._weights.append(self._weights[-1] * self.scale * q)
+        n = self.ring.norm(q)
+        self._entries.append((q, g, n))
+        self._weights.append(self._weights[-1] * self.scale * n)
 
     def _extend(self):
         j = len(self._entries) + 1
@@ -85,13 +123,11 @@ class Basis:
             raise BasisGap(f"fixed basis has {len(self._entries)} entries, no entry {j}")
         if j > self.max_index:
             raise BasisGap(f"entry {j} beyond the materialization bound {self.max_index}")
-        # Bertrand's postulate puts a prime in every window (n, 4n].
         if self.mode == "deterministic":
-            iv = dyadic_interval(j)
-            q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
+            self._append(*self.ring.basis_entry(j))
         else:
             q = self._rng.choice(_window_pool(j))
-        self._append(q, smallest_primitive_root(q))
+            self._append(q, smallest_primitive_root(q))
 
     def ensure(self, count: int) -> None:
         while len(self._entries) < count:
@@ -106,7 +142,7 @@ class Basis:
             raise ValueError(f"basis index must be >= 1, got {j}")
         if j > len(self._entries):
             self.ensure(j)
-        return self._entries[j - 1]
+        return self._entries[j - 1][:2]
 
     def q(self, j: int) -> int:
         return self.entry(j)[0]
@@ -114,11 +150,25 @@ class Basis:
     def g(self, j: int) -> int:
         return self.entry(j)[1]
 
+    def norm(self, j: int) -> int:
+        """N_j, the size of the residue ring mod q_j (q_j itself over Z)."""
+        if j < 1:
+            raise ValueError(f"basis index must be >= 1, got {j}")
+        if j > len(self._entries):
+            self.ensure(j)
+        return self._entries[j - 1][2]
+
+    def moduli(self, k: int) -> list[tuple[int, int, int]]:
+        """(q_j, g_j, N_j) for j = 1..k, extending on demand."""
+        if k > len(self._entries):
+            self.ensure(k)
+        return self._entries[:k]
+
     def radix(self, j: int) -> int:
-        return self.scale * self.entry(j)[0]
+        return self.scale * self.norm(j)
 
     def weight(self, j: int) -> int:
-        """W_j = prod_{i<j} scale * q_i, so W_1 = 1."""
+        """W_j = prod_{i<j} scale * N_i, so W_1 = 1."""
         if j < 1:
             raise ValueError(f"weight index must be >= 1, got {j}")
         if j > len(self._weights):
@@ -136,7 +186,7 @@ class Basis:
         return {
             "scale": self.scale,
             "entries": [{"j": j, "q": q, "g": g}
-                        for j, (q, g) in enumerate(self._entries, start=1)],
+                        for j, (q, g, _) in enumerate(self._entries, start=1)],
         }
 
     @classmethod

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
 
 from . import bh as bh_mod
 from . import gf2x
@@ -31,37 +30,6 @@ from .pruner import pruned_generate
 
 class UsageError(Exception):
     """A bad flag value; reported through argparse with exit status 2."""
-
-
-@dataclass
-class RunConfig:
-    """Normalized flags shared across subcommands; the rest ride in extras."""
-
-    command: str
-    c: str = "sqrt5"
-    basis_mode: str = "deterministic"
-    seed: int | None = None
-    k_max: int | None = None
-    h: int = 2
-    precision: int | None = None
-    out: str = "-"
-    summary: str | None = None
-    extras: dict = field(default_factory=dict)
-
-
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    if getattr(ns, "sub", None):
-        command += " " + ns.sub
-    shared = {f.name for f in fields(RunConfig)} - {"command", "extras"}
-    defaults = RunConfig(command="")
-    data = {name: getattr(ns, name, getattr(defaults, name)) for name in shared}
-    extras = {k: v for k, v in vars(ns).items()
-              if k not in shared and k not in ("command", "sub")}
-    cfg = RunConfig(command=command, extras=extras, **data)
-    if cfg.precision is not None and cfg.precision < MIN_PRECISION:
-        raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
-    return cfg
 
 
 def parse_constant(text: str) -> Constant:
@@ -121,58 +89,55 @@ def _sidon_in_cyclic(residues, modulus: int) -> bool:
     return True
 
 
-def _make_basis(cfg: RunConfig, scale: int, count: int) -> Basis:
-    path = cfg.extras.get("basis_file")
+def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
+    path = ns.basis_file
     if path:
         with open(path) as fh:
             b = Basis.from_json_doc(json.load(fh))
         if b.scale != scale:
             raise UsageError(f"--basis-file scale {b.scale} does not match h^2 = {scale}")
         return b
-    if cfg.basis_mode == "random" and cfg.seed is None:
+    if ns.basis_mode == "random" and ns.seed is None:
         raise UsageError("--basis random needs --seed")
-    return build_basis(cfg.basis_mode, scale, count, seed=cfg.seed)
+    return build_basis(ns.basis_mode, scale, count, seed=ns.seed)
 
 
-def _sidon_block_params(cfg: RunConfig):
-    prec = cfg.precision or default_precision()
-    return sidon_params(c=parse_constant(cfg.c), precision=prec,
-                        offset=cfg.extras.get("offset", -3),
-                        k_min=cfg.extras.get("kmin", 2))
+def _sidon_block_params(ns: argparse.Namespace, offset: int = -3, k_min: int = 2):
+    prec = ns.precision or default_precision()
+    return sidon_params(c=parse_constant(ns.c), precision=prec, offset=offset, k_min=k_min)
 
 
-def _cmd_basis(cfg: RunConfig) -> int:
-    scale = cfg.extras["scale"]
-    b = _make_basis(cfg, scale, cfg.extras["count"])
-    _write_doc(cfg.out, b.to_json_doc())
+def _cmd_basis(ns: argparse.Namespace) -> int:
+    b = _make_basis(ns, ns.scale, ns.count)
+    _write_doc(ns.out, b.to_json_doc())
     return 0
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    params = _sidon_block_params(cfg)
-    basis = _make_basis(cfg, cfg.h * cfg.h, cfg.k_max)
-    prefix = generate_blocks(cfg.k_max, params, basis, h=cfg.h)
-    _write_lines(cfg.out, (e.to_json_obj() for e in prefix.elements))
-    _write_doc(cfg.summary, {
-        "c": cfg.c,
-        "h": cfg.h,
-        "k_max": cfg.k_max,
+def _cmd_generate(ns: argparse.Namespace) -> int:
+    params = _sidon_block_params(ns, ns.offset, ns.kmin)
+    basis = _make_basis(ns, ns.h * ns.h, ns.k_max)
+    prefix = generate_blocks(ns.k_max, params, basis, h=ns.h)
+    _write_lines(ns.out, (e.to_json_obj() for e in prefix.elements))
+    _write_doc(ns.summary, {
+        "c": ns.c,
+        "h": ns.h,
+        "k_max": ns.k_max,
         "blocks": prefix.summaries(),
         "excluded": [r.to_json_obj() for r in prefix.excluded],
     })
     return 0
 
 
-def _cmd_prune(cfg: RunConfig) -> int:
-    params = _sidon_block_params(cfg)
-    basis = _make_basis(cfg, 4, cfg.k_max)
-    result = pruned_generate(cfg.k_max, params, basis, slack=cfg.extras["slack"])
-    _write_lines(cfg.out, (e.to_json_obj() for e in result.pruned.elements))
-    if cfg.extras.get("bad_out"):
-        _write_lines(cfg.extras["bad_out"], (r.to_json_obj() for r in result.records))
-    _write_doc(cfg.summary, {
-        "c": cfg.c,
-        "k_max": cfg.k_max,
+def _cmd_prune(ns: argparse.Namespace) -> int:
+    params = _sidon_block_params(ns, ns.offset, ns.kmin)
+    basis = _make_basis(ns, 4, ns.k_max)
+    result = pruned_generate(generate_blocks(ns.k_max, params, basis), slack=ns.slack)
+    _write_lines(ns.out, (e.to_json_obj() for e in result.pruned.elements))
+    if ns.bad_out:
+        _write_lines(ns.bad_out, (r.to_json_obj() for r in result.records))
+    _write_doc(ns.summary, {
+        "c": ns.c,
+        "k_max": ns.k_max,
         "blocks": result.reports,
         "bad_total": len(result.records),
         "kept": len(result.pruned.elements),
@@ -180,100 +145,98 @@ def _cmd_prune(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bh_generate(cfg: RunConfig) -> int:
-    params = bh_mod.bh_params(cfg.h, precision=cfg.precision)
-    basis = _make_basis(cfg, params.scale, cfg.k_max)
-    prefix = bh_mod.bh_generate(cfg.k_max, params, basis)
-    if cfg.extras["raw"]:
+def _cmd_bh_generate(ns: argparse.Namespace) -> int:
+    params = bh_mod.bh_params(ns.h, precision=ns.precision)
+    basis = _make_basis(ns, params.scale, ns.k_max)
+    prefix = bh_mod.bh_generate(ns.k_max, params, basis)
+    if ns.raw:
         kept, removed = prefix.elements, []
     else:
         result = bh_mod.bh_prune(prefix)
         kept, removed = result.pruned.elements, result.removed
-    _write_lines(cfg.out, (e.to_json_obj() for e in kept))
-    _write_doc(cfg.summary, {
-        "h": cfg.h,
-        "k_max": cfg.k_max,
+    _write_lines(ns.out, (e.to_json_obj() for e in kept))
+    _write_doc(ns.summary, {
+        "h": ns.h,
+        "k_max": ns.k_max,
         "blocks": prefix.summaries(),
         "removed": [e.to_json_obj() for e in removed],
-        "negative_taper_blocks": bh_mod.negative_taper_blocks(params.block, cfg.k_max),
+        "negative_taper_blocks": bh_mod.negative_taper_blocks(params.block, ns.k_max),
     })
     return 0
 
 
-def _cmd_bh_montecarlo(cfg: RunConfig) -> int:
-    doc = bh_mod.montecarlo_bad_ratio(cfg.h, cfg.k_max, cfg.extras["trials"],
-                                      cfg.seed, precision=cfg.precision)
-    _write_doc(cfg.out, doc)
+def _cmd_bh_montecarlo(ns: argparse.Namespace) -> int:
+    doc = bh_mod.montecarlo_bad_ratio(ns.h, ns.k_max, ns.trials, ns.seed,
+                                      precision=ns.precision)
+    _write_doc(ns.out, doc)
     return 0
 
 
-def _cmd_audit(cfg: RunConfig) -> int:
-    l = cfg.extras["l"]
+def _cmd_audit(ns: argparse.Namespace) -> int:
+    l = ns.l
     if l < 2:
         raise UsageError("--l must be >= 2")
     values = []
-    for line in _read_lines(cfg.extras["input"]):
+    for line in _read_lines(ns.input):
         if not line.strip():
             continue
         obj = json.loads(line)
         values.append(int(obj["a"]) if isinstance(obj, dict) else int(obj))
-    search = find_collisions_bruteforce if cfg.extras["method"] == "brute" else find_collisions
-    reports = search(values, l, modulus=cfg.extras.get("modulus"))
-    _write_lines(cfg.out, (r.to_json_obj() for r in reports))
-    if reports and not cfg.extras["allow_collisions"]:
-        where = "stdout" if cfg.out == "-" else cfg.out
+    search = find_collisions_bruteforce if ns.method == "brute" else find_collisions
+    reports = search(values, l, modulus=ns.modulus)
+    _write_lines(ns.out, (r.to_json_obj() for r in reports))
+    if reports and not ns.allow_collisions:
+        where = "stdout" if ns.out == "-" else ns.out
         print(f"audit: {len(reports)} collision report(s) at {where}", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    params = _sidon_block_params(cfg)
-    basis = _make_basis(cfg, cfg.h * cfg.h, cfg.k_max)
-    prefix = generate_blocks(cfg.k_max, params, basis, h=cfg.h)
-    x = cfg.extras["x"]
-    doc = {"x": str(x), "count": count_upto(x, prefix), "k_max": cfg.k_max}
-    if cfg.extras["brackets"]:
+def _cmd_count(ns: argparse.Namespace) -> int:
+    params = _sidon_block_params(ns, ns.offset, ns.kmin)
+    basis = _make_basis(ns, ns.h * ns.h, ns.k_max)
+    prefix = generate_blocks(ns.k_max, params, basis, h=ns.h)
+    doc = {"x": str(ns.x), "count": count_upto(ns.x, prefix), "k_max": ns.k_max}
+    if ns.brackets:
         doc["brackets"] = growth_bracket_check(prefix)
-    _write_doc(cfg.out, doc)
+    _write_doc(ns.out, doc)
     return 0
 
 
-def _cmd_finite(cfg: RunConfig) -> int:
-    q = cfg.extras["q"]
+def _cmd_finite(ns: argparse.Namespace) -> int:
+    q = ns.q
     if not is_prime(q):
         raise UsageError(f"--q {q} is not prime")
-    g = cfg.extras.get("g") or smallest_primitive_root(q)
+    g = ns.g or smallest_primitive_root(q)
     residues = sorted(finite_dlog_sidon_set(q, g))
     sidon = _sidon_in_cyclic(residues, q - 1)
-    _write_doc(cfg.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
+    _write_doc(ns.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
                          "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
 
 
-def _cmd_gf2_finite(cfg: RunConfig) -> int:
-    n = cfg.extras["n"]
+def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
+    n = ns.n
     if n < 3:
         raise UsageError("--n must be >= 3")
-    q = int(cfg.extras["q"], 16) if cfg.extras.get("q") else None
+    q = int(ns.q, 16) if ns.q else None
     residues = sorted(gf2x.gf2_finite_sidon(n, q))
     if q is None:
         q = gf2x.irreducibles_of_degree(n)[0]
     modulus = (1 << n) - 1
     sidon = _sidon_in_cyclic(residues, modulus)
-    _write_doc(cfg.out, {"n": n, "q": format(q, "x"), "modulus": modulus,
+    _write_doc(ns.out, {"n": n, "q": format(q, "x"), "modulus": modulus,
                          "size": len(residues), "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
 
 
-def _cmd_gf2_generate(cfg: RunConfig) -> int:
-    prec = cfg.precision or default_precision()
-    params = sidon_params(c=parse_constant(cfg.c), precision=prec, offset=0)
-    prefix = gf2x.gf2_generate_blocks(cfg.k_max, params)
-    _write_lines(cfg.out, (e.to_json_obj() for e in prefix.elements))
-    _write_doc(cfg.summary, {
-        "c": cfg.c,
-        "k_max": cfg.k_max,
+def _cmd_gf2_generate(ns: argparse.Namespace) -> int:
+    prefix = gf2x.gf2_generate_blocks(ns.k_max, _sidon_block_params(ns, offset=0))
+    # Polynomials are written as hex bit patterns.
+    _write_lines(ns.out, (dict(e.to_json_obj(), p=format(e.p, "x")) for e in prefix.elements))
+    _write_doc(ns.summary, {
+        "c": ns.c,
+        "k_max": ns.k_max,
         "blocks": [{"k": k, "block_size": prefix.block_sizes[k]}
                    for k in sorted(prefix.block_sizes)],
         "excluded": [{"p": format(r.p, "x"), "k": r.k, "basis_index": r.basis_index}
@@ -294,10 +257,6 @@ _HANDLERS = {
     "gf2 finite": _cmd_gf2_finite,
     "gf2 generate": _cmd_gf2_generate,
 }
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
 
 
 def _add_c_flag(p, default):
@@ -419,9 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    command = f"{ns.command} {ns.sub}" if getattr(ns, "sub", None) else ns.command
     try:
-        cfg = config_from_args(ns)
-        return run(cfg)
+        if getattr(ns, "precision", None) is not None and ns.precision < MIN_PRECISION:
+            raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
+        return _HANDLERS[command](ns)
     except UsageError as e:
         parser.error(str(e))
     except (DlogSidonError, ValueError, OSError) as e:

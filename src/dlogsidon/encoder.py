@@ -1,10 +1,12 @@
-"""Digit vectors of primes and their mixed-radix values.
+"""Digit vectors of irreducibles and their mixed-radix values.
 
-A prime p in block k gets one digit per basis index j <= k: the discrete
-log of p mod q_j, lifted into the window [(h-1)q_j + 1, hq_j - 1]. Its
-element is the mixed-radix value sum x_j * W_j. Windows keep every digit
-nonzero and h-fold digit sums carry-free, and the leading digit pins down
-the block, which is what makes collision structure readable off the digits.
+An irreducible p in block k (a prime, or an irreducible polynomial over
+GF(2)) gets one digit per basis index j <= k: the discrete log of p mod
+q_j, lifted into the window [(h-1)N_j + 1, hN_j - 1], where N_j is the norm
+of q_j (q_j itself over Z, 2^deg(q_j) over GF(2)[X]). Its element is the
+mixed-radix value sum x_j * W_j. Windows keep every digit nonzero and
+h-fold digit sums carry-free, and the leading digit pins down the block,
+which is what makes collision structure readable off the digits.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import discrete_log, lift_to_window
+from .arith import lift_to_window
 from .basis import Basis
 from .blocks import BlockParams, block_of_prime
 from .errors import ConsistencyError, DigitOutOfRange, ExcludedPrime, ValueTooLarge
@@ -36,13 +38,13 @@ class DigitVector:
         return "(" + ", ".join(str(x) for x in self.digits) + ")"
 
     def in_windows(self, basis: Basis) -> bool:
-        return all((self.h - 1) * basis.q(j) + 1 <= x <= self.h * basis.q(j) - 1
+        return all((self.h - 1) * basis.norm(j) + 1 <= x <= self.h * basis.norm(j) - 1
                    for j, x in enumerate(self.digits, start=1))
 
 
 @dataclass(frozen=True)
 class SidonElement:
-    """A prime, its block, its digit vector, and its mixed-radix value."""
+    """An irreducible, its block, its digit vector, and its mixed-radix value."""
 
     p: int
     k: int
@@ -56,21 +58,20 @@ class SidonElement:
 
 def digits_for_block(p: int, k: int, basis: Basis, h: int = 2,
                      tables: dict[int, list[int]] | None = None) -> DigitVector:
-    """Digit vector of p given its block index k.
+    """Digit vector of the irreducible p given its block index k.
 
-    tables maps a basis index j to the log table of (g_j, q_j) (see
-    arith.log_table); digits of the other indices come from BSGS.
+    tables maps a basis index j to the ring's log table of (g_j, q_j);
+    digits of the other indices come from the ring's BSGS.
     """
-    basis.ensure(k)
+    ring = basis.ring
     digits = []
-    for j in range(1, k + 1):
-        q, g = basis.entry(j)
-        r = p % q
+    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
+        r = ring.reduce(p, q)
         if r == 0:
             raise ExcludedPrime(p, k, j)
         table = tables.get(j) if tables else None
-        d = table[r] if table is not None else discrete_log(g, r, q)
-        digits.append(lift_to_window(d, q, h))
+        d = table[r] if table is not None else ring.dlog(g, r, q)
+        digits.append(lift_to_window(d, n, h))
     return DigitVector(k=k, digits=tuple(digits), h=h)
 
 
@@ -89,7 +90,7 @@ def encode_value(d: DigitVector, basis: Basis) -> int:
 
 
 def decode_value(a: int, basis: Basis) -> DigitVector:
-    """The unique digit string of a with 0 <= x_j < scale * q_j.
+    """The unique digit string of a with 0 <= x_j < scale * N_j.
 
     Inverse of encode_value on valid digit strings; the result is raw and
     need not respect any window.
@@ -113,20 +114,22 @@ def decode_value(a: int, basis: Basis) -> DigitVector:
 
 def element_in_block(p: int, k: int, basis: Basis, h: int = 2,
                      tables: dict[int, list[int]] | None = None) -> SidonElement:
-    """Element of a prime p of block k, checked to land between the block rails.
+    """Element of an irreducible p of block k, checked to land between the
+    block rails W_k N_k < a < W_(k+1).
 
-    Block generation passes k straight from primes_in_block, whose integer
-    edges floor(2^E(k-1)) < p <= floor(2^E(k)) decide membership exactly:
-    p <= floor(2^E) iff log2(p) <= E. The guarded comparisons behind those
-    edges already cover every prime that block_of_prime could find too close
-    to an edge. For p < 2^64, |log2(p) - E| < 2^-64 forces |p - 2^E| < 1, so
-    p is n or n + 1 for n = floor(2^E), and pow2_floor has compared both
-    against E with the same guard. tables is passed on to digits_for_block.
+    Over Z, block generation passes k straight from primes_in_block, whose
+    integer edges floor(2^E(k-1)) < p <= floor(2^E(k)) decide membership
+    exactly: p <= floor(2^E) iff log2(p) <= E. The guarded comparisons
+    behind those edges already cover every prime that block_of_prime could
+    find too close to an edge. For p < 2^64, |log2(p) - E| < 2^-64 forces
+    |p - 2^E| < 1, so p is n or n + 1 for n = floor(2^E), and pow2_floor has
+    compared both against E with the same guard. tables is passed on to
+    digits_for_block.
     """
     d = digits_for_block(p, k, basis, h, tables)
     value = encode_value(d, basis)
-    if not basis.weight(k) * basis.q(k) < value < basis.weight(k + 1):
-        raise ConsistencyError(f"element of {p} escaped (W_k q_k, W_k+1): {value}")
+    if not basis.weight(k) * basis.norm(k) < value < basis.weight(k + 1):
+        raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
     return SidonElement(p=p, k=k, digits=d, value=value)
 
 

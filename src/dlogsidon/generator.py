@@ -1,14 +1,17 @@
 """Sequence prefixes: all elements of blocks k_min..k_max, plus the finite
 single-modulus construction.
 
-Generation streams one block of primes at a time, each block straight
-from its integer edges. Primes equal to a basis prime carry no digit vector;
-they are recorded as exclusions, not elements.
+Generation streams one block of irreducibles at a time, as the basis ring
+lists them: over Z the primes between the block's integer edges, over
+GF(2)[X] the irreducibles of the block's degrees. Irreducibles equal to a
+basis modulus carry no digit vector; they are recorded as exclusions, not
+elements.
 
 Digits come from a full log table of (g_j, q_j) once some block has at
-least isqrt(q_j) primes, the point where q_j - 1 table steps cost no more
-than that many BSGS searches of up to sqrt(q_j) steps each. Smaller blocks
-keep BSGS, so a sparse prefix over a large basis builds no big tables.
+least isqrt(N_j) irreducibles (N_j the norm of q_j), the point where
+N_j - 1 table steps cost no more than that many BSGS searches of up to
+sqrt(N_j) steps each. Smaller blocks keep BSGS, so a sparse prefix over a
+large basis builds no big tables.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import discrete_log, log_table, prime_count, primes_upto, smallest_primitive_root
+from .arith import discrete_log, prime_count, primes_upto, smallest_primitive_root
 from .basis import Basis
-from .blocks import BlockParams, primes_in_block
+from .blocks import BlockParams
 from .encoder import SidonElement, element_in_block
 from .errors import ExcludedPrime, PrefixTooShort
 
@@ -79,20 +82,20 @@ class SequencePrefix:
 
 
 def iter_elements(k_max: int, params: BlockParams, basis: Basis, h: int = 2):
-    """Yield ("element", SidonElement) and ("excluded", ExclusionRecord) per block."""
+    """Yield ("block", (k, size)), then ("element", SidonElement) and
+    ("excluded", ExclusionRecord), block by block over the basis ring."""
     if basis.scale != h * h:
         raise ValueError(f"basis scale {basis.scale} does not match h = {h}")
     if k_max < params.k_min:
         raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
+    ring = basis.ring
     tables: dict[int, list[int]] = {}
     for k in range(params.k_min, k_max + 1):
-        ps = primes_in_block(k, params)
+        ps = ring.block(k, params)
         yield ("block", (k, len(ps)))
-        basis.ensure(k)
-        for j in range(1, k + 1):
-            q, g = basis.entry(j)
-            if j not in tables and len(ps) >= isqrt(q):
-                tables[j] = log_table(g, q)
+        for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
+            if j not in tables and len(ps) >= isqrt(n):
+                tables[j] = ring.log_table(g, q)
         for p in ps:
             try:
                 yield ("element", element_in_block(p, k, basis, h, tables))

@@ -1,24 +1,26 @@
-"""The polynomial analogue over GF(2): carry-less arithmetic on bit patterns,
-irreducibles in place of primes, and the same digit construction.
+"""GF(2)[X] arithmetic and its ring: carry-less arithmetic on bit patterns,
+irreducibles in place of primes, and GF2, the ring the shared basis,
+encoder and generator run over.
 
 A polynomial is a nonnegative int whose bit i is the coefficient of X^i, so
 X^3 + X + 1 is 0b1011. The j-th modulus is the least irreducible of degree
-2j - 1, digits live in [2^(2j-1) + 1, 2^(2j) - 1], and the j-th weight is
+2j - 1, so its norm (the size of GF(2)[X]/q_j) is N_j = 2^(2j-1): digits
+live in [N_j + 1, 2N_j - 1] and the j-th weight is prod_(i<j) 4 N_i =
 2^(j^2 - 1), which makes h = 2 digit sums carry-free for the same reason as
 on the integer side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 from ._precision import cmp_int, int_floor
 from .arith import factorize
+from .basis import Basis
 from .blocks import BlockParams
-from .errors import DegreeTooLarge, DLogUndefined, ExcludedPrime, NotIrreducible
-from .generator import ExclusionRecord
+from .errors import DegreeTooLarge, DLogUndefined, NotIrreducible
+from .generator import SequencePrefix, generate_blocks
 
 Gf2Poly = int  # bit i holds the coefficient of X^i
 
@@ -102,18 +104,6 @@ def gf2_powmod_tower(a: Gf2Poly, e: int, m: Gf2Poly) -> Gf2Poly:
     return a
 
 
-def _is_irreducible_trial(f: Gf2Poly) -> bool:
-    """Trial division by every lower-degree irreducible; oracle route, d <= 12."""
-    d = gf2_deg(f)
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for p in irreducibles_of_degree(e):
-            if gf2_mod(f, p) == 0:
-                return False
-    return True
-
-
 @lru_cache(maxsize=32)
 def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
     """All monic irreducibles of degree d, ascending by bit pattern."""
@@ -183,6 +173,24 @@ def gf2_discrete_log(g: Gf2Poly, a: Gf2Poly, q: Gf2Poly) -> int:
     raise ValueError(f"no discrete log of {a:#x} base {g:#x} mod {q:#x}")
 
 
+def gf2_log_table(g: Gf2Poly, q: Gf2Poly) -> list[int]:
+    """Full table t with t[g^x mod q] = x for x in [0, 2^n - 2]; t[0] = -1.
+
+    Built in 2^n - 1 multiplications. A g that does not reach every nonzero
+    residue raises the same ValueError as gf2_discrete_log.
+    """
+    order = (1 << gf2_deg(q)) - 1
+    table = [-1] * (order + 1)
+    x = 1
+    for e in range(order):
+        table[x] = e
+        x = gf2_mulmod(x, g, q)
+    # As in arith.log_table: table[1] is 0 exactly when g has full order.
+    if x != 1 or table[1] != 0:
+        raise ValueError(f"powers of {g:#x} mod {q:#x} miss residues; is g a generator?")
+    return table
+
+
 def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
     """{dlog(p) : p irreducible, deg p < n/2} in Z_(2^n - 1).
 
@@ -203,58 +211,6 @@ def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
         for p in irreducibles_of_degree(d):
             out.add(gf2_discrete_log(g, p, q))
     return out
-
-
-class Gf2Basis:
-    """q_j = least irreducible of degree 2j - 1, g_j = its least generator."""
-
-    def __init__(self):
-        self._entries: list[tuple[Gf2Poly, Gf2Poly]] = []
-
-    def ensure(self, count: int) -> None:
-        while len(self._entries) < count:
-            j = len(self._entries) + 1
-            q = irreducibles_of_degree(2 * j - 1)[0]
-            self._entries.append((q, gf2_generator(q)))
-
-    def entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
-        if j < 1:
-            raise ValueError(f"basis index must be >= 1, got {j}")
-        self.ensure(j)
-        return self._entries[j - 1]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def gf2_weight(j: int) -> int:
-    return 1 << (j * j - 1)
-
-
-@dataclass(frozen=True)
-class Gf2Element:
-    p: Gf2Poly
-    k: int
-    digits: tuple[int, ...]
-    value: int
-
-    def to_json_obj(self) -> dict:
-        return {"p": format(self.p, "x"), "k": self.k,
-                "digits": list(self.digits), "a": str(self.value)}
-
-
-@dataclass
-class Gf2Prefix:
-    k_min: int
-    k_max: int
-    elements: list[Gf2Element]
-    excluded: list[ExclusionRecord]
-    block_sizes: dict[int, int]
-    basis: Gf2Basis
-    params: BlockParams
-
-    def values(self) -> list[int]:
-        return [e.value for e in self.elements]
 
 
 def block_of_degree(d: int, params: BlockParams) -> int:
@@ -279,45 +235,36 @@ def degrees_in_block(k: int, params: BlockParams) -> range:
     return range(max(lo + 1, 1), hi + 1)
 
 
-def gf2_digits(p: Gf2Poly, k: int, basis: Gf2Basis) -> tuple[int, ...]:
-    digits = []
-    for j in range(1, k + 1):
-        q, g = basis.entry(j)
-        r = gf2_mod(p, q)
-        if r == 0:
-            raise ExcludedPrime(p, k, j)
-        d = gf2_discrete_log(g, r, q)
-        span = (1 << (2 * j - 1)) - 1
-        lo = (1 << (2 * j - 1)) + 1
-        digits.append(lo + (d - lo) % span)
-    return tuple(digits)
+class Gf2Ring:
+    """GF(2)[X] for the shared generator: the irreducibles of a block's
+    degrees, reduction gf2_mod, norm 2^deg(q), the least irreducible of
+    degree 2j - 1 with its least generator, and GF(2) dlogs."""
+
+    def block(self, k: int, params: BlockParams) -> list[Gf2Poly]:
+        return [p for d in degrees_in_block(k, params) for p in irreducibles_of_degree(d)]
+
+    def reduce(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
+        return gf2_mod(p, q)
+
+    def norm(self, q: Gf2Poly) -> int:
+        return 1 << gf2_deg(q)
+
+    def basis_entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
+        q = irreducibles_of_degree(2 * j - 1)[0]
+        return q, gf2_generator(q)
+
+    def log_table(self, g: Gf2Poly, q: Gf2Poly) -> list[int]:
+        return gf2_log_table(g, q)
+
+    def dlog(self, g: Gf2Poly, r: Gf2Poly, q: Gf2Poly) -> int:
+        return gf2_discrete_log(g, r, q)
+
+
+GF2 = Gf2Ring()
 
 
 def gf2_generate_blocks(k_max: int, params: BlockParams,
-                        basis: Gf2Basis | None = None) -> Gf2Prefix:
-    """Elements for every irreducible in blocks k_min..k_max by degree."""
-    if k_max < params.k_min:
-        raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
-    basis = basis or Gf2Basis()
-    elements: list[Gf2Element] = []
-    excluded: list[ExclusionRecord] = []
-    block_sizes: dict[int, int] = {}
-    for k in range(params.k_min, k_max + 1):
-        polys = [p for d in degrees_in_block(k, params)
-                 for p in irreducibles_of_degree(d)]
-        block_sizes[k] = len(polys)
-        basis.ensure(k)
-        for p in polys:
-            try:
-                digits = gf2_digits(p, k, basis)
-            except ExcludedPrime as e:
-                excluded.append(ExclusionRecord(p=e.p, k=e.k, basis_index=e.index))
-                continue
-            value = sum(x << (j * j - 1) for j, x in enumerate(digits, start=1))
-            elements.append(Gf2Element(p=p, k=k, digits=digits, value=value))
-    elements.sort(key=lambda e: (e.k, e.value))
-    if len({e.value for e in elements}) != len(elements):
-        raise ValueError("duplicate element values; the digit map must be injective")
-    return Gf2Prefix(k_min=params.k_min, k_max=k_max, elements=elements,
-                     excluded=excluded, block_sizes=block_sizes,
-                     basis=basis, params=params)
+                        basis: Basis | None = None) -> SequencePrefix:
+    """Elements for every irreducible in blocks k_min..k_max by degree: the
+    shared generate_blocks over a GF2 basis of scale 4."""
+    return generate_blocks(k_max, params, Basis(4, ring=GF2) if basis is None else basis)

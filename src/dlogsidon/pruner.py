@@ -22,7 +22,7 @@ from ._precision import cmp_int, pow2_ratio_floor
 from .basis import Basis
 from .blocks import BlockParams, const_sqrt5, primes_in_block
 from .errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
-from .generator import SequencePrefix, generate_blocks
+from .generator import SequencePrefix
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,6 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis,
     block-k1 primes, that is verified and a violation raises
     ConsistencyError.
     """
-    p_list = primes_in_block(k1, params)
-    if not p_list:
-        return []
     plans = []
     for k2 in eligible_k2s(k1, params):
         b = s_bounds(k2, k1, params, basis)
@@ -156,7 +153,10 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis,
             continue
         plans.append((b, p2s))
     if not plans:
+        # Plans come first so that no plan means no sieve of block k1; on the
+        # deterministic basis every plan through k1 = 11 is empty.
         return []
+    p_list = primes_in_block(k1, params)
     prec = params.precision
     records = []
     for p1 in p_list:
@@ -193,14 +193,15 @@ class PruneResult:
     reports: list[dict]
 
 
-def pruned_generate(k_max: int, params: BlockParams, basis: Basis, h: int = 2,
-                    slack: float = 0.1) -> PruneResult:
-    """Generate blocks up to k_max and drop every bad prime's element.
+def pruned_generate(prefix: SequencePrefix, slack: float = 0.1) -> PruneResult:
+    """Drop every bad prime's element from a generated prefix, using the
+    prefix's own block law and basis.
 
     The removed fraction per block must stay below 1/2 plus the slack; a
     breach raises RatioBoundExceeded since the surviving sequence would no
     longer have the intended density.
     """
+    params, basis = prefix.params, prefix.basis
     prec = params.precision
     with mpmath.workprec(prec):
         c = params.c.eval(prec)
@@ -208,11 +209,10 @@ def pruned_generate(k_max: int, params: BlockParams, basis: Basis, h: int = 2,
         if not c > floor_c:
             raise ValueError("pruning needs c above (3 - sqrt 5)/2; below that "
                              "no pair collision exists to prune")
-    prefix = generate_blocks(k_max, params, basis, h)
     records: list[BadPrimeRecord] = []
     bad_by_block: dict[int, set[int]] = {}
     reports = []
-    for k in range(params.k_min, k_max + 1):
+    for k in range(params.k_min, prefix.k_max + 1):
         recs = bad_primes(k, params, basis)
         records.extend(recs)
         bad_by_block[k] = {r.p1 for r in recs}

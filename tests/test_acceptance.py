@@ -197,7 +197,7 @@ def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
         assert all(bad_primes(k1, sqrt2_params, default_basis) == []
                    for k1 in range(2, 8))
 
-        res = pruned_generate(7, sqrt2_params, default_basis)
+        res = pruned_generate(sqrt2_prefix_k7)
         vals = sqrt2_prefix_k7.values()
         assert len(vals) == 14759
         assert res.records == []

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from dlogsidon import auditor
 from dlogsidon.auditor import (
     MAX_SUBSETS,
     CollisionReport,
@@ -170,6 +171,30 @@ def test_audit_limit_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_report_limit_bounds_the_output(monkeypatch):
+    # The limit counts pairs of subsets sharing a sum: [0, 1, 2, 3] has one.
+    for search in (find_collisions, find_collisions_bruteforce):
+        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 1)
+        assert len(search([0, 1, 2, 3], 2)) == 1
+        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 0)
+        with pytest.raises(AuditTooLarge, match="report limit"):
+            search([0, 1, 2, 3], 2)
+    monkeypatch.undo()
+    # A small modulus puts about C(n, l)^2 / m pairs of subsets on equal keys:
+    # 400 values at l = 2 mod 3 give 1.1e9, far more than the 79,800 subsets.
+    # The engine stops confirming candidates as soon as the count passes the
+    # limit (confirming them all first peaks above 6 MiB here and takes
+    # seconds).
+    tracemalloc.start()
+    try:
+        with pytest.raises(AuditTooLarge, match="report limit"):
+            find_collisions(range(400), 2, modulus=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.fixture(scope="module")

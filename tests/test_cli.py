@@ -132,6 +132,16 @@ def test_audit_too_large_is_an_error(capsys, tmp_path):
     assert err.startswith("error:") and "audit limit" in err
 
 
+def test_audit_small_modulus_is_an_error(capsys, tmp_path):
+    # Mod 3, 200 values share their pair sums in 6.6e7 ways; the audit must
+    # refuse instead of writing that many reports.
+    values = tmp_path / "values.jsonl"
+    values.write_text("".join(f"{v}\n" for v in range(200)))
+    rc, out, err = run_cli(capsys, ["audit", "--input", str(values), "--modulus", "3"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "report limit" in err
+
+
 def test_audit_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n4\n"))
     rc, out, err = run_cli(capsys, ["audit", "--input", "-", "--allow-collisions"])

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from dlogsidon import encoder, generator
+from dlogsidon import basis as basis_module
 from dlogsidon.arith import primes_upto, smallest_primitive_root
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
@@ -101,8 +101,9 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(encoder, "discrete_log", counted(encoder.discrete_log))
-    monkeypatch.setattr(generator, "log_table", counted(generator.log_table))
+    # The integer ring's BSGS and log-table routes.
+    monkeypatch.setattr(basis_module, "discrete_log", counted(basis_module.discrete_log))
+    monkeypatch.setattr(basis_module, "log_table", counted(basis_module.log_table))
     prefix = generate_blocks(k_max, params, basis, h)
     # Both sides of the table/BSGS size rule ran.
     assert calls["discrete_log"] > 0 and calls["log_table"] > 0, calls

@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
+from dlogsidon import gf2x
+from dlogsidon.basis import Basis
 from dlogsidon.blocks import sidon_params
-from dlogsidon.errors import DegreeTooLarge, DLogUndefined, NotIrreducible
+from dlogsidon.encoder import element_in_block
+from dlogsidon.errors import DegreeTooLarge, DLogUndefined, ExcludedPrime, NotIrreducible
+from dlogsidon.generator import SequencePrefix
 from dlogsidon.gf2x import (
-    Gf2Basis,
+    GF2,
     block_of_degree,
     degrees_in_block,
     gf2_deg,
@@ -15,12 +20,12 @@ from dlogsidon.gf2x import (
     gf2_gcd,
     gf2_generate_blocks,
     gf2_generator,
+    gf2_log_table,
     gf2_mod,
     gf2_mul,
     gf2_mulmod,
     gf2_powmod,
     gf2_powmod_tower,
-    gf2_weight,
     irreducible_count,
     irreducibles_of_degree,
 )
@@ -172,14 +177,31 @@ def test_finite_sidon_sets():
         gf2_finite_sidon(4, q=0x15)  # (X^2+X+1)^2
 
 
+def test_log_table_against_bsgs_and_power_tables():
+    basis = Basis(4, ring=GF2)
+    for j in range(1, 7):
+        q, g = basis.entry(j)
+        table = gf2_log_table(g, q)
+        powers = gf2_power_table(q, g)
+        assert len(table) == basis.norm(j) == 1 << gf2_deg(q) and table[0] == -1
+        assert len(powers) == basis.norm(j) - 1
+        for r in range(1, basis.norm(j)):
+            assert table[r] == gf2_discrete_log(g, r, q) == powers[r], (j, r)
+    with pytest.raises(ValueError):
+        gf2_log_table(0b1000, 0x13)  # X^3 has order 5 of 15 mod X^4 + X + 1
+
+
 def test_basis_entries_and_weights():
-    basis = Gf2Basis()
+    basis = Basis(4, ring=GF2)
     assert [basis.entry(j) for j in (1, 2, 3, 4)] == [
         (0x2, 1), (0xb, 2), (0x25, 2), (0x83, 2)]
     assert len(basis) == 4
-    assert [gf2_weight(j) for j in (1, 2, 3, 4)] == [1, 8, 256, 32768]
+    assert [basis.norm(j) for j in (1, 2, 3, 4)] == [2, 8, 32, 128]
+    assert [basis.weight(j) for j in (1, 2, 3, 4)] == [1, 8, 256, 32768]
     with pytest.raises(ValueError):
         basis.entry(0)
+    with pytest.raises(ValueError):
+        Basis(4, ring=GF2, mode="random", seed=1)  # the window pools are integer primes
 
 
 def test_block_partition_of_degrees():
@@ -197,21 +219,57 @@ def test_block_partition_of_degrees():
 def test_generated_prefix():
     params = sidon_params(offset=0)
     prefix = gf2_generate_blocks(4, params)
+    assert isinstance(prefix, SequencePrefix) and prefix.basis.ring is GF2
+    assert len(prefix.basis) == 4
     assert len(prefix.elements) == 20
     assert prefix.block_sizes == {2: 2, 3: 3, 4: 18}
     assert [(r.p, r.k, r.basis_index) for r in prefix.excluded] == [
         (0x2, 2, 1), (0xb, 3, 2), (0x25, 4, 3)]
 
     e3 = next(e for e in prefix.elements if e.p == 3)
-    assert e3.k == 2 and e3.digits == (3, 10) and e3.value == 83
-    assert e3.to_json_obj() == {"p": "3", "k": 2, "digits": [3, 10], "a": "83"}
+    assert e3.k == 2 and e3.digits.digits == (3, 10) and e3.value == 83
     assert prefix.values()[:4] == [83, 10075, 10851, 4602971]
 
     for e in prefix.elements:
-        assert e.value == sum(x << (j * j - 1) for j, x in enumerate(e.digits, 1))
-        for j, x in enumerate(e.digits, start=1):
+        digits = e.digits.digits
+        assert e.value == sum(x << (j * j - 1) for j, x in enumerate(digits, 1))
+        for j, x in enumerate(digits, start=1):
             assert (1 << (2 * j - 1)) + 1 <= x <= (1 << (2 * j)) - 1
+        assert e.digits.in_windows(prefix.basis)
     assert is_sidon_list(prefix.values())
 
     with pytest.raises(ValueError):
         gf2_generate_blocks(1, params)
+
+
+def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
+    # The shared generator reads most GF(2) digits off log tables; rebuilding
+    # every element with BSGS alone (no tables) must give the same element.
+    params = sidon_params(offset=0)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gf2x, "gf2_discrete_log", counted(gf2x.gf2_discrete_log))
+    monkeypatch.setattr(gf2x, "gf2_log_table", counted(gf2x.gf2_log_table))
+    prefix = gf2_generate_blocks(6, params)
+    # Both sides of the table/BSGS size rule ran.
+    assert calls["gf2_discrete_log"] > 0 and calls["gf2_log_table"] > 0, calls
+    monkeypatch.undo()
+
+    assert len(prefix.elements) == 1371
+    top = max(degrees_in_block(6, params))
+    assert (len(prefix.elements) + len(prefix.excluded)
+            == sum(prefix.block_sizes.values())
+            == sum(irreducible_count(d) for d in range(1, top + 1)))
+    for e in prefix.elements:
+        assert e == element_in_block(e.p, e.k, prefix.basis), hex(e.p)
+        assert e.k == block_of_degree(gf2_deg(e.p), params)
+    for r in prefix.excluded:
+        assert r.p == prefix.basis.q(r.basis_index)
+        with pytest.raises(ExcludedPrime):
+            element_in_block(r.p, r.k, prefix.basis)

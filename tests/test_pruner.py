@@ -1,7 +1,9 @@
 import pytest
 
+from dlogsidon import pruner
 from dlogsidon.blocks import const_decimal, const_sqrt2, const_sqrt5, primes_in_block, sidon_params
 from dlogsidon.errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
+from dlogsidon.generator import generate_blocks
 from dlogsidon.pruner import (
     SRangeBounds,
     _witness,
@@ -140,21 +142,33 @@ def test_bad_prime_records_are_verifiable(fake_basis):
 
 
 def test_pruned_equals_unpruned_on_default_basis(default_basis):
-    res = pruned_generate(5, sidon_params(c=const_sqrt2()), default_basis)
+    res = pruned_generate(generate_blocks(5, sidon_params(c=const_sqrt2()), default_basis))
     assert res.records == []
     assert res.pruned.values() == res.unpruned.values()
     assert all(row["bad_count"] == 0 and row["ratio"] == 0.0 for row in res.reports)
 
 
+def test_bad_primes_sieves_nothing_without_a_plan(default_basis, monkeypatch):
+    # Every s-range through k1 = 7 is empty on the deterministic basis, so
+    # neither block k1 nor any partner block k2 is sieved.
+    sieved = []
+    real = pruner.primes_in_block
+    monkeypatch.setattr(pruner, "primes_in_block",
+                        lambda k, params: sieved.append(k) or real(k, params))
+    params = sidon_params(c=const_sqrt2())
+    assert all(bad_primes(k1, params, default_basis) == [] for k1 in range(2, 8))
+    assert sieved == []
+
+
 def test_pruned_generate_rejects_c_at_or_below_floor(default_basis):
     with pytest.raises(ValueError):
-        pruned_generate(5, sidon_params(c=const_sqrt5()), default_basis)
+        pruned_generate(generate_blocks(5, sidon_params(c=const_sqrt5()), default_basis))
     with pytest.raises(ValueError):
-        pruned_generate(5, sidon_params(c=const_decimal("0.3")), default_basis)
+        pruned_generate(generate_blocks(5, sidon_params(c=const_decimal("0.3")), default_basis))
 
 
 def test_pruned_generate_ratio_guard(fake_basis):
     # Tiny windows make every block-4 prime bad; the run must refuse.
     params = sidon_params(c=const_decimal("0.49"), offset=1, k_min=2)
     with pytest.raises(RatioBoundExceeded):
-        pruned_generate(4, params, fake_basis((11, 13, 3, 5), 4))
+        pruned_generate(generate_blocks(4, params, fake_basis((11, 13, 3, 5), 4)))
