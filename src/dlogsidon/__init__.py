@@ -11,7 +11,7 @@ from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
                     is_primitive_root, lift_to_window, log_table, prime_count,
                     primes_in_interval, primes_upto, smallest_primitive_root)
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
-                      find_collisions_bruteforce, growth_bracket_check)
+                      find_collisions_bruteforce, growth_bracket_check, is_sidon_mod)
 from .basis import INTEGERS, Basis, build_basis, dyadic_interval
 from .bh import (BhParams, BhPruneResult, bh_generate, bh_params, bh_prune,
                  montecarlo_bad_ratio, negative_taper_blocks, prune_repeated_sums)
@@ -27,11 +27,10 @@ from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
                      NotIrreducible, PrecisionAmbiguity, PrefixTooShort,
                      RatioBoundExceeded, ValueTooLarge)
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
-                        expected_finite_size, finite_dlog_sidon_set,
-                        generate_blocks, iter_elements)
+                        expected_finite_size, finite_dlog_sidon_set, generate_blocks)
 from .gf2x import (GF2, gf2_deg, gf2_discrete_log, gf2_finite_sidon, gf2_generate_blocks,
                    gf2_generator, gf2_log_table, gf2_mod, gf2_mul, irreducible_count,
-                   irreducibles_of_degree, is_irreducible)
+                   irreducibles_of_degree, is_irreducible, least_irreducible)
 from .pruner import (BadPrimeRecord, PruneResult, SRangeBounds, bad_primes,
                      eligible_k2s, pruned_generate, s_bounds)
 

@@ -7,8 +7,6 @@ with at least 96 bits (default 192 total). Any comparison that falls within
 
 from __future__ import annotations
 
-import os
-
 import mpmath
 
 from .errors import PrecisionAmbiguity
@@ -16,19 +14,6 @@ from .errors import PrecisionAmbiguity
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 96
 GUARD_BITS = 64
-
-PRECISION_ENV = "DLOGSIDON_PRECISION"
-
-
-def default_precision() -> int:
-    """Working precision in bits, overridable via the environment."""
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    prec = int(raw)
-    if prec < MIN_PRECISION:
-        raise ValueError(f"{PRECISION_ENV}={prec} below the minimum of {MIN_PRECISION} bits")
-    return prec
 
 
 def check_precision(prec: int) -> int:

@@ -50,18 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a plain sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if flags[i]]
-
-
 @dataclass(frozen=True)
 class PrimeInterval:
     """Half-open dyadic-style interval (lo, hi]: lo exclusive, hi inclusive."""
@@ -85,13 +73,16 @@ def _sieve_segment(lo: int, hi: int, base: list[int]) -> bytearray:
             break
         start = max(p * p, (lo + p - 1) // p * p)
         flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    if lo == 1:
-        flags[0] = 0
     return flags
 
 
 def primes_in_interval(iv: PrimeInterval) -> list[int]:
-    """Primes p with iv.lo < p <= iv.hi, ascending, segmented sieve."""
+    """Primes p with iv.lo < p <= iv.hi, ascending, segmented sieve.
+
+    The base primes up to sqrt(iv.hi) come from the same sieve, one level
+    down; a base prime inside the interval survives its own marking, which
+    starts at p^2.
+    """
     lo, hi = iv.lo + 1, iv.hi
     base = primes_upto(isqrt(hi))
     out = []
@@ -99,9 +90,12 @@ def primes_in_interval(iv: PrimeInterval) -> list[int]:
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
         flags = _sieve_segment(seg_lo, seg_hi, base)
         out.extend(compress(range(seg_lo, seg_hi + 1), flags))
-    # Small primes eaten by their own square-free marking: the segment sieve
-    # never kills a base prime p >= seg_lo because marking starts at p*p.
     return out
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n: primes_in_interval over (1, n]."""
+    return primes_in_interval(PrimeInterval(1, n)) if n >= 2 else []
 
 
 @lru_cache(maxsize=64)

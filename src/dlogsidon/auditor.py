@@ -7,7 +7,8 @@ writes a key for every l-subset sum into one array in lexicographic order
 large), sorts it in place, and only when keys repeat regenerates those
 subsets and groups them by exact big-integer sum. Equal sums force equal
 keys, so nothing is missed; the brute-force enumeration is the independent
-oracle the tests hold the engine to.
+oracle the tests hold the engine to. The Sidon verdict for residues mod m
+sorts the same pair keys, plus the doubled ones.
 """
 
 from __future__ import annotations
@@ -207,6 +208,37 @@ def _reports_from_groups(items, vals, groups, l):
     return reports
 
 
+def _check_subsets(n, l):
+    subsets = comb(n, l)
+    if subsets > MAX_SUBSETS:
+        raise AuditTooLarge(f"{subsets} {l}-subsets of {n} elements exceed "
+                            f"the audit limit of {MAX_SUBSETS}")
+
+
+def _residues(vals, m):
+    # Two keys below m add up to less than 2^64 while m <= 2^63.
+    return np.fromiter((v % m for v in vals), np.uint64 if m <= 1 << 63 else object, len(vals))
+
+
+def is_sidon_mod(residues, modulus: int) -> bool:
+    """Whether the sums a + b (a <= b) of the residues are pairwise
+    distinct mod `modulus`.
+
+    Sorts the C(n, 2) pair keys and the n doubled keys 2a, all reduced mod
+    the modulus; the keys are the sums themselves, so a repeated key is a
+    repeated sum and needs no confirmation. Raises AuditTooLarge, before
+    allocating anything, when there are more than MAX_SUBSETS pairs.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    vals = list(residues)
+    _check_subsets(len(vals), 2)
+    res = _residues(vals, modulus)
+    doubled = _add_mod(res, res, modulus, np.empty_like(res))
+    keys = np.concatenate((_subset_sums(res, 2, modulus), doubled))
+    return len(_repeated_keys(keys)) == 0
+
+
 def find_collisions(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
     """All unordered pairs of disjoint size-l subsets with equal sums.
 
@@ -222,13 +254,9 @@ def find_collisions(elements, l: int, modulus: int | None = None) -> list[Collis
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if len(vals) < 2 * l:
         return []  # no two disjoint l-subsets; from here C(n, l) is the largest level
-    subsets = comb(len(vals), l)
-    if subsets > MAX_SUBSETS:
-        raise AuditTooLarge(f"{subsets} {l}-subsets of {len(vals)} elements exceed "
-                            f"the audit limit of {MAX_SUBSETS}")
+    _check_subsets(len(vals), l)
     m = _MERSENNE61 if modulus is None else modulus
-    # Two keys below m add up to less than 2^64 while m <= 2^63.
-    res = np.fromiter((v % m for v in vals), np.uint64 if m <= 1 << 63 else object, len(vals))
+    res = _residues(vals, m)
     repeated = _repeated_keys(_subset_sums(res, l, m))
     groups = _confirmed_groups(vals, res, l, m, modulus, repeated) if len(repeated) else {}
     return _reports_from_groups(items, vals, groups, l)

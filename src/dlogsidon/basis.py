@@ -79,8 +79,7 @@ class Basis:
     """
 
     def __init__(self, scale: int, entries=(), *, mode: str = "deterministic",
-                 seed: int | None = None, require_dyadic: bool = True,
-                 max_index: int = MAX_INDEX, ring=INTEGERS):
+                 seed: int | None = None, require_dyadic: bool = True, ring=INTEGERS):
         root = isqrt(scale)
         if root < 2 or root * root != scale:
             raise ValueError(f"scale must be a perfect square of an integer >= 2, got {scale}")
@@ -94,7 +93,6 @@ class Basis:
         self.scale = scale
         self.mode = mode
         self.seed = seed
-        self.max_index = max_index
         self._rng = random.Random(seed) if mode == "random" else None
         self._entries: list[tuple[int, int, int]] = []
         self._weights: list[int] = [1]  # _weights[j-1] = W_j = prod_{i<j} scale*N_i
@@ -121,8 +119,8 @@ class Basis:
         j = len(self._entries) + 1
         if self.mode == "fixed":
             raise BasisGap(f"fixed basis has {len(self._entries)} entries, no entry {j}")
-        if j > self.max_index:
-            raise BasisGap(f"entry {j} beyond the materialization bound {self.max_index}")
+        if j > MAX_INDEX:
+            raise BasisGap(f"entry {j} beyond the materialization bound {MAX_INDEX}")
         if self.mode == "deterministic":
             self._append(*self.ring.basis_entry(j))
         else:

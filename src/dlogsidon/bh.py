@@ -9,11 +9,11 @@ argument; BhParams verifies the identity at working precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 
-from ._precision import check_precision, default_precision
+from ._precision import DEFAULT_PRECISION, check_precision
 from .auditor import find_collisions
 from .basis import Basis, build_basis
 from .blocks import BlockParams, const_window, tapered_params
@@ -37,7 +37,7 @@ class BhParams:
 def bh_params(h: int, precision: int | None = None, log_base: float | None = None) -> BhParams:
     if h < 3:
         raise ValueError(f"this path is for h >= 3, got {h}")
-    prec = check_precision(precision or default_precision())
+    prec = check_precision(precision or DEFAULT_PRECISION)
     block = tapered_params(h, precision=prec, log_base=log_base)
     with mpmath.workprec(prec):
         c = block.c.eval(prec)
@@ -97,11 +97,8 @@ def bh_prune(prefix: SequencePrefix, h: int | None = None) -> BhPruneResult:
     by_block: dict[int, int] = {}
     for e in removed:
         by_block[e.k] = by_block.get(e.k, 0) + 1
-    pruned = SequencePrefix(h=prefix.h, k_min=prefix.k_min, k_max=prefix.k_max,
-                            elements=kept, excluded=prefix.excluded,
-                            block_sizes=prefix.block_sizes, basis=prefix.basis,
-                            params=prefix.params)
-    return BhPruneResult(pruned=pruned, removed=removed, removed_by_block=by_block)
+    return BhPruneResult(pruned=replace(prefix, elements=kept), removed=removed,
+                         removed_by_block=by_block)
 
 
 def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int,

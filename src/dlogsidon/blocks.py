@@ -13,11 +13,11 @@ PrecisionAmbiguity instead of being misassigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 
-from ._precision import check_precision, cmp_log2, default_precision, pow2_floor
+from ._precision import DEFAULT_PRECISION, check_precision, cmp_log2, pow2_floor
 from .arith import PrimeInterval, primes_in_interval
 
 
@@ -77,7 +77,7 @@ class BlockParams:
     taper: bool = False
     k_min: int = 2
     log_base: float | None = None  # taper log base; None means natural
-    precision: int = field(default_factory=default_precision)
+    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         check_precision(self.precision)
@@ -111,14 +111,14 @@ def sidon_params(c: Constant | None = None, precision: int | None = None,
                  offset: int = -3, k_min: int = 2) -> BlockParams:
     """Plain exponent law E(k) = c k^2 + offset starting at block 2."""
     return BlockParams(c=c or const_sqrt5(), offset=offset, taper=False, k_min=k_min,
-                       precision=precision or default_precision())
+                       precision=precision or DEFAULT_PRECISION)
 
 
 def tapered_params(h: int, c: Constant | None = None, precision: int | None = None,
                    log_base: float | None = None) -> BlockParams:
     """Tapered law E(k) = c k^2 (1 - 1/sqrt(log k)) starting at block 3."""
     return BlockParams(c=c or const_window(h), offset=0, taper=True, k_min=3,
-                       log_base=log_base, precision=precision or default_precision())
+                       log_base=log_base, precision=precision or DEFAULT_PRECISION)
 
 
 def block_of_prime(p: int, params: BlockParams) -> int:

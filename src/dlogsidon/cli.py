@@ -18,9 +18,10 @@ import sys
 
 from . import bh as bh_mod
 from . import gf2x
-from ._precision import DEFAULT_PRECISION, MIN_PRECISION, PRECISION_ENV, default_precision
-from .arith import is_prime, smallest_primitive_root
-from .auditor import find_collisions, find_collisions_bruteforce, growth_bracket_check
+from ._precision import DEFAULT_PRECISION, MIN_PRECISION
+from .arith import is_prime, is_primitive_root, smallest_primitive_root
+from .auditor import (find_collisions, find_collisions_bruteforce, growth_bracket_check,
+                      is_sidon_mod)
 from .basis import Basis, build_basis
 from .blocks import Constant, const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
@@ -76,19 +77,6 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _sidon_in_cyclic(residues, modulus: int) -> bool:
-    """Exhaustive check: sums a + b (a <= b) pairwise distinct mod modulus."""
-    rs = sorted(residues)
-    seen = set()
-    for i, a in enumerate(rs):
-        for b in rs[i:]:
-            s = (a + b) % modulus
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
-
-
 def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
     path = ns.basis_file
     if path:
@@ -103,7 +91,7 @@ def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
 
 
 def _sidon_block_params(ns: argparse.Namespace, offset: int = -3, k_min: int = 2):
-    prec = ns.precision or default_precision()
+    prec = ns.precision or DEFAULT_PRECISION
     return sidon_params(c=parse_constant(ns.c), precision=prec, offset=offset, k_min=k_min)
 
 
@@ -207,9 +195,11 @@ def _cmd_finite(ns: argparse.Namespace) -> int:
     q = ns.q
     if not is_prime(q):
         raise UsageError(f"--q {q} is not prime")
-    g = ns.g or smallest_primitive_root(q)
+    g = smallest_primitive_root(q) if ns.g is None else ns.g
+    if not is_primitive_root(g, q):
+        raise UsageError(f"--g {g} is not a primitive root mod {q}")
     residues = sorted(finite_dlog_sidon_set(q, g))
-    sidon = _sidon_in_cyclic(residues, q - 1)
+    sidon = is_sidon_mod(residues, q - 1)
     _write_doc(ns.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
                          "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
@@ -219,12 +209,10 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
     n = ns.n
     if n < 3:
         raise UsageError("--n must be >= 3")
-    q = int(ns.q, 16) if ns.q else None
+    q = int(ns.q, 16) if ns.q else gf2x.least_irreducible(n)
     residues = sorted(gf2x.gf2_finite_sidon(n, q))
-    if q is None:
-        q = gf2x.irreducibles_of_degree(n)[0]
     modulus = (1 << n) - 1
-    sidon = _sidon_in_cyclic(residues, modulus)
+    sidon = is_sidon_mod(residues, modulus)
     _write_doc(ns.out, {"n": n, "q": format(q, "x"), "modulus": modulus,
                          "size": len(residues), "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
@@ -283,7 +271,7 @@ def _add_basis_flags(p):
 def _add_out_flags(p, summary=True):
     p.add_argument("--precision", type=int,
                    help=f"working precision bits, >= {MIN_PRECISION} "
-                        f"(default ${PRECISION_ENV} or {DEFAULT_PRECISION})")
+                        f"(default {DEFAULT_PRECISION})")
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")
     if summary:
         p.add_argument("--summary", help="summary JSON path (default: stdout)")
@@ -299,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=4, help="radix scale h^2 (default 4)")
     p.add_argument("--count", type=int, required=True, help="number of entries")
     _add_basis_flags(p)
-    _add_out_flags(p, summary=False)
+    p.add_argument("--out", default="-", help="output path, - for stdout (default)")
 
     p = sub.add_parser("generate", help="generate all elements of blocks up to kmax")
     _add_c_flag(p, "sqrt5")

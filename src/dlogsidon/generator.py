@@ -81,39 +81,29 @@ class SequencePrefix:
         return out
 
 
-def iter_elements(k_max: int, params: BlockParams, basis: Basis, h: int = 2):
-    """Yield ("block", (k, size)), then ("element", SidonElement) and
-    ("excluded", ExclusionRecord), block by block over the basis ring."""
+def generate_blocks(k_max: int, params: BlockParams, basis: Basis, h: int = 2) -> SequencePrefix:
+    """Every element of blocks k_min..k_max over the basis ring, plus the
+    block irreducibles equal to a basis modulus as exclusions."""
     if basis.scale != h * h:
         raise ValueError(f"basis scale {basis.scale} does not match h = {h}")
     if k_max < params.k_min:
         raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
     ring = basis.ring
     tables: dict[int, list[int]] = {}
+    elements: list[SidonElement] = []
+    excluded: list[ExclusionRecord] = []
+    block_sizes: dict[int, int] = {}
     for k in range(params.k_min, k_max + 1):
         ps = ring.block(k, params)
-        yield ("block", (k, len(ps)))
+        block_sizes[k] = len(ps)
         for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
             if j not in tables and len(ps) >= isqrt(n):
                 tables[j] = ring.log_table(g, q)
         for p in ps:
             try:
-                yield ("element", element_in_block(p, k, basis, h, tables))
+                elements.append(element_in_block(p, k, basis, h, tables))
             except ExcludedPrime as e:
-                yield ("excluded", ExclusionRecord(p=e.p, k=e.k, basis_index=e.index))
-
-
-def generate_blocks(k_max: int, params: BlockParams, basis: Basis, h: int = 2) -> SequencePrefix:
-    elements: list[SidonElement] = []
-    excluded: list[ExclusionRecord] = []
-    block_sizes: dict[int, int] = {}
-    for kind, item in iter_elements(k_max, params, basis, h):
-        if kind == "block":
-            block_sizes[item[0]] = item[1]
-        elif kind == "element":
-            elements.append(item)
-        else:
-            excluded.append(item)
+                excluded.append(ExclusionRecord(p=e.p, k=e.k, basis_index=e.index))
     elements.sort(key=lambda e: (e.k, e.value))
     if len({e.value for e in elements}) != len(elements):
         raise ValueError("duplicate element values; the digit map must be injective")

@@ -104,17 +104,28 @@ def gf2_powmod_tower(a: Gf2Poly, e: int, m: Gf2Poly) -> Gf2Poly:
     return a
 
 
-@lru_cache(maxsize=32)
-def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
-    """All monic irreducibles of degree d, ascending by bit pattern."""
+def _check_degree(d: int) -> None:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if d > _MAX_DEGREE:
         raise DegreeTooLarge(f"degree {d} beyond the enumeration bound {_MAX_DEGREE}")
+
+
+@lru_cache(maxsize=32)
+def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
+    """All monic irreducibles of degree d, ascending by bit pattern."""
+    _check_degree(d)
     found = tuple(f for f in range(1 << d, 1 << (d + 1)) if is_irreducible(f))
     if len(found) != irreducible_count(d):
         raise AssertionError(f"irreducible count mismatch at degree {d}")
     return found
+
+
+def least_irreducible(d: int) -> Gf2Poly:
+    """The least irreducible of degree d by bit pattern, by a scan that
+    stops at the first one."""
+    _check_degree(d)
+    return next(f for f in range(1 << d, 1 << (d + 1)) if is_irreducible(f))
 
 
 def irreducible_count(d: int) -> int:
@@ -200,7 +211,7 @@ def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if q is None:
-        q = irreducibles_of_degree(n)[0]
+        q = least_irreducible(n)
     if gf2_deg(q) != n:
         raise ValueError(f"modulus degree {gf2_deg(q)} does not match n = {n}")
     if not is_irreducible(q):
@@ -250,7 +261,7 @@ class Gf2Ring:
         return 1 << gf2_deg(q)
 
     def basis_entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
-        q = irreducibles_of_degree(2 * j - 1)[0]
+        q = least_irreducible(2 * j - 1)
         return q, gf2_generator(q)
 
     def log_table(self, g: Gf2Poly, q: Gf2Poly) -> list[int]:

@@ -14,7 +14,7 @@ arithmetic progression scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 
@@ -111,14 +111,8 @@ def _witness(p1: int, bounds: SRangeBounds, p2s: list[int]):
                     if s1 * q1p + s2 * p2 * q2p != 0:
                         return s1, s2, p2
         return None
-    if q2p % p1 == 0:
-        # p1 is one of q_(k2+1)..q_k1: p1 | s iff p1 | s1.
-        for s2 in _signed(bounds.s2_max):
-            for p2 in p2s:
-                for s1 in _signed(bounds.s1_max):
-                    if s1 % p1 == 0 and s1 * q1p + s2 * p2 * q2p != 0:
-                        return s1, s2, p2
-        return None
+    # When p1 is one of q_(k2+1)..q_k1, t = 0: the scan runs over the
+    # multiples of p1, as p1 | s iff p1 | s1.
     inv = pow(q1p, -1, p1)
     lo = -bounds.s1_max
     for s2 in _signed(bounds.s2_max):
@@ -134,14 +128,15 @@ def _witness(p1: int, bounds: SRangeBounds, p2s: list[int]):
     return None
 
 
-def bad_primes(k1: int, params: BlockParams, basis: Basis,
-               check_single_hit: bool = True) -> list[BadPrimeRecord]:
+def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecord]:
     """Primes of block k1 dividing some nonzero witness s, with witnesses.
 
-    One record per bad prime, the first witness in (k2, s2, p2', s1) order.
-    When the size bound guarantees a witness cannot be divisible by two
-    block-k1 primes, that is verified and a violation raises
-    ConsistencyError.
+    One record per bad prime, the first witness in (k2, s2, p2', s1) order:
+    k2 and p2' ascending, s2 as 1, -1, 2, -2, ..., and s1 ascending from
+    -s1_max, except when p1 is one of q_1..q_k2 (then every s1 qualifies
+    and it runs 1, -1, 2, -2, ...). When the size bound guarantees a
+    witness cannot be divisible by two block-k1 primes, that is verified
+    and a violation raises ConsistencyError.
     """
     plans = []
     for k2 in eligible_k2s(k1, params):
@@ -169,17 +164,16 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis,
                                  q1_product=b.q1_product, q2_product=b.q2_product)
             if rec.s % p1 != 0:
                 raise ConsistencyError(f"witness for {p1} is not divisible by it")
-            if check_single_hit:
-                with mpmath.workprec(prec):
-                    # |s| <= 2^(E(k1)+E(k2)+1) < (block k1 floor)^2 in this regime.
-                    regime = (2 * params.exponent(k1 - 1)
-                              > params.exponent(k1) + params.exponent(b.k2) + 1)
-                if regime:
-                    others = [p for p in p_list if p != p1 and rec.s % p == 0]
-                    if others:
-                        raise ConsistencyError(
-                            f"witness {rec.s} divisible by {p1} and {others[0]} "
-                            f"against the size bound")
+            with mpmath.workprec(prec):
+                # |s| <= 2^(E(k1)+E(k2)+1) < (block k1 floor)^2 in this regime.
+                regime = (2 * params.exponent(k1 - 1)
+                          > params.exponent(k1) + params.exponent(b.k2) + 1)
+            if regime:
+                others = [p for p in p_list if p != p1 and rec.s % p == 0]
+                if others:
+                    raise ConsistencyError(
+                        f"witness {rec.s} divisible by {p1} and {others[0]} "
+                        f"against the size bound")
             records.append(rec)
             break
     return records
@@ -223,7 +217,5 @@ def pruned_generate(prefix: SequencePrefix, slack: float = 0.1) -> PruneResult:
         reports.append({"k": k, "block_size": size, "bad_count": len(recs),
                         "ratio": ratio})
     survivors = [e for e in prefix.elements if e.p not in bad_by_block.get(e.k, ())]
-    pruned = SequencePrefix(h=prefix.h, k_min=prefix.k_min, k_max=prefix.k_max,
-                            elements=survivors, excluded=prefix.excluded,
-                            block_sizes=prefix.block_sizes, basis=basis, params=params)
-    return PruneResult(pruned=pruned, unpruned=prefix, records=records, reports=reports)
+    return PruneResult(pruned=replace(prefix, elements=survivors), unpruned=prefix,
+                       records=records, reports=reports)

@@ -76,10 +76,13 @@ def test_primes_in_interval_matches_sieve(seed=512):
 
 
 def test_primes_in_interval_crosses_segment_boundary():
+    # primes_upto runs on the same sieve, so the oracles here are
+    # Miller-Rabin and the Lucy_Hedgehog count.
     lo = (1 << 22) - 50
     hi = (1 << 22) + 50
     got = primes_in_interval(PrimeInterval(lo, hi))
-    assert got == [p for p in primes_upto(hi) if p > lo]
+    assert got == [p for p in range(lo + 1, hi + 1) if is_prime(p)]
+    assert len(primes_upto(hi)) == prime_count(hi)
 
 
 def test_prime_count_classics():

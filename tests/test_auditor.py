@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -12,13 +13,14 @@ from dlogsidon.auditor import (
     find_collisions,
     find_collisions_bruteforce,
     growth_bracket_check,
+    is_sidon_mod,
 )
 from dlogsidon.blocks import const_decimal, sidon_params
 from dlogsidon.encoder import DigitVector, SidonElement
 from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
 
-from oracles import disjoint_report_keys
+from oracles import cyclic_sidon, disjoint_report_keys
 
 M61 = (1 << 61) - 1
 
@@ -167,6 +169,40 @@ def test_audit_limit_raises_before_allocating():
             find_collisions(range(23_200), 2)
         with pytest.raises(AuditTooLarge):
             find_collisions(range(300), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_sidon_mod_matches_oracle(seed=4243):
+    rng = random.Random(seed)
+    verdicts = Counter()
+    for _ in range(400):
+        m = rng.choice([rng.randrange(1, 60), rng.randrange(1, 5000), (1 << 64) - 59,
+                        (1 << 64) + 13])
+        vals = sorted({rng.randrange(m) for _ in range(rng.randrange(12))})
+        got = is_sidon_mod(vals, m)
+        assert got == cyclic_sidon(vals, m), (vals, m)
+        verdicts[got] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_sidon_mod_planted_and_small_cases():
+    assert not cyclic_sidon([0, 5], 10) and not is_sidon_mod([0, 5], 10)  # 0 + 0 = 5 + 5
+    assert not cyclic_sidon([1, 3, 5], 100) and not is_sidon_mod([1, 3, 5], 100)  # 3 + 3 = 1 + 5
+    assert is_sidon_mod([1, 3, 6], 100)
+    assert is_sidon_mod([], 7) and is_sidon_mod([4], 7)
+    with pytest.raises(ValueError):
+        is_sidon_mod([1, 2], 0)
+
+
+def test_sidon_mod_limit_raises_before_allocating():
+    assert comb(23_200, 2) > MAX_SUBSETS
+    tracemalloc.start()
+    try:
+        with pytest.raises(AuditTooLarge):
+            is_sidon_mod(range(23_200), 1 << 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

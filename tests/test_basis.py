@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dlogsidon import basis
 from dlogsidon.arith import is_prime, is_primitive_root, primes_in_interval
 from dlogsidon.basis import MAX_INDEX, Basis, build_basis, dyadic_interval
 from dlogsidon.errors import BasisGap
@@ -112,12 +113,13 @@ def test_entry_validation():
         Basis(4, [(3, 2), (3, 2)], require_dyadic=False)  # duplicate prime
 
 
-def test_max_index_guard():
-    b = Basis(4, max_index=3)
+def test_max_index_guard(monkeypatch):
+    assert MAX_INDEX >= 8
+    monkeypatch.setattr(basis, "MAX_INDEX", 3)
+    b = Basis(4)
     b.ensure(3)
     with pytest.raises(BasisGap):
         b.ensure(4)
-    assert MAX_INDEX >= 8
 
 
 def test_json_roundtrip(default_basis):

@@ -27,6 +27,12 @@ def test_finite_prime_modulus(capsys):
         "residues": [1, 9, 24, 69], "sidon": True,
     }
     run_usage_error(capsys, ["finite", "--q", "100"])
+    rc, out, err = run_cli(capsys, ["finite", "--q", "101", "--g", "3"])
+    assert rc == 0 and json.loads(out)["g"] == 3
+    # 2 has order 11 mod 23: it generates half of the group.
+    err = run_usage_error(capsys, ["finite", "--q", "23", "--g", "2"])
+    assert "not a primitive root" in err
+    run_usage_error(capsys, ["finite", "--q", "23", "--g", "0"])
 
 
 def test_generate_small_prefix(capsys):
@@ -229,6 +235,13 @@ def test_gf2_subcommands(capsys):
         "residues": [1, 7, 31, 56, 90], "sidon": True,
     }
     run_usage_error(capsys, ["gf2", "finite", "--n", "2"])
+    rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "20"])
+    doc = json.loads(out)
+    assert rc == 0 and doc["sidon"] is True
+    # One residue per irreducible of degree 1..9, modulo X^20 + X^3 + 1.
+    assert doc["q"] == "100009" and doc["size"] == 127
+    rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "25"])
+    assert rc == 1 and out == "" and "degree 25" in err
 
     rc, out, err = run_cli(capsys, ["gf2", "generate", "--kmax", "4"])
     assert rc == 0

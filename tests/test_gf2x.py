@@ -28,6 +28,7 @@ from dlogsidon.gf2x import (
     gf2_powmod_tower,
     irreducible_count,
     irreducibles_of_degree,
+    least_irreducible,
 )
 
 from oracles import (
@@ -130,6 +131,15 @@ def test_irreducible_enumeration_and_counts():
         irreducibles_of_degree(0)
     with pytest.raises(DegreeTooLarge):
         irreducibles_of_degree(25)
+
+
+def test_least_irreducible_is_first_of_its_degree():
+    for d in range(1, 17):
+        assert least_irreducible(d) == irreducibles_of_degree(d)[0], d
+    with pytest.raises(ValueError):
+        least_irreducible(0)
+    with pytest.raises(DegreeTooLarge):
+        least_irreducible(25)
 
 
 def test_generator_is_least_of_full_order():

@@ -7,11 +7,9 @@ import pytest
 from dlogsidon._precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
-    PRECISION_ENV,
     check_precision,
     cmp_int,
     cmp_log2,
-    default_precision,
     int_floor,
     pow2_floor,
     pow2_ratio_floor,
@@ -19,16 +17,6 @@ from dlogsidon._precision import (
 from dlogsidon.errors import PrecisionAmbiguity
 
 PREC = DEFAULT_PRECISION
-
-
-def test_default_precision_env_override(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV, raising=False)
-    assert default_precision() == DEFAULT_PRECISION
-    monkeypatch.setenv(PRECISION_ENV, "256")
-    assert default_precision() == 256
-    monkeypatch.setenv(PRECISION_ENV, "64")
-    with pytest.raises(ValueError):
-        default_precision()
 
 
 def test_check_precision_floor():

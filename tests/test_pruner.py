@@ -106,7 +106,7 @@ def test_bad_primes_match_full_enumeration(fake_basis):
     for qs, cdec, offset in cases:
         basis = fake_basis(qs, 4)
         params = sidon_params(c=const_decimal(cdec), offset=offset, k_min=2)
-        recs = bad_primes(4, params, basis, check_single_hit=False)
+        recs = bad_primes(4, params, basis)
         plans = []
         for k2 in eligible_k2s(4, params):
             b = s_bounds(k2, 4, params, basis)
