@@ -13,14 +13,13 @@ from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
                       find_collisions_bruteforce, growth_bracket_check, is_sidon_mod)
 from .basis import INTEGERS, Basis, build_basis, dyadic_interval
-from .bh import (BhParams, BhPruneResult, bh_generate, bh_params, bh_prune,
-                 montecarlo_bad_ratio, negative_taper_blocks, prune_repeated_sums)
+from .bh import (BhPruneResult, bh_generate, bh_params, bh_prune, montecarlo_bad_ratio,
+                 negative_taper_blocks, prune_repeated_sums)
 from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
                      const_sqrt2, const_sqrt5, const_window, primes_in_block,
                      sidon_params, tapered_params)
-from .encoder import (DigitVector, SidonElement, decode_value, digits_for_block,
-                      digits_of_prime, element_for_prime, element_in_block,
-                      encode_value)
+from .encoder import (SidonElement, decode_value, digits_for_block, digits_of_prime,
+                      element_for_prime, element_in_block, encode_value)
 from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
                      DegreeTooLarge, DigitOutOfRange, DlogSidonError, DLogUndefined,
                      ExcludedPrime, IneligiblePair, InvalidModulus, MissingDigits,

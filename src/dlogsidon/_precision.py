@@ -51,22 +51,12 @@ def cmp_int(n: int, x, prec: int) -> int:
 
 
 def pow2_floor(e, prec: int) -> int:
-    """Largest integer n >= 1 with log2(n) <= e, or 0 when e < 0.
+    """floor(2^e): the largest integer n >= 1 with n <= 2^e, or 0 when e < 0.
 
-    The candidate from rounding is corrected by guarded comparisons, so the
-    result is exact or the call raises PrecisionAmbiguity.
+    Exact at any size of 2^e, or the call raises PrecisionAmbiguity; see
+    pow2_ratio_floor.
     """
-    with mpmath.workprec(prec):
-        if e < -_guard():
-            return 0
-        n = int(mpmath.mpf(2) ** e)
-        if n < 1:
-            n = 1
-        while cmp_log2(n + 1, e, prec) <= 0:
-            n += 1
-        while n >= 1 and cmp_log2(n, e, prec) > 0:
-            n -= 1
-        return n
+    return pow2_ratio_floor(e, 1, prec)
 
 
 def int_floor(e, prec: int) -> int:
@@ -81,8 +71,17 @@ def int_floor(e, prec: int) -> int:
 
 
 def pow2_ratio_floor(e, divisor: int, prec: int) -> int:
-    """floor(2^e / divisor) for a positive integer divisor, guard-banded."""
+    """floor(2^e / divisor) for a positive integer divisor.
+
+    2^e is evaluated with prec bits past its integer part, so the guard of
+    the integer comparisons bounds |n - 2^e / divisor| itself: the result is
+    exact however large 2^e is, or the call raises PrecisionAmbiguity.
+    """
     if divisor < 1:
         raise ValueError(f"divisor must be positive, got {divisor}")
     with mpmath.workprec(prec):
-        return pow2_floor(e - mpmath.log(divisor, 2), prec)
+        bits = prec + max(int(mpmath.ceil(e)), 0)
+    with mpmath.workprec(bits):
+        x = mpmath.mpf(2) ** e / divisor
+        # x > 0, so below 1 the floor is 0 with no comparison against 0.
+        return 0 if cmp_int(1, x, bits) > 0 else int_floor(x, bits)

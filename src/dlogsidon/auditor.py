@@ -269,18 +269,20 @@ def find_collisions_bruteforce(elements, l: int, modulus: int | None = None) -> 
 
 
 def check_collision_structure(report: CollisionReport, basis: Basis,
-                              params: BlockParams, h: int = 2) -> dict:
-    """Evaluate the structural facts a construction collision must satisfy.
+                              params: BlockParams) -> dict:
+    """Evaluate the structural facts a construction collision must satisfy,
+    with the windows of the basis order h.
 
     Facts are reported, not asserted: a hand-built collision that fails one
     of them comes back with that fact False. Requires elements with digit
-    vectors; raw integers raise MissingDigits.
+    vectors inside their windows; raw integers raise MissingDigits.
     """
     elems = list(report.left) + list(report.right)
     for e in elems:
         if not isinstance(e, SidonElement):
             raise MissingDigits("structure facts need digit vectors, got raw values")
-        if not e.digits.in_windows(basis):
+        if not all((basis.h - 1) * basis.norm(j) < x < basis.h * basis.norm(j)
+                   for j, x in enumerate(e.digits, start=1)):
             raise DigitOutOfRange(f"digits of {e.p} violate their windows")
     l = report.l
     left = list(report.left)
@@ -288,7 +290,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     max_k = max(e.k for e in elems)
 
     def digit_sums(side):
-        return [sum(e.digits.digits[j - 1] for e in side if j <= e.k)
+        return [sum(e.digits[j - 1] for e in side if j <= e.k)
                 for j in range(1, max_k + 1)]
 
     sums_left = digit_sums(left)
@@ -301,7 +303,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     for i in range(1, l + 1):
         k_i = None
         for j in range(1, max_k + 1):
-            if sums_left[j - 1] >= i * ((h - 1) * basis.norm(j) + 1):
+            if sums_left[j - 1] >= i * ((basis.h - 1) * basis.norm(j) + 1):
                 k_i = j
         recovered.append(k_i)
     ks = [e.k for e in left]
@@ -350,8 +352,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     return facts
 
 
-def growth_bracket_check(prefix: SequencePrefix, basis: Basis | None = None,
-                         params: BlockParams | None = None) -> list[dict]:
+def growth_bracket_check(prefix: SequencePrefix) -> list[dict]:
     """Per-block counting brackets and element rails.
 
     At x = W_(k+1) the count must sit between pi(edge(k)) minus exclusions
@@ -359,10 +360,9 @@ def growth_bracket_check(prefix: SequencePrefix, basis: Basis | None = None,
     W_k q_k and W_(k+1). The log2 ratio column is a labeled float diagnostic,
     never asserted.
     """
-    basis = basis or prefix.basis
-    params = params or prefix.params
+    basis, params = prefix.basis, prefix.params
     out = []
-    for k in range(prefix.k_min, prefix.k_max + 1):
+    for k in range(params.k_min, prefix.k_max + 1):
         x = basis.weight(k + 1)
         count = count_upto(x, prefix)
         thr_lo = params.upper_edge(k)

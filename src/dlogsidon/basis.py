@@ -72,6 +72,8 @@ def _window_pool(j: int) -> tuple[int, ...]:
 class Basis:
     """Append-only list of (q_j, g_j, N_j) entries with cached radix weights.
 
+    scale = h^2 fixes the window order h of every digit cut over this basis.
+
     mode is one of "deterministic" (the ring's basis_entry), "random"
     (uniform prime per interval, explicit seed; Z only) or "fixed" (entries
     supplied, never extended; Z only). Readers always see a consistent
@@ -91,6 +93,7 @@ class Basis:
             raise ValueError("only the integer ring takes random or fixed bases")
         self.ring = ring
         self.scale = scale
+        self.h = root
         self.mode = mode
         self.seed = seed
         self._rng = random.Random(seed) if mode == "random" else None

@@ -3,7 +3,8 @@ repeated-sum pruning, and a Monte-Carlo survey over random bases.
 
 The window constant c = sqrt((h-1)^2 + 1) - (h-1) satisfies
 -1 + 2c(h-1)/(1-c) - c = 0, which balances the two sides of the counting
-argument; BhParams verifies the identity at working precision.
+argument; bh_params verifies the identity at working precision. The order
+h itself is the basis's: a B_h prefix is cut over a basis of scale h^2.
 """
 
 from __future__ import annotations
@@ -13,38 +14,26 @@ from dataclasses import dataclass, replace
 
 import mpmath
 
-from ._precision import DEFAULT_PRECISION, check_precision
 from .auditor import find_collisions
 from .basis import Basis, build_basis
-from .blocks import BlockParams, const_window, tapered_params
+from .blocks import BlockParams, tapered_params
 from .encoder import SidonElement
 from .errors import ConsistencyError
 from .generator import SequencePrefix, generate_blocks
 
 
-@dataclass(frozen=True)
-class BhParams:
-    """Order h plus the tapered block law it induces."""
-
-    h: int
-    block: BlockParams
-
-    @property
-    def scale(self) -> int:
-        return self.h * self.h
-
-
-def bh_params(h: int, precision: int | None = None, log_base: float | None = None) -> BhParams:
+def bh_params(h: int, precision: int | None = None) -> BlockParams:
+    """The tapered block law of order h, its window constant checked."""
     if h < 3:
         raise ValueError(f"this path is for h >= 3, got {h}")
-    prec = check_precision(precision or DEFAULT_PRECISION)
-    block = tapered_params(h, precision=prec, log_base=log_base)
+    params = tapered_params(h, precision=precision)
+    prec = params.precision
     with mpmath.workprec(prec):
-        c = block.c.eval(prec)
+        c = params.c.eval(prec)
         residue = -1 + 2 * c * (h - 1) / (1 - c) - c
         if abs(residue) > mpmath.mpf(2) ** (-prec + 32):
             raise ConsistencyError(f"window constant identity off by {residue}")
-    return BhParams(h=h, block=block)
+    return params
 
 
 def negative_taper_blocks(params: BlockParams, k_max: int) -> list[int]:
@@ -57,8 +46,9 @@ def negative_taper_blocks(params: BlockParams, k_max: int) -> list[int]:
     return [k for k in range(lo, k_max + 1) if params.taper_factor(k) < 0]
 
 
-def bh_generate(k_max: int, params: BhParams, basis: Basis) -> SequencePrefix:
-    return generate_blocks(k_max, params.block, basis, h=params.h)
+def bh_generate(k_max: int, params: BlockParams, basis: Basis) -> SequencePrefix:
+    """A B_h prefix: the tapered law over a basis of scale h^2."""
+    return generate_blocks(k_max, params, basis)
 
 
 def prune_repeated_sums(values, h: int) -> tuple[list[int], list[int]]:
@@ -87,10 +77,10 @@ class BhPruneResult:
     removed_by_block: dict[int, int]
 
 
-def bh_prune(prefix: SequencePrefix, h: int | None = None) -> BhPruneResult:
-    """Drop elements until all l-fold sums, 2 <= l <= h, are distinct."""
-    h = h or prefix.h
-    survivors, removed_values = prune_repeated_sums(prefix.values(), h)
+def bh_prune(prefix: SequencePrefix) -> BhPruneResult:
+    """Drop elements until all l-fold sums, 2 <= l <= h, are distinct, for
+    the order h of the prefix's basis."""
+    _, removed_values = prune_repeated_sums(prefix.values(), prefix.basis.h)
     removed_set = set(removed_values)
     removed = [e for e in prefix.elements if e.value in removed_set]
     kept = [e for e in prefix.elements if e.value not in removed_set]
@@ -112,12 +102,12 @@ def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int,
     params = bh_params(h, precision=precision)
     master = random.Random(seed)
     trial_seeds = [master.randrange(1 << 63) for _ in range(trials)]
-    ks = list(range(params.block.k_min, k_max + 1))
+    ks = list(range(params.k_min, k_max + 1))
     trial_rows = []
     sums = {k: 0.0 for k in ks}
     maxes = {k: 0.0 for k in ks}
     for t, tseed in enumerate(trial_seeds):
-        basis = build_basis("random", params.scale, k_max, seed=tseed)
+        basis = build_basis("random", h * h, k_max, seed=tseed)
         prefix = bh_generate(k_max, params, basis)
         result = bh_prune(prefix)
         ratios = []
@@ -139,7 +129,7 @@ def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int,
         "k_max": k_max,
         "trials": trials,
         "seed": seed,
-        "negative_taper_blocks": negative_taper_blocks(params.block, k_max),
+        "negative_taper_blocks": negative_taper_blocks(params, k_max),
         "per_trial": trial_rows,
         "per_k": [{"k": k, "mean_ratio": sums[k] / trials if trials else 0.0,
                    "max_ratio": maxes[k]} for k in ks],

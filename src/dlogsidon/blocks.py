@@ -5,10 +5,9 @@ Block k holds the primes p with E(k-1) < log2(p) <= E(k), where
     E(k) = c * k^2 * taper(k) + offset
 
 for a constant 0 < c < 1/2. The plain law uses taper(k) = 1 and offset -3;
-the tapered law uses taper(k) = 1 - 1/sqrt(log k) (natural log by default,
-the base is configurable) and offset 0. All edge decisions go through the
-guard-banded comparisons in _precision, so a prime near an edge raises
-PrecisionAmbiguity instead of being misassigned.
+the tapered law uses taper(k) = 1 - 1/sqrt(ln k) and offset 0. All edge
+decisions go through the guard-banded comparisons in _precision, so a
+prime near an edge raises PrecisionAmbiguity instead of being misassigned.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class BlockParams:
     offset: int = -3
     taper: bool = False
     k_min: int = 2
-    log_base: float | None = None  # taper log base; None means natural
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
@@ -85,14 +83,11 @@ class BlockParams:
             raise ValueError(f"k_min must be >= 2, got {self.k_min}")
 
     def taper_factor(self, k: int):
-        """1 - 1/sqrt(log k); negative when log k < 1."""
+        """1 - 1/sqrt(ln k); negative when ln k < 1."""
         if k < 2:
             raise ValueError(f"taper undefined at k = {k}")
         with mpmath.workprec(self.precision):
-            logk = mpmath.log(k)
-            if self.log_base is not None:
-                logk /= mpmath.log(self.log_base)
-            return 1 - 1 / mpmath.sqrt(logk)
+            return 1 - 1 / mpmath.sqrt(mpmath.log(k))
 
     def exponent(self, k: int):
         """E(k), an mpf at this params' working precision."""
@@ -114,11 +109,11 @@ def sidon_params(c: Constant | None = None, precision: int | None = None,
                        precision=precision or DEFAULT_PRECISION)
 
 
-def tapered_params(h: int, c: Constant | None = None, precision: int | None = None,
-                   log_base: float | None = None) -> BlockParams:
-    """Tapered law E(k) = c k^2 (1 - 1/sqrt(log k)) starting at block 3."""
+def tapered_params(h: int, c: Constant | None = None,
+                   precision: int | None = None) -> BlockParams:
+    """Tapered law E(k) = c k^2 (1 - 1/sqrt(ln k)) starting at block 3."""
     return BlockParams(c=c or const_window(h), offset=0, taper=True, k_min=3,
-                       log_base=log_base, precision=precision or DEFAULT_PRECISION)
+                       precision=precision or DEFAULT_PRECISION)
 
 
 def block_of_prime(p: int, params: BlockParams) -> int:

@@ -103,8 +103,7 @@ def _cmd_basis(ns: argparse.Namespace) -> int:
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
     params = _sidon_block_params(ns, ns.offset, ns.kmin)
-    basis = _make_basis(ns, ns.h * ns.h, ns.k_max)
-    prefix = generate_blocks(ns.k_max, params, basis, h=ns.h)
+    prefix = generate_blocks(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
     _write_lines(ns.out, (e.to_json_obj() for e in prefix.elements))
     _write_doc(ns.summary, {
         "c": ns.c,
@@ -135,8 +134,7 @@ def _cmd_prune(ns: argparse.Namespace) -> int:
 
 def _cmd_bh_generate(ns: argparse.Namespace) -> int:
     params = bh_mod.bh_params(ns.h, precision=ns.precision)
-    basis = _make_basis(ns, params.scale, ns.k_max)
-    prefix = bh_mod.bh_generate(ns.k_max, params, basis)
+    prefix = bh_mod.bh_generate(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
     if ns.raw:
         kept, removed = prefix.elements, []
     else:
@@ -148,7 +146,7 @@ def _cmd_bh_generate(ns: argparse.Namespace) -> int:
         "k_max": ns.k_max,
         "blocks": prefix.summaries(),
         "removed": [e.to_json_obj() for e in removed],
-        "negative_taper_blocks": bh_mod.negative_taper_blocks(params.block, ns.k_max),
+        "negative_taper_blocks": bh_mod.negative_taper_blocks(params, ns.k_max),
     })
     return 0
 
@@ -182,8 +180,7 @@ def _cmd_audit(ns: argparse.Namespace) -> int:
 
 def _cmd_count(ns: argparse.Namespace) -> int:
     params = _sidon_block_params(ns, ns.offset, ns.kmin)
-    basis = _make_basis(ns, ns.h * ns.h, ns.k_max)
-    prefix = generate_blocks(ns.k_max, params, basis, h=ns.h)
+    prefix = generate_blocks(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
     doc = {"x": str(ns.x), "count": count_upto(ns.x, prefix), "k_max": ns.k_max}
     if ns.brackets:
         doc["brackets"] = growth_bracket_check(prefix)
@@ -209,7 +206,15 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
     n = ns.n
     if n < 3:
         raise UsageError("--n must be >= 3")
-    q = int(ns.q, 16) if ns.q else gf2x.least_irreducible(n)
+    if ns.q is None:
+        q = gf2x.least_irreducible(n)
+    else:
+        try:
+            q = int(ns.q, 16)
+        except ValueError:
+            raise UsageError(f"--q {ns.q!r} is not a hex bit pattern") from None
+        if q < 0 or gf2x.gf2_deg(q) != n or not gf2x.is_irreducible(q):
+            raise UsageError(f"--q {ns.q} is not an irreducible polynomial of degree {n}")
     residues = sorted(gf2x.gf2_finite_sidon(n, q))
     modulus = (1 << n) - 1
     sidon = is_sidon_mod(residues, modulus)

@@ -12,58 +12,36 @@ which is what makes collision structure readable off the digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .arith import lift_to_window
 from .basis import Basis
 from .blocks import BlockParams, block_of_prime
-from .errors import ConsistencyError, DigitOutOfRange, ExcludedPrime, ValueTooLarge
-from .errors import BasisGap
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Little-endian digits x_1..x_k with the window index h they were cut for."""
-
-    k: int
-    digits: tuple[int, ...]
-    h: int = 2
-
-    def __post_init__(self):
-        if self.k != len(self.digits):
-            raise ValueError(f"k = {self.k} but {len(self.digits)} digits")
-
-    def display(self) -> str:
-        """Digits in index order x_1..x_k, the order the examples use."""
-        return "(" + ", ".join(str(x) for x in self.digits) + ")"
-
-    def in_windows(self, basis: Basis) -> bool:
-        return all((self.h - 1) * basis.norm(j) + 1 <= x <= self.h * basis.norm(j) - 1
-                   for j, x in enumerate(self.digits, start=1))
+from .errors import BasisGap, ConsistencyError, DigitOutOfRange, ExcludedPrime, ValueTooLarge
 
 
 @dataclass(frozen=True)
 class SidonElement:
-    """An irreducible, its block, its digit vector, and its mixed-radix value."""
+    """An irreducible, its block, its little-endian digits x_1..x_k, and its
+    mixed-radix value."""
 
     p: int
     k: int
-    digits: DigitVector
+    digits: tuple[int, ...]
     value: int
 
     def to_json_obj(self) -> dict:
-        return {"p": self.p, "k": self.k, "digits": list(self.digits.digits),
-                "a": str(self.value)}
+        return {"p": self.p, "k": self.k, "digits": list(self.digits), "a": str(self.value)}
 
 
-def digits_for_block(p: int, k: int, basis: Basis, h: int = 2,
-                     tables: dict[int, list[int]] | None = None) -> DigitVector:
-    """Digit vector of the irreducible p given its block index k.
+def digits_for_block(p: int, k: int, basis: Basis,
+                     tables: dict[int, list[int]] | None = None) -> tuple[int, ...]:
+    """Digits of the irreducible p given its block index k, in the windows
+    of the basis order h.
 
     tables maps a basis index j to the ring's log table of (g_j, q_j);
     digits of the other indices come from the ring's BSGS.
     """
-    ring = basis.ring
+    ring, h = basis.ring, basis.h
     digits = []
     for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
         r = ring.reduce(p, q)
@@ -72,24 +50,24 @@ def digits_for_block(p: int, k: int, basis: Basis, h: int = 2,
         table = tables.get(j) if tables else None
         d = table[r] if table is not None else ring.dlog(g, r, q)
         digits.append(lift_to_window(d, n, h))
-    return DigitVector(k=k, digits=tuple(digits), h=h)
+    return tuple(digits)
 
 
-def digits_of_prime(p: int, basis: Basis, params: BlockParams, h: int = 2) -> DigitVector:
-    return digits_for_block(p, block_of_prime(p, params), basis, h)
+def digits_of_prime(p: int, basis: Basis, params: BlockParams) -> tuple[int, ...]:
+    return digits_for_block(p, block_of_prime(p, params), basis)
 
 
-def encode_value(d: DigitVector, basis: Basis) -> int:
+def encode_value(digits, basis: Basis) -> int:
     """Mixed-radix value sum x_j W_j. Digits must sit inside their radix."""
     total = 0
-    for j, x in enumerate(d.digits, start=1):
+    for j, x in enumerate(digits, start=1):
         if not 0 <= x < basis.radix(j):
             raise DigitOutOfRange(f"digit x_{j} = {x} outside [0, {basis.radix(j)})")
         total += x * basis.weight(j)
     return total
 
 
-def decode_value(a: int, basis: Basis) -> DigitVector:
+def decode_value(a: int, basis: Basis) -> tuple[int, ...]:
     """The unique digit string of a with 0 <= x_j < scale * N_j.
 
     Inverse of encode_value on valid digit strings; the result is raw and
@@ -108,31 +86,30 @@ def decode_value(a: int, basis: Basis) -> DigitVector:
         digits.append(rest % r)
         rest //= r
         j += 1
-    h = isqrt(basis.scale)
-    return DigitVector(k=len(digits), digits=tuple(digits), h=h)
+    return tuple(digits)
 
 
-def element_in_block(p: int, k: int, basis: Basis, h: int = 2,
+def element_in_block(p: int, k: int, basis: Basis,
                      tables: dict[int, list[int]] | None = None) -> SidonElement:
     """Element of an irreducible p of block k, checked to land between the
     block rails W_k N_k < a < W_(k+1).
 
     Over Z, block generation passes k straight from primes_in_block, whose
     integer edges floor(2^E(k-1)) < p <= floor(2^E(k)) decide membership
-    exactly: p <= floor(2^E) iff log2(p) <= E. The guarded comparisons
-    behind those edges already cover every prime that block_of_prime could
-    find too close to an edge. For p < 2^64, |log2(p) - E| < 2^-64 forces
-    |p - 2^E| < 1, so p is n or n + 1 for n = floor(2^E), and pow2_floor has
-    compared both against E with the same guard. tables is passed on to
+    exactly: an integer p is at most 2^E iff p <= floor(2^E). pow2_floor
+    fixes each edge by comparing integers with 2^E itself, evaluated with the
+    working precision past its integer part, and raises PrecisionAmbiguity
+    instead of returning an edge within 2^-64 of 2^E; so membership needs no
+    per-prime guard at any size of p. tables is passed on to
     digits_for_block.
     """
-    d = digits_for_block(p, k, basis, h, tables)
+    d = digits_for_block(p, k, basis, tables)
     value = encode_value(d, basis)
     if not basis.weight(k) * basis.norm(k) < value < basis.weight(k + 1):
         raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
     return SidonElement(p=p, k=k, digits=d, value=value)
 
 
-def element_for_prime(p: int, basis: Basis, params: BlockParams, h: int = 2) -> SidonElement:
+def element_for_prime(p: int, basis: Basis, params: BlockParams) -> SidonElement:
     """Element of p: its block by block_of_prime, its digits by BSGS."""
-    return element_in_block(p, block_of_prime(p, params), basis, h)
+    return element_in_block(p, block_of_prime(p, params), basis)

@@ -39,10 +39,8 @@ class ExclusionRecord:
 
 @dataclass
 class SequencePrefix:
-    """Elements of blocks k_min..k_max sorted by (block, value)."""
+    """Elements of blocks params.k_min..k_max sorted by (block, value)."""
 
-    h: int
-    k_min: int
     k_max: int
     elements: list[SidonElement]
     excluded: list[ExclusionRecord]
@@ -69,7 +67,7 @@ class SequencePrefix:
 
     def summaries(self) -> list[dict]:
         out = []
-        for k in range(self.k_min, self.k_max + 1):
+        for k in range(self.params.k_min, self.k_max + 1):
             vals = [e.value for e in self.elements if e.k == k]
             out.append({
                 "k": k,
@@ -81,11 +79,10 @@ class SequencePrefix:
         return out
 
 
-def generate_blocks(k_max: int, params: BlockParams, basis: Basis, h: int = 2) -> SequencePrefix:
-    """Every element of blocks k_min..k_max over the basis ring, plus the
-    block irreducibles equal to a basis modulus as exclusions."""
-    if basis.scale != h * h:
-        raise ValueError(f"basis scale {basis.scale} does not match h = {h}")
+def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePrefix:
+    """Every element of blocks k_min..k_max over the basis ring, with digits
+    in the windows of the basis order h, plus the block irreducibles equal
+    to a basis modulus as exclusions."""
     if k_max < params.k_min:
         raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
     ring = basis.ring
@@ -101,15 +98,12 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis, h: int = 2) -
                 tables[j] = ring.log_table(g, q)
         for p in ps:
             try:
-                elements.append(element_in_block(p, k, basis, h, tables))
+                elements.append(element_in_block(p, k, basis, tables))
             except ExcludedPrime as e:
                 excluded.append(ExclusionRecord(p=e.p, k=e.k, basis_index=e.index))
     elements.sort(key=lambda e: (e.k, e.value))
-    if len({e.value for e in elements}) != len(elements):
-        raise ValueError("duplicate element values; the digit map must be injective")
-    return SequencePrefix(h=h, k_min=params.k_min, k_max=k_max, elements=elements,
-                          excluded=excluded, block_sizes=block_sizes,
-                          basis=basis, params=params)
+    return SequencePrefix(k_max=k_max, elements=elements, excluded=excluded,
+                          block_sizes=block_sizes, basis=basis, params=params)
 
 
 def count_upto(x: int, prefix: SequencePrefix) -> int:

@@ -53,7 +53,7 @@ def sqrt2_prefix_k7(default_basis, sqrt2_params):
 @pytest.fixture(scope="session")
 def bh3():
     params = bh_params(3)
-    basis = build_basis("deterministic", params.scale, 9)
+    basis = build_basis("deterministic", 9, 9)
     prefix = bh_generate(9, params, basis)
     return params, basis, prefix
 

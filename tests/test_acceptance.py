@@ -150,9 +150,9 @@ def test_c2_strict_pair_sums(default_basis, sqrt5_params, capsys):
 def test_c3_worked_digit_vectors(sqrt5_prefix_k7, capsys):
     with verdict(capsys, 3, "worked digit vectors") as note:
         by_p = {e.p: e for e in sqrt5_prefix_k7.elements if e.k == 4}
-        assert tuple(by_p[5].digits.digits) == (5, 14, 59, 176)
+        assert by_p[5].digits == (5, 14, 59, 176)
         assert by_p[5].value == 13784669
-        assert tuple(by_p[2].digits.digits) == (5, 21, 73, 261)
+        assert by_p[2].digits == (5, 21, 73, 261)
         assert by_p[2].value == 20434385
         note.append("a_5=13784669, a_2=20434385")
 
@@ -260,7 +260,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
         for qs, cdec, l, n, n_reports, all4 in BH_FIXTURES:
             fb = fake_basis(qs, 9)
             fparams = sidon_params(c=const_decimal(cdec), offset=1, k_min=2)
-            fprefix = generate_blocks(4, fparams, fb, h=3)
+            fprefix = generate_blocks(4, fparams, fb)
             assert len(fprefix.elements) == n <= 200
             reports = find_collisions(fprefix.elements, l)
             assert len(reports) == n_reports
@@ -270,7 +270,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
 
             got_all4 = 0
             for rep in reports:
-                facts = check_collision_structure(rep, fb, fparams, h=3)
+                facts = check_collision_structure(rep, fb, fparams)
                 # digit equality, block recovery, congruences, divisibility
                 # are theorems of the carry-free arithmetic: always true
                 assert facts["digitwise_equal"]

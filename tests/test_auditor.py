@@ -16,7 +16,7 @@ from dlogsidon.auditor import (
     is_sidon_mod,
 )
 from dlogsidon.blocks import const_decimal, sidon_params
-from dlogsidon.encoder import DigitVector, SidonElement
+from dlogsidon.encoder import SidonElement
 from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
 
@@ -239,7 +239,7 @@ def dense_fixture(request):
     entries = [(11, 2), (13, 2), (3, 2), (5, 2)]
     basis = Basis(4, entries, mode="fixed", require_dyadic=False)
     params = sidon_params(c=const_decimal("0.45"), offset=1, k_min=2)
-    prefix = generate_blocks(4, params, basis, h=2)
+    prefix = generate_blocks(4, params, basis)
     return basis, params, prefix
 
 
@@ -251,7 +251,7 @@ def test_structure_facts_on_dense_prefix(dense_fixture):
 
     by_total = {r.total: r for r in reports}
     good = by_total[187124]
-    facts = check_collision_structure(good, basis, params, h=2)
+    facts = check_collision_structure(good, basis, params)
     assert facts == {
         "digitwise_equal": True,
         "block_indices": True,
@@ -267,14 +267,14 @@ def test_structure_facts_on_dense_prefix(dense_fixture):
 
     # Same congruences, but the block sizes sit outside the inequality.
     shallow = by_total[205383]
-    facts = check_collision_structure(shallow, basis, params, h=2)
+    facts = check_collision_structure(shallow, basis, params)
     assert facts["digitwise_equal"] and facts["block_indices"]
     assert facts["congruence_chain"] and facts["product_divisibility"]
     assert facts["size_inequality"] is False
 
     # Every collision of this prefix satisfies the basis-free facts.
     for r in reports:
-        f = check_collision_structure(r, basis, params, h=2)
+        f = check_collision_structure(r, basis, params)
         assert f["digitwise_equal"] and f["block_indices"] and f["congruence_chain"]
 
 
@@ -290,13 +290,13 @@ def test_structure_rejects_window_violation(dense_fixture):
     e = report.left[0]
     broken = SidonElement(
         p=e.p, k=e.k,
-        digits=DigitVector(e.k, (0,) + e.digits.digits[1:], h=2),
+        digits=(0,) + e.digits[1:],
         value=e.value,
     )
     fake = CollisionReport(l=2, total=report.total,
                            left=(broken, report.left[1]), right=report.right)
     with pytest.raises(DigitOutOfRange):
-        check_collision_structure(fake, basis, params, h=2)
+        check_collision_structure(fake, basis, params)
 
 
 def test_growth_brackets_default_prefix(sqrt5_params, default_basis):

@@ -17,8 +17,8 @@ from oracles import is_bh_list, no_repeated_sums
 
 def test_bh_params_identity_and_scale():
     p3 = bh_params(3)
-    assert p3.h == 3 and p3.scale == 9
-    assert p3.block.k_min == 3 and p3.block.taper and p3.block.offset == 0
+    assert p3.c == const_window(3)
+    assert p3.k_min == 3 and p3.taper and p3.offset == 0
     for h in (3, 4, 5, 7):
         bh_params(h)  # identity check inside must hold for every h
     with pytest.raises(ValueError):
@@ -33,21 +33,19 @@ def test_window_constant_h3_value():
 
 
 def test_negative_taper_blocks_reported():
-    params = bh_params(3).block
+    params = bh_params(3)
     assert negative_taper_blocks(params, 9) == [2]
-    # base-10 logs keep the factor negative much longer
-    params10 = bh_params(3, log_base=10).block
-    assert 2 in negative_taper_blocks(params10, 9)
-    assert len(negative_taper_blocks(params10, 9)) > 1
+    # ln k < 1 only at k = 2, whatever the order h
+    assert negative_taper_blocks(bh_params(5), 12) == [2]
 
 
 def test_bh3_prefix_shape(bh3):
     params, basis, prefix = bh3
-    assert prefix.h == 3
+    assert basis.h == 3 and prefix.basis is basis
     assert len(prefix.elements) == 18
     sizes = {k: len(prefix.block_elements(k)) for k in range(3, 10)}
     assert sizes == {3: 0, 4: 0, 5: 1, 6: 0, 7: 2, 8: 4, 9: 11}
-    assert all((params.h - 1) * basis.q(e.k) < e.digits.digits[-1]
+    assert all((basis.h - 1) * basis.q(e.k) < e.digits[-1]
                for e in prefix.elements)
 
 
@@ -89,8 +87,8 @@ def test_bh_prune_on_synthetic_collision(fake_basis):
     from dlogsidon.blocks import const_decimal, sidon_params
     from dlogsidon.generator import generate_blocks
     params = sidon_params(c=const_decimal("0.45"), offset=1, k_min=2)
-    prefix = generate_blocks(4, params, fake_basis((11, 13, 3, 5), 9), h=3)
-    result = bh_prune(prefix, h=3)
+    prefix = generate_blocks(4, params, fake_basis((11, 13, 3, 5), 9))
+    result = bh_prune(prefix)
     assert len(result.removed) > 0
     assert no_repeated_sums(result.pruned.values(), 3)
     assert sum(result.removed_by_block.values()) == len(result.removed)

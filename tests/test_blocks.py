@@ -75,15 +75,6 @@ def test_taper_factor_matches_direct_formula():
         params.taper_factor(1)
 
 
-def test_taper_log_base_override():
-    natural = tapered_params(3)
-    base10 = tapered_params(3, log_base=10)
-    with mpmath.workprec(natural.precision):
-        want = 1 - 1 / mpmath.sqrt(mpmath.log(5) / mpmath.log(10))
-        assert mpmath.almosteq(base10.taper_factor(5), want)
-        assert natural.taper_factor(5) > base10.taper_factor(5)
-
-
 def test_upper_edges_sqrt5(sqrt5_params):
     # floor(2^(c k^2 - 3)) for c = (3 - sqrt 5)/2
     assert [sqrt5_params.upper_edge(k) for k in range(1, 8)] == [

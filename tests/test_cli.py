@@ -235,6 +235,15 @@ def test_gf2_subcommands(capsys):
         "residues": [1, 7, 31, 56, 90], "sidon": True,
     }
     run_usage_error(capsys, ["gf2", "finite", "--n", "2"])
+    rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "7", "--q", "83"])
+    assert rc == 0 and json.loads(out)["q"] == "83"
+    # Not hex; X + 1, of degree 1; X^7 + 1 = (X + 1)(X^6 + ... + 1), reducible;
+    # a negative number, which int() accepts as hex.
+    err = run_usage_error(capsys, ["gf2", "finite", "--n", "7", "--q", "zz"])
+    assert "not a hex bit pattern" in err
+    for q in ("3", "81", "-83"):
+        err = run_usage_error(capsys, ["gf2", "finite", "--n", "7", "--q", q])
+        assert "not an irreducible polynomial of degree 7" in err
     rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "20"])
     doc = json.loads(out)
     assert rc == 0 and doc["sidon"] is True

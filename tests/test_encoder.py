@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from dlogsidon.basis import Basis
+from dlogsidon.basis import Basis, build_basis
 from dlogsidon.encoder import (
-    DigitVector,
     decode_value,
     digits_for_block,
     digits_of_prime,
@@ -16,18 +15,11 @@ from dlogsidon.errors import DigitOutOfRange, ExcludedPrime, ValueTooLarge
 from oracles import lift_naive, power_table
 
 
-def test_digit_vector_validation():
-    with pytest.raises(ValueError):
-        DigitVector(k=2, digits=(5,))
-    d = DigitVector(k=3, digits=(5, 14, 59))
-    assert d.display() == "(5, 14, 59)"
-
-
 def test_worked_digits_p5(default_basis, sqrt5_params):
     # p = 5, block 4: dlogs of 5 mod (3, 11, 37, 131) lifted into (q, 2q).
     e = element_for_prime(5, default_basis, sqrt5_params)
     assert e.k == 4
-    assert e.digits.digits == (5, 14, 59, 176)
+    assert e.digits == (5, 14, 59, 176)
     assert e.value == 13784669
     assert e.to_json_obj() == {
         "p": 5, "k": 4, "digits": [5, 14, 59, 176], "a": "13784669"}
@@ -35,26 +27,29 @@ def test_worked_digits_p5(default_basis, sqrt5_params):
 
 def test_worked_digits_p2_and_p7(default_basis, sqrt5_params):
     e2 = element_for_prime(2, default_basis, sqrt5_params)
-    assert (e2.k, e2.digits.digits, e2.value) == (4, (5, 21, 73, 261), 20434385)
+    assert (e2.k, e2.digits, e2.value) == (4, (5, 21, 73, 261), 20434385)
     e7 = element_for_prime(7, default_basis, sqrt5_params)
-    assert (e7.k, e7.digits.digits, e7.value) == (4, (4, 17, 68, 226), 17696656)
+    assert (e7.k, e7.digits, e7.value) == (4, (4, 17, 68, 226), 17696656)
 
 
 def test_digits_against_power_tables(default_basis, sqrt5_params):
     # Every digit is the table dlog lifted into the h-window by linear scan.
     for p in (13, 17, 19, 23, 29):
         d = digits_of_prime(p, default_basis, sqrt5_params)
-        for j, x in enumerate(d.digits, start=1):
+        for j, x in enumerate(d, start=1):
             q, g = default_basis.entry(j)
             e = power_table(q, g)[p % q]
             assert x == lift_naive(e, q + 1, 2 * q - 1, q - 1), (p, j)
 
 
-def test_windows_shift_with_h(default_basis, sqrt5_params):
-    d2 = digits_for_block(13, 4, default_basis, h=2)
-    d3 = digits_for_block(13, 4, default_basis, h=3)
-    assert d2.in_windows(default_basis) and d3.in_windows(default_basis)
-    for j, (x2, x3) in enumerate(zip(d2.digits, d3.digits), start=1):
+def test_windows_shift_with_h(default_basis):
+    # The window order is the basis's: scale 9 gives h = 3 on the same primes.
+    basis9 = build_basis("deterministic", 9, 4)
+    assert (default_basis.h, basis9.h) == (2, 3)
+    d2 = digits_for_block(13, 4, default_basis)
+    d3 = digits_for_block(13, 4, basis9)
+    for j, (x2, x3) in enumerate(zip(d2, d3), start=1):
+        assert basis9.q(j) == default_basis.q(j)
         q = default_basis.q(j)
         assert q < x2 < 2 * q
         assert 2 * q < x3 < 3 * q
@@ -74,20 +69,18 @@ def test_encode_decode_roundtrip(default_basis, seed=1203):
         k = rng.randrange(1, 7)
         digits = tuple(rng.randrange(1, default_basis.radix(j))
                        for j in range(1, k + 1))
-        a = encode_value(DigitVector(k=k, digits=digits), default_basis)
-        back = decode_value(a, default_basis)
-        assert back.digits == digits
+        a = encode_value(digits, default_basis)
+        assert decode_value(a, default_basis) == digits
 
 
 def test_encode_value_is_positional(default_basis):
-    d = DigitVector(k=3, digits=(5, 14, 59))
     want = 5 + 14 * 12 + 59 * 528
-    assert encode_value(d, default_basis) == want
+    assert encode_value((5, 14, 59), default_basis) == want
 
 
 def test_encode_rejects_digit_at_radix(default_basis):
     with pytest.raises(DigitOutOfRange):
-        encode_value(DigitVector(k=1, digits=(12,)), default_basis)
+        encode_value((12,), default_basis)
 
 
 def test_decode_rejects_negative_and_giant(default_basis):

@@ -22,7 +22,7 @@ from oracles import is_sidon_list, power_table, primes_upto_trial
 
 def test_prefix_shape_sqrt5_k7(sqrt5_prefix_k7):
     prefix = sqrt5_prefix_k7
-    assert prefix.k_min == 2 and prefix.k_max == 7 and prefix.h == 2
+    assert prefix.params.k_min == 2 and prefix.k_max == 7 and prefix.basis.h == 2
     assert len(prefix.elements) == 5477
     assert len(prefix.excluded) == 7
     assert prefix.block_sizes == {2: 0, 3: 0, 4: 4, 5: 20, 6: 245, 7: 5215}
@@ -62,7 +62,7 @@ def test_prefix_sqrt5_k8(default_basis, sqrt5_params):
     # The prefix an exact k <= 8 Sidon audit would take as input.
     prefix = generate_blocks(8, sqrt5_params, default_basis)
     assert len(prefix.elements) == 207214
-    for k in range(prefix.k_min, 9):
+    for k in range(prefix.params.k_min, 9):
         excl = sum(1 for r in prefix.excluded if r.k == k)
         assert len(prefix.block_elements(k)) == prefix.block_sizes[k] - excl, k
     for e in prefix.elements:
@@ -81,7 +81,7 @@ def _law(name):
     """(block params, h, k_max) of a law. The B_3 law has two primes through
     block 6, so it runs to block 11, where its blocks hold 181 primes."""
     if name == "bh3":
-        return bh_params(3).block, 3, 11
+        return bh_params(3), 3, 11
     c = {"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[name]()
     return sidon_params(c=c), 2, 6
 
@@ -104,7 +104,7 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
     # The integer ring's BSGS and log-table routes.
     monkeypatch.setattr(basis_module, "discrete_log", counted(basis_module.discrete_log))
     monkeypatch.setattr(basis_module, "log_table", counted(basis_module.log_table))
-    prefix = generate_blocks(k_max, params, basis, h)
+    prefix = generate_blocks(k_max, params, basis)
     # Both sides of the table/BSGS size rule ran.
     assert calls["discrete_log"] > 0 and calls["log_table"] > 0, calls
     monkeypatch.undo()
@@ -119,16 +119,14 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
             r = excluded[p]
             assert r.k == k
             with pytest.raises(ExcludedPrime) as ei:
-                element_for_prime(p, basis, params, h)
+                element_for_prime(p, basis, params)
             assert (ei.value.k, ei.value.index) == (r.k, r.basis_index)
         else:
-            assert elements[p] == element_for_prime(p, basis, params, h), p
+            assert elements[p] == element_for_prime(p, basis, params), p
             assert elements[p].k == k
 
 
-def test_generate_rejects_scale_h_mismatch(default_basis, sqrt5_params):
-    with pytest.raises(ValueError):
-        generate_blocks(4, sqrt5_params, default_basis, h=3)
+def test_generate_rejects_k_max_below_first_block(default_basis, sqrt5_params):
     with pytest.raises(ValueError):
         generate_blocks(1, sqrt5_params, default_basis)
 

@@ -53,14 +53,41 @@ def test_cmp_int_signs_and_tie():
 def test_pow2_floor_matches_math_floor(seed=29):
     rng = random.Random(seed)
     # Above e ~ 63 consecutive integers sit closer than the 2^-64 guard in
-    # log scale, so the floor is only well-posed below that; block exponents
-    # stay far under it.
+    # log scale, so this cmp_log2 check is only well-posed below that; see
+    # the exact test past 2^64 below.
     for _ in range(200):
         e = mpmath.mpf(rng.randrange(1, 55 << 6)) / (1 << 6) + mpmath.mpf("0.01")
         n = pow2_floor(e, PREC)
         # floor by definition: n <= 2^e < n + 1
         assert cmp_log2(n, e, PREC) < 0 or n == 1
         assert cmp_log2(n + 1, e, PREC) > 0
+
+
+def test_pow2_floor_exact_past_2_64(seed=41):
+    # n = floor(2^(a/64)) iff n^64 <= 2^a < (n + 1)^64, in exact integers;
+    # likewise floor(2^(a/64) / d) with (n d)^64 and ((n + 1) d)^64.
+    rng = random.Random(seed)
+    for _ in range(100):
+        a = rng.randrange(64 * 64, 200 * 64)
+        if a % 64 == 0:
+            a += 1
+        e = mpmath.mpf(a) / 64
+        n = pow2_floor(e, PREC)
+        assert n**64 <= 2**a < (n + 1) ** 64
+        d = rng.randrange(2, 1 << 40)
+        m = pow2_ratio_floor(e, d, PREC)
+        assert (m * d) ** 64 <= 2**a < ((m + 1) * d) ** 64
+
+
+def test_sqrt2_edges_past_2_64_match_a_2000_bit_reference(sqrt2_params):
+    # Edges 13 and 14 exceed 2^67, where a guard on log2 could not tell
+    # neighbouring integers apart.
+    with mpmath.workprec(2000):
+        c = mpmath.sqrt(2) - 1
+        for k in (13, 14):
+            want = int(mpmath.floor(mpmath.mpf(2) ** (c * k * k - 3)))
+            assert want > 1 << 67
+            assert sqrt2_params.upper_edge(k) == want
 
 
 def test_pow2_floor_small_and_negative():

@@ -43,6 +43,18 @@ def test_s_bounds_frozen_on_default_basis(default_basis, sqrt2_params):
     assert seen[(4, 7)] == (12, 0)
 
 
+def test_first_nonempty_s_range_on_default_basis(monkeypatch, sqrt2_params):
+    # Past k1 = 11 the range bounds exceed 2^64; they must come out exact
+    # rather than raise PrecisionAmbiguity.
+    from dlogsidon import basis as basis_module
+    monkeypatch.setattr(basis_module, "MAX_INDEX", 14)
+    b14 = basis_module.build_basis("deterministic", 4, 14)
+    bounds = [s_bounds(k2, k1, sqrt2_params, b14)
+              for k1 in range(3, 15) for k2 in eligible_k2s(k1, sqrt2_params)]
+    first = next(b for b in bounds if not b.is_empty())
+    assert (first.k2, first.k1, first.s1_max, first.s2_max) == (11, 14, 7, 9)
+
+
 def test_s_bounds_rejects_ineligible_pairs(default_basis, sqrt2_params):
     with pytest.raises(IneligiblePair):
         s_bounds(5, 5, sqrt2_params, default_basis)
