@@ -230,7 +230,7 @@ def log_table(g: int, q: int) -> list[int]:
     return table
 
 
-def lift_to_window(d: int, q: int, h: int = 2) -> int:
+def lift_to_window(d: int, q: int, h: int) -> int:
     """Representative of d mod (q-1) inside [(h-1)q + 1, hq - 1].
 
     The window holds exactly q-1 consecutive integers, so the lift exists

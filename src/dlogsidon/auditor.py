@@ -22,7 +22,7 @@ from math import comb
 import mpmath
 import numpy as np
 
-from ._precision import cmp_int
+from ._precision import PRECISION, cmp_int
 from .arith import prime_count
 from .basis import Basis
 from .blocks import BlockParams
@@ -328,19 +328,18 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
             chain_ok = False
     facts["congruence_chain"] = chain_ok
 
-    prec = params.precision
-    with mpmath.workprec(prec):
-        c = params.c.eval(prec)
+    with mpmath.workprec(PRECISION):
+        c = params.c.eval()
         ratio = c / (1 - c)
         k1 = ks[0]
         kl = ks[-1]
         if l == 2:
-            upper = cmp_int(kl * kl, ratio * k1 * k1, prec) < 0
-            lower = cmp_int(kl * kl, (1 - c) * k1 * k1, prec) > 0
+            upper = cmp_int(kl * kl, ratio * k1 * k1) < 0
+            lower = cmp_int(kl * kl, (1 - c) * k1 * k1) > 0
             facts["size_inequality"] = lower and upper
         else:
             bound = ratio * sum(k * k for k in ks[:-1])
-            facts["size_inequality"] = cmp_int(kl * kl, bound, prec) < 0
+            facts["size_inequality"] = cmp_int(kl * kl, bound) < 0
 
     q_product = basis.prime_product(1, ks[0])
     d = 1
@@ -380,6 +379,6 @@ def growth_bracket_check(prefix: SequencePrefix) -> list[dict]:
             "count_ok": lower <= count <= upper,
             "elements_ok": all(rail_lo < e.value < rail_hi for e in elems),
             "log2_ratio_approx": (math.log2(count) / math.log2(x)) if count > 0 else None,
-            "c_target_approx": float(params.c.eval(params.precision)),
+            "c_target_approx": float(params.c.eval()),
         })
     return out

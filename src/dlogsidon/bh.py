@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import mpmath
 
+from ._precision import PRECISION
 from .auditor import find_collisions
 from .basis import Basis, build_basis
 from .blocks import BlockParams, tapered_params
@@ -22,16 +23,15 @@ from .errors import ConsistencyError
 from .generator import SequencePrefix, generate_blocks
 
 
-def bh_params(h: int, precision: int | None = None) -> BlockParams:
+def bh_params(h: int) -> BlockParams:
     """The tapered block law of order h, its window constant checked."""
     if h < 3:
         raise ValueError(f"this path is for h >= 3, got {h}")
-    params = tapered_params(h, precision=precision)
-    prec = params.precision
-    with mpmath.workprec(prec):
-        c = params.c.eval(prec)
+    params = tapered_params(h)
+    with mpmath.workprec(PRECISION):
+        c = params.c.eval()
         residue = -1 + 2 * c * (h - 1) / (1 - c) - c
-        if abs(residue) > mpmath.mpf(2) ** (-prec + 32):
+        if abs(residue) > mpmath.mpf(2) ** (32 - PRECISION):
             raise ConsistencyError(f"window constant identity off by {residue}")
     return params
 
@@ -91,15 +91,16 @@ def bh_prune(prefix: SequencePrefix) -> BhPruneResult:
                          removed_by_block=by_block)
 
 
-def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int,
-                         precision: int | None = None) -> dict:
+def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int) -> dict:
     """Removed fraction per block over `trials` random bases.
 
     Ratios divide removed elements by the block's prime count; empty blocks
     report 0. Identical (h, k_max, trials, seed) reproduce the report
     byte-for-byte once serialized canonically.
     """
-    params = bh_params(h, precision=precision)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    params = bh_params(h)
     master = random.Random(seed)
     trial_seeds = [master.randrange(1 << 63) for _ in range(trials)]
     ks = list(range(params.k_min, k_max + 1))
@@ -131,6 +132,6 @@ def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int,
         "seed": seed,
         "negative_taper_blocks": negative_taper_blocks(params, k_max),
         "per_trial": trial_rows,
-        "per_k": [{"k": k, "mean_ratio": sums[k] / trials if trials else 0.0,
+        "per_k": [{"k": k, "mean_ratio": sums[k] / trials,
                    "max_ratio": maxes[k]} for k in ks],
     }

@@ -16,20 +16,20 @@ from dataclasses import dataclass
 
 import mpmath
 
-from ._precision import DEFAULT_PRECISION, check_precision, cmp_log2, pow2_floor
+from ._precision import PRECISION, cmp_log2, pow2_floor
 from .arith import PrimeInterval, primes_in_interval
 
 
 @dataclass(frozen=True)
 class Constant:
-    """A named constant in (0, 1/2), evaluated fresh at any precision."""
+    """A named constant in (0, 1/2), evaluated fresh at the working precision."""
 
     name: str
     kind: str
     payload: int | str | None = None
 
-    def eval(self, prec: int):
-        with mpmath.workprec(prec):
+    def eval(self):
+        with mpmath.workprec(PRECISION):
             if self.kind == "sqrt5":
                 value = (3 - mpmath.sqrt(5)) / 2
             elif self.kind == "sqrt2":
@@ -69,61 +69,55 @@ def const_decimal(text: str) -> Constant:
 
 @dataclass(frozen=True)
 class BlockParams:
-    """Exponent law: constant, offset, optional taper, first block index."""
+    """Exponent law: constant, offset, optional taper."""
 
     c: Constant
     offset: int = -3
     taper: bool = False
-    k_min: int = 2
-    precision: int = DEFAULT_PRECISION
 
-    def __post_init__(self):
-        check_precision(self.precision)
-        if self.k_min < 2:
-            raise ValueError(f"k_min must be >= 2, got {self.k_min}")
+    @property
+    def k_min(self) -> int:
+        """First block index: 2 for the plain law, 3 for the tapered one."""
+        return 3 if self.taper else 2
 
     def taper_factor(self, k: int):
         """1 - 1/sqrt(ln k); negative when ln k < 1."""
         if k < 2:
             raise ValueError(f"taper undefined at k = {k}")
-        with mpmath.workprec(self.precision):
+        with mpmath.workprec(PRECISION):
             return 1 - 1 / mpmath.sqrt(mpmath.log(k))
 
     def exponent(self, k: int):
-        """E(k), an mpf at this params' working precision."""
-        with mpmath.workprec(self.precision):
-            e = self.c.eval(self.precision) * k * k
+        """E(k), an mpf at the working precision."""
+        with mpmath.workprec(PRECISION):
+            e = self.c.eval() * k * k
             if self.taper:
                 e *= self.taper_factor(k)
             return e + self.offset
 
     def upper_edge(self, k: int) -> int:
         """floor(2^E(k)): the largest integer allowed into block k."""
-        return pow2_floor(self.exponent(k), self.precision)
+        return pow2_floor(self.exponent(k))
 
 
-def sidon_params(c: Constant | None = None, precision: int | None = None,
-                 offset: int = -3, k_min: int = 2) -> BlockParams:
+def sidon_params(c: Constant | None = None, offset: int = -3) -> BlockParams:
     """Plain exponent law E(k) = c k^2 + offset starting at block 2."""
-    return BlockParams(c=c or const_sqrt5(), offset=offset, taper=False, k_min=k_min,
-                       precision=precision or DEFAULT_PRECISION)
+    return BlockParams(c=c or const_sqrt5(), offset=offset)
 
 
-def tapered_params(h: int, c: Constant | None = None,
-                   precision: int | None = None) -> BlockParams:
+def tapered_params(h: int) -> BlockParams:
     """Tapered law E(k) = c k^2 (1 - 1/sqrt(ln k)) starting at block 3."""
-    return BlockParams(c=c or const_window(h), offset=0, taper=True, k_min=3,
-                       precision=precision or DEFAULT_PRECISION)
+    return BlockParams(c=const_window(h), offset=0, taper=True)
 
 
 def block_of_prime(p: int, params: BlockParams) -> int:
     """The unique k >= k_min with E(k-1) < log2(p) <= E(k)."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    if cmp_log2(p, params.exponent(params.k_min - 1), params.precision) <= 0:
+    if cmp_log2(p, params.exponent(params.k_min - 1)) <= 0:
         raise ValueError(f"{p} at or below the lower edge of block {params.k_min}")
     k = params.k_min
-    while cmp_log2(p, params.exponent(k), params.precision) > 0:
+    while cmp_log2(p, params.exponent(k)) > 0:
         k += 1
     return k
 

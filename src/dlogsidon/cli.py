@@ -18,7 +18,6 @@ import sys
 
 from . import bh as bh_mod
 from . import gf2x
-from ._precision import DEFAULT_PRECISION, MIN_PRECISION
 from .arith import is_prime, is_primitive_root, smallest_primitive_root
 from .auditor import (find_collisions, find_collisions_bruteforce, growth_bracket_check,
                       is_sidon_mod)
@@ -33,6 +32,13 @@ class UsageError(Exception):
     """A bad flag value; reported through argparse with exit status 2."""
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """No abbreviated flags (--h is not --help); subparsers inherit this."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def parse_constant(text: str) -> Constant:
     """sqrt5 | sqrt2 | bh:<h> | decimal string in (0, 1/2)."""
     try:
@@ -44,10 +50,17 @@ def parse_constant(text: str) -> Constant:
             const = const_window(int(text.split(":", 1)[1]))
         else:
             const = const_decimal(text)
-        const.eval(MIN_PRECISION)
+        const.eval()
     except (ValueError, DlogSidonError) as e:
         raise UsageError(f"--c {text!r}: {e}") from None
     return const
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _canon(obj) -> str:
@@ -90,9 +103,10 @@ def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
     return build_basis(ns.basis_mode, scale, count, seed=ns.seed)
 
 
-def _sidon_block_params(ns: argparse.Namespace, offset: int = -3, k_min: int = 2):
-    prec = ns.precision or DEFAULT_PRECISION
-    return sidon_params(c=parse_constant(ns.c), precision=prec, offset=offset, k_min=k_min)
+def _sidon_prefix(ns: argparse.Namespace):
+    """The plain-law prefix over a scale-4 basis that generate, prune and count share."""
+    return generate_blocks(ns.k_max, sidon_params(c=parse_constant(ns.c)),
+                           _make_basis(ns, 4, ns.k_max))
 
 
 def _cmd_basis(ns: argparse.Namespace) -> int:
@@ -102,12 +116,11 @@ def _cmd_basis(ns: argparse.Namespace) -> int:
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
-    params = _sidon_block_params(ns, ns.offset, ns.kmin)
-    prefix = generate_blocks(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
+    prefix = _sidon_prefix(ns)
     _write_lines(ns.out, (e.to_json_obj() for e in prefix.elements))
     _write_doc(ns.summary, {
         "c": ns.c,
-        "h": ns.h,
+        "h": prefix.basis.h,
         "k_max": ns.k_max,
         "blocks": prefix.summaries(),
         "excluded": [r.to_json_obj() for r in prefix.excluded],
@@ -116,9 +129,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_prune(ns: argparse.Namespace) -> int:
-    params = _sidon_block_params(ns, ns.offset, ns.kmin)
-    basis = _make_basis(ns, 4, ns.k_max)
-    result = pruned_generate(generate_blocks(ns.k_max, params, basis), slack=ns.slack)
+    result = pruned_generate(_sidon_prefix(ns))
     _write_lines(ns.out, (e.to_json_obj() for e in result.pruned.elements))
     if ns.bad_out:
         _write_lines(ns.bad_out, (r.to_json_obj() for r in result.records))
@@ -133,7 +144,7 @@ def _cmd_prune(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bh_generate(ns: argparse.Namespace) -> int:
-    params = bh_mod.bh_params(ns.h, precision=ns.precision)
+    params = bh_mod.bh_params(ns.h)
     prefix = bh_mod.bh_generate(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
     if ns.raw:
         kept, removed = prefix.elements, []
@@ -152,9 +163,7 @@ def _cmd_bh_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bh_montecarlo(ns: argparse.Namespace) -> int:
-    doc = bh_mod.montecarlo_bad_ratio(ns.h, ns.k_max, ns.trials, ns.seed,
-                                      precision=ns.precision)
-    _write_doc(ns.out, doc)
+    _write_doc(ns.out, bh_mod.montecarlo_bad_ratio(ns.h, ns.k_max, ns.trials, ns.seed))
     return 0
 
 
@@ -179,8 +188,7 @@ def _cmd_audit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    params = _sidon_block_params(ns, ns.offset, ns.kmin)
-    prefix = generate_blocks(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
+    prefix = _sidon_prefix(ns)
     doc = {"x": str(ns.x), "count": count_upto(ns.x, prefix), "k_max": ns.k_max}
     if ns.brackets:
         doc["brackets"] = growth_bracket_check(prefix)
@@ -224,7 +232,7 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
 
 
 def _cmd_gf2_generate(ns: argparse.Namespace) -> int:
-    prefix = gf2x.gf2_generate_blocks(ns.k_max, _sidon_block_params(ns, offset=0))
+    prefix = gf2x.gf2_generate_blocks(ns.k_max, sidon_params(c=parse_constant(ns.c), offset=0))
     # Polynomials are written as hex bit patterns.
     _write_lines(ns.out, (dict(e.to_json_obj(), p=format(e.p, "x")) for e in prefix.elements))
     _write_doc(ns.summary, {
@@ -257,11 +265,9 @@ def _add_c_flag(p, default):
                    help="exponent constant: sqrt5, sqrt2, bh:<h>, or a decimal in (0, 1/2)")
 
 
-def _add_law_flags(p):
+def _add_kmax_flag(p):
     p.add_argument("--kmax", dest="k_max", type=int, required=True,
                    help="last block index to generate")
-    p.add_argument("--offset", type=int, default=-3, help="exponent offset (default -3)")
-    p.add_argument("--kmin", type=int, default=2, help="first block index (default 2)")
 
 
 def _add_basis_flags(p):
@@ -274,38 +280,32 @@ def _add_basis_flags(p):
 
 
 def _add_out_flags(p, summary=True):
-    p.add_argument("--precision", type=int,
-                   help=f"working precision bits, >= {MIN_PRECISION} "
-                        f"(default {DEFAULT_PRECISION})")
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")
     if summary:
         p.add_argument("--summary", help="summary JSON path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="dlogsidon",
         description="Sidon and B_h sequences from discrete logarithms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="emit a basis document as JSON")
     p.add_argument("--scale", type=int, default=4, help="radix scale h^2 (default 4)")
-    p.add_argument("--count", type=int, required=True, help="number of entries")
+    p.add_argument("--count", type=_positive_int, required=True, help="number of entries")
     _add_basis_flags(p)
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")
 
     p = sub.add_parser("generate", help="generate all elements of blocks up to kmax")
     _add_c_flag(p, "sqrt5")
-    _add_law_flags(p)
-    p.add_argument("--h", type=int, default=2, help="digit window order (default 2)")
+    _add_kmax_flag(p)
     _add_basis_flags(p)
     _add_out_flags(p)
 
     p = sub.add_parser("prune", help="generate and remove range-bound bad primes")
     _add_c_flag(p, "sqrt2")
-    _add_law_flags(p)
-    p.add_argument("--slack", type=float, default=0.1,
-                   help="allowed removed fraction above 1/2 (default 0.1)")
+    _add_kmax_flag(p)
     p.add_argument("--bad-out", dest="bad_out", help="bad-prime records JSONL path")
     _add_basis_flags(p)
     _add_out_flags(p)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bhsub.add_parser("montecarlo", help="removed-fraction survey over random bases")
     p.add_argument("--h", type=int, default=3)
     p.add_argument("--kmax", dest="k_max", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_out_flags(p, summary=False)
 
@@ -340,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting function A(x) against a prefix")
     p.add_argument("--x", type=int, required=True, help="count elements <= x")
     _add_c_flag(p, "sqrt5")
-    _add_law_flags(p)
-    p.add_argument("--h", type=int, default=2)
+    _add_kmax_flag(p)
     p.add_argument("--brackets", action="store_true",
                    help="include per-block bracket checks and exponent diagnostics")
     _add_basis_flags(p)
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gf2sub.add_parser("generate", help="blocks of irreducibles by degree")
     _add_c_flag(p, "sqrt5")
-    p.add_argument("--kmax", dest="k_max", type=int, required=True)
+    _add_kmax_flag(p)
     _add_out_flags(p)
 
     return parser
@@ -373,8 +372,6 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     command = f"{ns.command} {ns.sub}" if getattr(ns, "sub", None) else ns.command
     try:
-        if getattr(ns, "precision", None) is not None and ns.precision < MIN_PRECISION:
-            raise UsageError(f"--precision must be >= {MIN_PRECISION} bits")
         return _HANDLERS[command](ns)
     except UsageError as e:
         parser.error(str(e))

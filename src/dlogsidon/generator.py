@@ -85,6 +85,8 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
     to a basis modulus as exclusions."""
     if k_max < params.k_min:
         raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
+    # A basis too short for k_max fails here, before any block is listed.
+    basis.ensure(k_max)
     ring = basis.ring
     tables: dict[int, list[int]] = {}
     elements: list[SidonElement] = []

@@ -228,11 +228,10 @@ def block_of_degree(d: int, params: BlockParams) -> int:
     """The unique k >= k_min with E(k-1) < d <= E(k) for an integer degree."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    prec = params.precision
-    if cmp_int(d, params.exponent(params.k_min - 1), prec) <= 0:
+    if cmp_int(d, params.exponent(params.k_min - 1)) <= 0:
         raise ValueError(f"degree {d} at or below the lower edge of block {params.k_min}")
     k = params.k_min
-    while cmp_int(d, params.exponent(k), prec) > 0:
+    while cmp_int(d, params.exponent(k)) > 0:
         k += 1
     return k
 
@@ -240,9 +239,8 @@ def block_of_degree(d: int, params: BlockParams) -> int:
 def degrees_in_block(k: int, params: BlockParams) -> range:
     if k < params.k_min:
         raise ValueError(f"block index {k} below k_min = {params.k_min}")
-    prec = params.precision
-    lo = int_floor(params.exponent(k - 1), prec)
-    hi = int_floor(params.exponent(k), prec)
+    lo = int_floor(params.exponent(k - 1))
+    hi = int_floor(params.exponent(k))
     return range(max(lo + 1, 1), hi + 1)
 
 
@@ -278,4 +276,8 @@ def gf2_generate_blocks(k_max: int, params: BlockParams,
                         basis: Basis | None = None) -> SequencePrefix:
     """Elements for every irreducible in blocks k_min..k_max by degree: the
     shared generate_blocks over a GF2 basis of scale 4."""
+    # Degrees grow with k: the last block's are checked before any is listed.
+    last = degrees_in_block(k_max, params)
+    if last:
+        _check_degree(last[-1])
     return generate_blocks(k_max, params, Basis(4, ring=GF2) if basis is None else basis)

@@ -18,11 +18,14 @@ from dataclasses import dataclass, replace
 
 import mpmath
 
-from ._precision import cmp_int, pow2_ratio_floor
+from ._precision import PRECISION, cmp_int, pow2_ratio_floor
 from .basis import Basis
 from .blocks import BlockParams, const_sqrt5, primes_in_block
 from .errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
 from .generator import SequencePrefix
+
+# Allowed removed fraction per block above 1/2.
+SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,9 @@ class BadPrimeRecord:
 
 
 def _is_eligible(k2: int, k1: int, params: BlockParams) -> bool:
-    prec = params.precision
-    with mpmath.workprec(prec):
-        c = params.c.eval(prec)
-        return cmp_int(k2 * k2, c / (1 - c) * k1 * k1, prec) < 0
+    with mpmath.workprec(PRECISION):
+        c = params.c.eval()
+        return cmp_int(k2 * k2, c / (1 - c) * k1 * k1) < 0
 
 
 def eligible_k2s(k1: int, params: BlockParams) -> list[int]:
@@ -81,11 +83,10 @@ def s_bounds(k2: int, k1: int, params: BlockParams, basis: Basis) -> SRangeBound
         raise IneligiblePair(f"k2 = {k2}, k1 = {k1} fails k2^2 < (c/(1-c)) k1^2")
     q1_product = basis.prime_product(1, k2)
     q2_product = basis.prime_product(k2 + 1, k1)
-    prec = params.precision
-    with mpmath.workprec(prec):
+    with mpmath.workprec(PRECISION):
         pair_exp = params.exponent(k1) + params.exponent(k2)
-        s1_max = pow2_ratio_floor(pair_exp, q1_product, prec)
-        s2_max = pow2_ratio_floor(params.exponent(k1), q2_product, prec)
+    s1_max = pow2_ratio_floor(pair_exp, q1_product)
+    s2_max = pow2_ratio_floor(params.exponent(k1), q2_product)
     return SRangeBounds(k2=k2, k1=k1, q1_product=q1_product, q2_product=q2_product,
                         s1_max=s1_max, s2_max=s2_max)
 
@@ -152,7 +153,6 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
         # deterministic basis every plan through k1 = 11 is empty.
         return []
     p_list = primes_in_block(k1, params)
-    prec = params.precision
     records = []
     for p1 in p_list:
         for b, p2s in plans:
@@ -164,7 +164,7 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
                                  q1_product=b.q1_product, q2_product=b.q2_product)
             if rec.s % p1 != 0:
                 raise ConsistencyError(f"witness for {p1} is not divisible by it")
-            with mpmath.workprec(prec):
+            with mpmath.workprec(PRECISION):
                 # |s| <= 2^(E(k1)+E(k2)+1) < (block k1 floor)^2 in this regime.
                 regime = (2 * params.exponent(k1 - 1)
                           > params.exponent(k1) + params.exponent(b.k2) + 1)
@@ -187,22 +187,18 @@ class PruneResult:
     reports: list[dict]
 
 
-def pruned_generate(prefix: SequencePrefix, slack: float = 0.1) -> PruneResult:
+def pruned_generate(prefix: SequencePrefix) -> PruneResult:
     """Drop every bad prime's element from a generated prefix, using the
     prefix's own block law and basis.
 
-    The removed fraction per block must stay below 1/2 plus the slack; a
+    The removed fraction per block must stay below 1/2 plus SLACK; a
     breach raises RatioBoundExceeded since the surviving sequence would no
     longer have the intended density.
     """
     params, basis = prefix.params, prefix.basis
-    prec = params.precision
-    with mpmath.workprec(prec):
-        c = params.c.eval(prec)
-        floor_c = const_sqrt5().eval(prec)
-        if not c > floor_c:
-            raise ValueError("pruning needs c above (3 - sqrt 5)/2; below that "
-                             "no pair collision exists to prune")
+    if not params.c.eval() > const_sqrt5().eval():
+        raise ValueError("pruning needs c above (3 - sqrt 5)/2; below that "
+                         "no pair collision exists to prune")
     records: list[BadPrimeRecord] = []
     bad_by_block: dict[int, set[int]] = {}
     reports = []
@@ -212,7 +208,7 @@ def pruned_generate(prefix: SequencePrefix, slack: float = 0.1) -> PruneResult:
         bad_by_block[k] = {r.p1 for r in recs}
         size = prefix.block_sizes.get(k, 0)
         ratio = len(recs) / size if size else 0.0
-        if ratio > 0.5 + slack:
+        if ratio > 0.5 + SLACK:
             raise RatioBoundExceeded(f"block {k}: removed {ratio:.3f} of primes")
         reports.append({"k": k, "block_size": size, "bad_count": len(recs),
                         "ratio": ratio})

@@ -207,7 +207,7 @@ def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
 
         for qs, cdec, offset, n, eligible, bad4 in SIDON_FIXTURES:
             basis = fake_basis(qs, 4)
-            params = sidon_params(c=const_decimal(cdec), offset=offset, k_min=2)
+            params = sidon_params(c=const_decimal(cdec), offset=offset)
             prefix = generate_blocks(4, params, basis)
             assert len(prefix.elements) == n
             reports = find_collisions(prefix.elements, 2)
@@ -221,7 +221,7 @@ def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
         # falsifiability: a wide front pair narrows the s-range scan, so the
         # bad list is a strict subset of its block even with no collisions
         basis = fake_basis((37, 41, 17, 3), 4)
-        params = sidon_params(c=const_decimal("0.45"), offset=1, k_min=2)
+        params = sidon_params(c=const_decimal("0.45"), offset=1)
         prefix = generate_blocks(4, params, basis)
         assert find_collisions(prefix.elements, 2) == []
         recs = bad_primes(4, params, basis)
@@ -259,7 +259,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
 
         for qs, cdec, l, n, n_reports, all4 in BH_FIXTURES:
             fb = fake_basis(qs, 9)
-            fparams = sidon_params(c=const_decimal(cdec), offset=1, k_min=2)
+            fparams = sidon_params(c=const_decimal(cdec), offset=1)
             fprefix = generate_blocks(4, fparams, fb)
             assert len(fprefix.elements) == n <= 200
             reports = find_collisions(fprefix.elements, l)

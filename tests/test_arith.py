@@ -204,6 +204,6 @@ def test_lift_to_window_rejects_bad_args():
     with pytest.raises(ValueError):
         lift_to_window(0, 11, h=1)
     with pytest.raises(ValueError):
-        lift_to_window(10, 11)
+        lift_to_window(10, 11, 2)
     with pytest.raises(ValueError):
-        lift_to_window(-1, 11)
+        lift_to_window(-1, 11, 2)

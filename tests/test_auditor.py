@@ -238,7 +238,7 @@ def dense_fixture(request):
     from dlogsidon.basis import Basis
     entries = [(11, 2), (13, 2), (3, 2), (5, 2)]
     basis = Basis(4, entries, mode="fixed", require_dyadic=False)
-    params = sidon_params(c=const_decimal("0.45"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.45"), offset=1)
     prefix = generate_blocks(4, params, basis)
     return basis, params, prefix
 

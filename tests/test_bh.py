@@ -28,7 +28,7 @@ def test_bh_params_identity_and_scale():
 def test_window_constant_h3_value():
     import mpmath
     with mpmath.workprec(192):
-        c = const_window(3).eval(192)
+        c = const_window(3).eval()
         assert mpmath.almosteq(c, mpmath.sqrt(5) - 2)
 
 
@@ -86,7 +86,7 @@ def test_prune_repeated_sums_reaches_a_bh_set(seed=77):
 def test_bh_prune_on_synthetic_collision(fake_basis):
     from dlogsidon.blocks import const_decimal, sidon_params
     from dlogsidon.generator import generate_blocks
-    params = sidon_params(c=const_decimal("0.45"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.45"), offset=1)
     prefix = generate_blocks(4, params, fake_basis((11, 13, 3, 5), 9))
     result = bh_prune(prefix)
     assert len(result.removed) > 0
@@ -108,3 +108,6 @@ def test_montecarlo_deterministic_and_shaped():
         assert 0.0 <= row["mean_ratio"] <= row["max_ratio"] <= 1.0
     c = montecarlo_bad_ratio(3, 7, trials=3, seed=100)
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            montecarlo_bad_ratio(3, 7, trials, seed=99)

@@ -4,8 +4,8 @@ import random
 import mpmath
 import pytest
 
+from dlogsidon._precision import PRECISION
 from dlogsidon.blocks import (
-    BlockParams,
     Constant,
     block_of_prime,
     const_decimal,
@@ -20,53 +20,37 @@ from dlogsidon.errors import PrecisionAmbiguity
 
 from oracles import primes_upto_trial
 
-PREC = 192
 
 
 def test_constant_values_at_high_precision():
-    with mpmath.workprec(PREC):
-        assert mpmath.almosteq(const_sqrt5().eval(PREC), (3 - mpmath.sqrt(5)) / 2)
-        assert mpmath.almosteq(const_sqrt2().eval(PREC), mpmath.sqrt(2) - 1)
+    with mpmath.workprec(PRECISION):
+        assert mpmath.almosteq(const_sqrt5().eval(), (3 - mpmath.sqrt(5)) / 2)
+        assert mpmath.almosteq(const_sqrt2().eval(), mpmath.sqrt(2) - 1)
         # h = 3: sqrt(5) - 2
-        assert mpmath.almosteq(const_window(3).eval(PREC), mpmath.sqrt(5) - 2)
-        assert mpmath.almosteq(const_decimal("0.25").eval(PREC), mpmath.mpf(1) / 4)
+        assert mpmath.almosteq(const_window(3).eval(), mpmath.sqrt(5) - 2)
+        assert mpmath.almosteq(const_decimal("0.25").eval(), mpmath.mpf(1) / 4)
 
 
 def test_constant_range_check():
     for text in ("0", "0.5", "0.75", "-0.1"):
         with pytest.raises(ValueError):
-            const_decimal(text).eval(PREC)
+            const_decimal(text).eval()
     with pytest.raises(ValueError):
-        Constant("bogus", "cube").eval(PREC)
+        Constant("bogus", "cube").eval()
     with pytest.raises(ValueError):
         const_window(1)
 
 
-def test_constant_eval_is_precision_dependent():
-    lo = const_sqrt2().eval(96)
-    hi = const_sqrt2().eval(320)
-    with mpmath.workprec(320):
-        assert abs(lo - hi) < mpmath.mpf(2) ** -90
-        assert lo != hi
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        BlockParams(c=const_sqrt5(), k_min=1)
-    with pytest.raises(ValueError):
-        BlockParams(c=const_sqrt5(), precision=32)
-
-
 def test_exponent_plain_law():
     params = sidon_params(c=const_decimal("0.25"), offset=-3)
-    with mpmath.workprec(params.precision):
+    with mpmath.workprec(PRECISION):
         for k in range(2, 9):
             assert mpmath.almosteq(params.exponent(k), 0.25 * k * k - 3)
 
 
 def test_taper_factor_matches_direct_formula():
     params = tapered_params(3)
-    with mpmath.workprec(params.precision):
+    with mpmath.workprec(PRECISION):
         for k in range(2, 12):
             want = 1 - 1 / mpmath.sqrt(mpmath.log(k))
             assert mpmath.almosteq(params.taper_factor(k), want)

@@ -227,6 +227,35 @@ def test_bh_montecarlo_deterministic(capsys):
     assert run_cli(capsys, argv)[1] == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bh", "montecarlo", "--kmax", "4", "--trials", "-1", "--seed", "7"],
+    ["bh", "montecarlo", "--kmax", "4", "--trials", "0", "--seed", "7"],
+    ["basis", "--count", "-1"],
+    ["basis", "--count", "0"],
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    assert "must be >= 1" in run_usage_error(capsys, argv)
+
+
+# The working precision, the law's offset and first block, the digit window
+# order of a Sidon run and the prune slack each have one value; none is a flag.
+@pytest.mark.parametrize("argv", [
+    *([*cmd, "--precision", "256"] for cmd in (
+        ["generate", "--kmax", "4"], ["prune", "--kmax", "4"],
+        ["bh", "generate", "--kmax", "5"],
+        ["bh", "montecarlo", "--kmax", "4", "--trials", "1", "--seed", "1"],
+        ["count", "--kmax", "4", "--x", "1"], ["gf2", "generate", "--kmax", "3"])),
+    *([*cmd, flag, "2"] for cmd in (
+        ["generate", "--kmax", "4"], ["prune", "--kmax", "4"],
+        ["count", "--kmax", "4", "--x", "1"]) for flag in ("--offset", "--kmin")),
+    ["generate", "--kmax", "4", "--h", "3"],
+    ["count", "--kmax", "4", "--x", "1", "--h", "3"],
+    ["prune", "--kmax", "4", "--slack", "0.2"],
+])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    assert "unrecognized arguments" in run_usage_error(capsys, argv)
+
+
 def test_gf2_subcommands(capsys):
     rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "7"])
     assert rc == 0

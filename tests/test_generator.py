@@ -9,7 +9,7 @@ from dlogsidon.bh import bh_params
 from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
                               primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
-from dlogsidon.errors import ExcludedPrime, PrefixTooShort
+from dlogsidon.errors import BasisGap, ExcludedPrime, PrefixTooShort
 from dlogsidon.generator import (
     count_upto,
     expected_finite_size,
@@ -159,11 +159,20 @@ def test_summaries_shape(sqrt5_prefix_k7):
 def test_small_prefix_is_sidon(fake_basis):
     # Non-dyadic toy basis; the digit map still yields a Sidon set when the
     # windows stay disjoint enough, checked by the quadratic oracle.
-    params = sidon_params(c=const_decimal("0.38"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.38"), offset=1)
     prefix = generate_blocks(3, params, fake_basis((5, 7, 11), 4))
     vals = prefix.values()
     assert len(vals) >= 3
     assert is_sidon_list(vals)
+
+
+def test_short_basis_fails_before_any_block_is_listed(monkeypatch, fake_basis):
+    def refuse(k, params):
+        raise AssertionError(f"block {k} listed before the basis was checked")
+
+    monkeypatch.setattr(basis_module, "primes_in_block", refuse)
+    with pytest.raises(BasisGap):
+        generate_blocks(5, sidon_params(), fake_basis((3, 11, 37), 4))
 
 
 def test_finite_set_q101_matches_table():

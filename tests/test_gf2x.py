@@ -250,6 +250,18 @@ def test_generated_prefix():
         gf2_generate_blocks(1, params)
 
 
+def test_generation_past_the_degree_bound_fails_before_listing(monkeypatch):
+    # Block 9 holds degrees 25..30, past the bound of 24; blocks 2..8 would
+    # cost some 3e7 irreducibility tests before block 9 is reached.
+    def refuse(d):
+        raise AssertionError(f"degree {d} listed before the bound was checked")
+
+    monkeypatch.setattr(gf2x, "irreducibles_of_degree", refuse)
+    for k_max in (9, 13):
+        with pytest.raises(DegreeTooLarge):
+            gf2_generate_blocks(k_max, sidon_params(offset=0))
+
+
 def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
     # The shared generator reads most GF(2) digits off log tables; rebuilding
     # every element with BSGS alone (no tables) must give the same element.

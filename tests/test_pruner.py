@@ -1,6 +1,7 @@
 import pytest
 
 from dlogsidon import pruner
+from dlogsidon._precision import PRECISION
 from dlogsidon.blocks import const_decimal, const_sqrt2, const_sqrt5, primes_in_block, sidon_params
 from dlogsidon.errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
 from dlogsidon.generator import generate_blocks
@@ -18,8 +19,8 @@ from oracles import bad_primes_naive
 
 def test_eligible_k2s_matches_inequality(sqrt2_params):
     import mpmath
-    with mpmath.workprec(sqrt2_params.precision):
-        c = sqrt2_params.c.eval(sqrt2_params.precision)
+    with mpmath.workprec(PRECISION):
+        c = sqrt2_params.c.eval()
         ratio = c / (1 - c)
         for k1 in range(3, 9):
             want = [k2 for k2 in range(2, k1) if k2 * k2 < ratio * k1 * k1]
@@ -117,7 +118,7 @@ def test_bad_primes_match_full_enumeration(fake_basis):
     ]
     for qs, cdec, offset in cases:
         basis = fake_basis(qs, 4)
-        params = sidon_params(c=const_decimal(cdec), offset=offset, k_min=2)
+        params = sidon_params(c=const_decimal(cdec), offset=offset)
         recs = bad_primes(4, params, basis)
         plans = []
         for k2 in eligible_k2s(4, params):
@@ -131,7 +132,7 @@ def test_bad_primes_match_full_enumeration(fake_basis):
 
 
 def test_bad_primes_proper_subsets(fake_basis):
-    params = sidon_params(c=const_decimal("0.49"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.49"), offset=1)
     block4 = primes_in_block(4, params)
     recs = bad_primes(4, params, fake_basis((37, 41, 17, 3), 4))
     assert len(recs) == 28 and len(block4) == 75
@@ -140,7 +141,7 @@ def test_bad_primes_proper_subsets(fake_basis):
 
 
 def test_bad_prime_records_are_verifiable(fake_basis):
-    params = sidon_params(c=const_decimal("0.49"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.49"), offset=1)
     basis = fake_basis((37, 41, 17, 3), 4)
     for rec in bad_primes(4, params, basis):
         b = s_bounds(rec.k2, rec.k1, params, basis)
@@ -181,6 +182,6 @@ def test_pruned_generate_rejects_c_at_or_below_floor(default_basis):
 
 def test_pruned_generate_ratio_guard(fake_basis):
     # Tiny windows make every block-4 prime bad; the run must refuse.
-    params = sidon_params(c=const_decimal("0.49"), offset=1, k_min=2)
+    params = sidon_params(c=const_decimal("0.49"), offset=1)
     with pytest.raises(RatioBoundExceeded):
         pruned_generate(generate_blocks(4, params, fake_basis((11, 13, 3, 5), 4)))
