@@ -1,14 +1,20 @@
 """Exhaustive collision search, structural decomposition of collisions, and
 the growth brackets for counting functions.
 
-Collision search is exact. One numpy engine serves every arity l: it
-writes a key for every l-subset sum into one array in lexicographic order
-(the sum mod 2^61 - 1, or mod `modulus`; uint64 unless the modulus is too
-large), sorts it in place, and only when keys repeat regenerates those
-subsets and groups them by exact big-integer sum. Equal sums force equal
-keys, so nothing is missed; the brute-force enumeration is the independent
-oracle the tests hold the engine to. The Sidon verdict for residues mod m
-sorts the same pair keys, plus the doubled ones.
+Collision search is exact. One numpy engine serves every arity l and the
+Sidon check. It splits the l-subsets into buckets by their exact sum mod a
+small odd prime P: equal sums have equal residues, so every repeated sum
+lies inside one bucket. Each bucket in turn is written as keys (the sums
+mod 2^61 - 1, or mod `modulus`) into one buffer sized to the largest
+bucket, sorted in place, and only when keys repeat are those subsets
+regenerated and grouped by exact big-integer sum. Memory is one bucket,
+about BUCKET_KEYS keys, not all C(n, l) of them. P = 1 (one bucket) when
+everything fits, and always with a modulus: equal sums mod the modulus
+need not share a residue mod P. Above MAX_SUBSETS subsets, or when the
+largest bucket and the (l-1)-subset tails would take more than MAX_KEYS
+words, the engine raises AuditTooLarge before allocating any key. Reports
+are sorted, so they do not depend on P. The brute-force enumeration is the
+independent oracle the tests hold the engine to.
 """
 
 from __future__ import annotations
@@ -23,15 +29,27 @@ import mpmath
 import numpy as np
 
 from ._precision import PRECISION, cmp_int
-from .arith import prime_count
+from .arith import is_prime, prime_count
 from .basis import Basis
 from .blocks import BlockParams
 from .encoder import SidonElement
 from .errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from .generator import SequencePrefix, count_upto
 
-# The engine holds one uint64 key per l-subset, so 2^28 subsets take 2 GiB.
-MAX_SUBSETS = 1 << 28
+# Work limit: the subsets the search enumerates. The sqrt5 k <= 8 pair audit
+# has 2.15e10 of them, about 2^34.3.
+MAX_SUBSETS = 1 << 35
+
+# Memory limit, in 8-byte words held at once (2 GiB): the largest bucket of
+# keys plus _TAIL_WORDS for each (l-1)-subset tail, which are its sum, its
+# smallest index and its place in the sort, and one unsorted copy while they
+# are built. With a modulus there is one bucket, so this caps the subsets at
+# about 2^28.
+MAX_KEYS = 1 << 28
+_TAIL_WORDS = 4
+
+# P is chosen so that a bucket holds about this many keys (32 MiB).
+BUCKET_KEYS = 1 << 22
 
 # Pairs of subsets with one key, each a potential report: a small modulus
 # gives O(C(n, l)^2 / m) of them, far more than there are subsets.
@@ -39,8 +57,8 @@ MAX_REPORT_PAIRS = 1 << 20
 
 _MERSENNE61 = (1 << 61) - 1
 
-# Neighbour comparisons after the sort run over this many keys at a time.
-_CHUNK = 1 << 20
+# Neighbour comparisons and reductions run over this many keys at a time.
+_CHUNK = 1 << 16
 
 
 def _value_of(e):
@@ -77,14 +95,19 @@ class CollisionReport:
         return obj
 
 
-def _prepare(elements, l):
+def _prepare(elements, l, modulus):
     if l < 2:
         raise ArityOutOfRange(f"collision arity must be >= 2, got {l}")
-    items = list(elements)
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    return list(elements)
+
+
+def _distinct_values(items):
     vals = [_value_of(e) for e in items]
     if len(set(vals)) != len(vals):
         raise ValueError("elements must be pairwise distinct")
-    return items, vals
+    return vals
 
 
 def _brute_groups(vals, l, modulus):
@@ -106,32 +129,34 @@ def _brute_groups(vals, l, modulus):
     return groups
 
 
-def _add_mod(a, tails, m, out):
-    """out = (a + tails) mod m, for a and tails already reduced mod m."""
-    np.add(tails, a, out=out)
-    np.subtract(out, m, out=out, where=out >= m)
-    return out
-
-
-def _head_rows(res, l, m):
-    """(rank of the first subset, head residue, tail sums) per head index i:
-    the tails, (l-1)-subsets whose smallest index exceeds i, are a suffix of
-    the (l-1)-subset sums in lexicographic order."""
-    n = len(res)
-    tails = _subset_sums(res, l - 1, m)
-    total = comb(n, l)
-    for i in range(n - l + 1):
-        width = comb(n - i - 1, l - 1)
-        yield total - comb(n - i, l), res[i], tails[len(tails) - width:]
+def _reduce(keys, m):
+    """keys mod m in place, for keys below 2m."""
+    if keys.dtype == object:
+        np.subtract(keys, m, out=keys, where=keys >= m)
+        return keys
+    # In uint64 a key below m wraps to key + 2^64 - m, above the key itself,
+    # so the smaller of key and key - m is the key mod m.
+    scratch = np.empty(min(len(keys), _CHUNK), keys.dtype)
+    for lo in range(0, len(keys), _CHUNK):
+        run = keys[lo:lo + _CHUNK]
+        np.minimum(run, np.subtract(run, m, out=scratch[:len(run)]), out=run)
+    return keys
 
 
 def _subset_sums(res, l, m):
-    """Residues mod m of all l-subset sums, in lexicographic order."""
+    """Residues mod m of all l-subset sums, in lexicographic order: for each
+    head index i, the tails are the (l-1)-subsets whose smallest index
+    exceeds i, a suffix of the (l-1)-subset sums."""
     if l == 1:
         return res
-    out = np.empty(comb(len(res), l), res.dtype)
-    for pos, a, tails in _head_rows(res, l, m):
-        _add_mod(a, tails, m, out[pos:pos + len(tails)])
+    n = len(res)
+    tails = _subset_sums(res, l - 1, m)
+    out = np.empty(comb(n, l), res.dtype)
+    pos = 0
+    for i in range(n - l + 1):
+        width = comb(n - i - 1, l - 1)
+        _reduce(np.add(tails[len(tails) - width:], res[i], out=out[pos:pos + width]), m)
+        pos += width
     return out
 
 
@@ -162,28 +187,6 @@ def _unrank(rank, n, l):
     return tuple(out)
 
 
-def _confirmed_groups(vals, res, l, m, modulus, repeated):
-    """Exact sum -> index tuples, over the subsets whose key repeats.
-
-    Regenerates the keys one head row at a time, so memory stays at the
-    (l-1)-subset sums plus one row, and counts the pairs sharing a sum as it
-    goes, so it stops as soon as they pass MAX_REPORT_PAIRS.
-    """
-    exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    pairs = 0
-    for pos, a, tails in _head_rows(res, l, m):
-        row = _add_mod(a, tails, m, np.empty_like(tails))
-        slot = np.minimum(np.searchsorted(repeated, row), len(repeated) - 1)
-        for off in np.flatnonzero(repeated[slot] == row):
-            t = _unrank(pos + int(off), len(vals), l)
-            s = sum(vals[i] for i in t)
-            group = exact[s if modulus is None else s % modulus]
-            pairs += len(group)
-            _check_report_pairs(pairs, l)
-            group.append(t)
-    return {key: ts for key, ts in exact.items() if len(ts) > 1}
-
-
 def _check_report_pairs(pairs, l):
     if pairs > MAX_REPORT_PAIRS:
         raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-subsets "
@@ -208,11 +211,10 @@ def _reports_from_groups(items, vals, groups, l):
     return reports
 
 
-def _check_subsets(n, l):
-    subsets = comb(n, l)
+def _check_work(subsets, l):
     if subsets > MAX_SUBSETS:
-        raise AuditTooLarge(f"{subsets} {l}-subsets of {n} elements exceed "
-                            f"the audit limit of {MAX_SUBSETS}")
+        raise AuditTooLarge(f"{subsets} {l}-subsets exceed the audit limit of "
+                            f"{MAX_SUBSETS}")
 
 
 def _residues(vals, m):
@@ -220,23 +222,137 @@ def _residues(vals, m):
     return np.fromiter((v % m for v in vals), np.uint64 if m <= 1 << 63 else object, len(vals))
 
 
-def is_sidon_mod(residues, modulus: int) -> bool:
-    """Whether the sums a + b (a <= b) of the residues are pairwise
-    distinct mod `modulus`.
+def _bucket_prime(subsets):
+    """1 when every key fits one bucket, else the least odd prime P with
+    subsets / P <= BUCKET_KEYS."""
+    if subsets <= BUCKET_KEYS:
+        return 1
+    p = max(3, -(-subsets // BUCKET_KEYS))
+    while not is_prime(p):
+        p += 1
+    return p
 
-    Sorts the C(n, 2) pair keys and the n doubled keys 2a, all reduced mod
-    the modulus; the keys are the sums themselves, so a repeated key is a
-    repeated sum and needs no confirmation. Raises AuditTooLarge, before
-    allocating anything, when there are more than MAX_SUBSETS pairs.
+
+def _bucket_sizes(counts, l, doubles):
+    """Subsets per bucket, from the number of elements in each class mod P:
+    the l-subsets (the l-multisets with `doubles`) by class sum mod P."""
+    p = len(counts)
+    by_size = np.zeros((l + 1, p), np.int64)
+    by_size[0, 0] = 1
+    for a, c in enumerate(counts):
+        if not c:
+            continue
+        before = by_size.copy()
+        for j in range(1, l + 1):
+            # ways to take j elements of class a; their classes add up to j * a
+            ways = comb(c + j - 1, j) if doubles else comb(c, j)
+            by_size[j:] += np.roll(before[:l + 1 - j], j * a % p, axis=1) * ways
+    return by_size[l]
+
+
+def _candidates(vals, l, modulus, doubles=False):
+    """Index tuples of the l-subsets of vals whose key repeats in their bucket.
+
+    With `doubles` (l = 2 only) the subsets are the multisets {i, j}, i <= j,
+    so the doubled values 2a sit in the buckets too. The elements are put in
+    class order (v mod P), and a subset is a head index i plus a tail, an
+    (l-1)-subset whose smallest index exceeds i (or equals it, with
+    doubles). The tails are sorted by (class sum mod P, smallest index), so
+    the tails matching head i in bucket t are one contiguous slice, and the
+    heads of one class that lie below every index of a tail class take the
+    whole class: one outer sum. At l = 2 bucket t is then the outer sums of
+    the classes a < b with a + b = t mod P, and the triangle of the class a
+    with 2a = t mod P. The caller has checked MAX_SUBSETS; raises
+    AuditTooLarge, before allocating any key, when the largest bucket and
+    the tails take more than MAX_KEYS words.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    vals = list(residues)
-    _check_subsets(len(vals), 2)
-    res = _residues(vals, modulus)
-    doubled = _add_mod(res, res, modulus, np.empty_like(res))
-    keys = np.concatenate((_subset_sums(res, 2, modulus), doubled))
-    return len(_repeated_keys(keys)) == 0
+    n = len(vals)
+    subsets = comb(n + 1, 2) if doubles else comb(n, l)
+    p = 1 if modulus is not None else _bucket_prime(subsets)
+    m = _MERSENNE61 if modulus is None else modulus
+    cls = np.fromiter((v % p for v in vals), np.uint64, n)
+    order = np.argsort(cls, kind="stable")
+    cls = cls[order]
+    start = np.searchsorted(cls, np.arange(p + 1)).tolist()
+    sizes = _bucket_sizes(np.diff(start).tolist(), l, doubles)
+    largest = int(sizes.max())
+    if largest + _TAIL_WORDS * comb(n, l - 1) > MAX_KEYS:
+        raise AuditTooLarge(f"{largest} {l}-subset keys in one bucket and {comb(n, l - 1)} "
+                            f"tails exceed the audit limit of {MAX_KEYS} words")
+    order = order.tolist()
+    res = _residues([vals[i] for i in order], m)
+
+    tail_cls = _subset_sums(cls, l - 1, p)
+    perm = np.argsort(tail_cls, kind="stable")
+    ts = np.searchsorted(tail_cls, np.arange(p + 1), sorter=perm).tolist()
+    del tail_cls
+    tails = _subset_sums(res, l - 1, m)[perm]
+    tail_min = np.repeat(np.arange(n), [comb(n - i - 1, l - 2) for i in range(n)])[perm]
+    first = tail_min[np.minimum(ts[:-1], len(tail_min) - 1)].tolist()
+    last = tail_min[np.maximum(np.array(ts[1:]) - 1, 0)].tolist()
+    gap = 0 if doubles else 1
+
+    def rects(t):
+        """(h0, h1, lo, hi): heads h0..h1-1 with the tails at lo..hi-1."""
+        for a in range(p):
+            h0, h1 = start[a], start[a + 1]
+            c = (t - a) % p
+            t0, t1 = ts[c], ts[c + 1]
+            if h0 == h1 or t0 == t1:
+                continue
+            if first[c] >= h1 - 1 + gap:
+                yield h0, h1, t0, t1
+            elif last[c] >= h0 + gap:
+                los = np.searchsorted(tail_min[t0:t1], np.arange(h0 + gap, h1 + gap))
+                for h, lo in zip(range(h0, h1), (los + t0).tolist()):
+                    if lo < t1:
+                        yield h, h + 1, lo, t1
+
+    def fill(buf, parts):
+        pos = 0
+        for h0, h1, lo, hi in parts:
+            size = (h1 - h0) * (hi - lo)
+            np.add.outer(res[h0:h1], tails[lo:hi], out=buf[pos:pos + size].reshape(h1 - h0, -1))
+            pos += size
+        return _reduce(buf[:pos], m)
+
+    buf = np.empty(largest, res.dtype)
+    for t in range(p):
+        if not sizes[t]:
+            continue
+        repeated = _repeated_keys(fill(buf, rects(t)))
+        if not len(repeated):
+            continue
+        for h0, h1, lo, hi in rects(t):
+            keys = fill(buf, [(h0, h1, lo, hi)])
+            slot = np.minimum(np.searchsorted(repeated, keys), len(repeated) - 1)
+            for off in np.flatnonzero(repeated[slot] == keys).tolist():
+                h, tail = divmod(off, hi - lo)
+                subset = (h0 + h, *_unrank(int(perm[lo + tail]), n, l - 1))
+                yield tuple(order[i] for i in subset)
+
+
+def is_sidon(values, modulus: int | None = None) -> bool:
+    """Whether the sums a + b (a <= b) of the distinct values are pairwise
+    distinct, as integers or mod `modulus`.
+
+    The pair buckets of find_collisions hold the doubled values 2a as well,
+    and a repeated key is confirmed by its exact sum, so 2a = b + c counts
+    as a repeat. Raises AuditTooLarge as find_collisions does.
+    """
+    items = _prepare(values, 2, modulus)
+    _check_work(comb(len(items) + 1, 2), 2)
+    vals = _distinct_values(items)
+    if len(vals) < 2:
+        return True
+    seen = set()
+    for t in _candidates(vals, 2, modulus, doubles=True):
+        s = sum(vals[i] for i in t)
+        s = s if modulus is None else s % modulus
+        if s in seen:
+            return False
+        seen.add(s)
+    return True
 
 
 def find_collisions(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
@@ -245,26 +361,32 @@ def find_collisions(elements, l: int, modulus: int | None = None) -> list[Collis
     Each side is l distinct elements and the two sides share none, so
     [0, 1, 2, 3] at l = 2 carries exactly one collision, 0+3 = 1+2.
     With `modulus` the sums are compared mod it. Raises AuditTooLarge,
-    before allocating anything, when there are more than MAX_SUBSETS
-    l-subsets, and before building any report when more than
-    MAX_REPORT_PAIRS pairs of subsets share a sum.
+    before allocating any key, above MAX_SUBSETS l-subsets or MAX_KEYS
+    words, and before building any report when more than MAX_REPORT_PAIRS
+    pairs of subsets share a sum.
     """
-    items, vals = _prepare(elements, l)
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    items = _prepare(elements, l, modulus)
+    if len(items) >= 2 * l:
+        _check_work(comb(len(items), l), l)
+    vals = _distinct_values(items)
     if len(vals) < 2 * l:
-        return []  # no two disjoint l-subsets; from here C(n, l) is the largest level
-    _check_subsets(len(vals), l)
-    m = _MERSENNE61 if modulus is None else modulus
-    res = _residues(vals, m)
-    repeated = _repeated_keys(_subset_sums(res, l, m))
-    groups = _confirmed_groups(vals, res, l, m, modulus, repeated) if len(repeated) else {}
+        return []  # no two disjoint l-subsets
+    exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    pairs = 0
+    for t in _candidates(vals, l, modulus):
+        s = sum(vals[i] for i in t)
+        group = exact[s if modulus is None else s % modulus]
+        pairs += len(group)
+        _check_report_pairs(pairs, l)
+        group.append(t)
+    groups = {key: ts for key, ts in exact.items() if len(ts) > 1}
     return _reports_from_groups(items, vals, groups, l)
 
 
 def find_collisions_bruteforce(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
     """Reference implementation: direct enumeration, sort, scan."""
-    items, vals = _prepare(elements, l)
+    items = _prepare(elements, l, modulus)
+    vals = _distinct_values(items)
     return _reports_from_groups(items, vals, _brute_groups(vals, l, modulus), l)
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from . import bh as bh_mod
 from . import gf2x
 from .arith import is_prime, is_primitive_root, smallest_primitive_root
-from .auditor import (find_collisions, find_collisions_bruteforce, growth_bracket_check,
-                      is_sidon_mod)
+from .auditor import find_collisions, find_collisions_bruteforce, growth_bracket_check, is_sidon
 from .basis import Basis, build_basis
 from .blocks import Constant, const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
@@ -61,6 +61,26 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _square_scale(text: str) -> int:
+    n = int(text)
+    if n < 4 or isqrt(n) ** 2 != n:
+        raise argparse.ArgumentTypeError(f"must be the square of an integer >= 2, got {n}")
+    return n
+
+
+def _checked_law(params, k_max: int):
+    """The block law, once --kmax reaches its first block."""
+    if k_max < params.k_min:
+        raise UsageError(f"--kmax {k_max} is below the first block {params.k_min}")
+    return params
+
+
+def _bh_law(ns: argparse.Namespace):
+    if ns.h < 3:
+        raise UsageError(f"--h must be >= 3, got {ns.h}")
+    return _checked_law(bh_mod.bh_params(ns.h), ns.k_max)
 
 
 def _canon(obj) -> str:
@@ -105,8 +125,8 @@ def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
 
 def _sidon_prefix(ns: argparse.Namespace):
     """The plain-law prefix over a scale-4 basis that generate, prune and count share."""
-    return generate_blocks(ns.k_max, sidon_params(c=parse_constant(ns.c)),
-                           _make_basis(ns, 4, ns.k_max))
+    params = _checked_law(sidon_params(c=parse_constant(ns.c)), ns.k_max)
+    return generate_blocks(ns.k_max, params, _make_basis(ns, 4, ns.k_max))
 
 
 def _cmd_basis(ns: argparse.Namespace) -> int:
@@ -144,7 +164,7 @@ def _cmd_prune(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bh_generate(ns: argparse.Namespace) -> int:
-    params = bh_mod.bh_params(ns.h)
+    params = _bh_law(ns)
     prefix = bh_mod.bh_generate(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
     if ns.raw:
         kept, removed = prefix.elements, []
@@ -163,6 +183,7 @@ def _cmd_bh_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bh_montecarlo(ns: argparse.Namespace) -> int:
+    _bh_law(ns)
     _write_doc(ns.out, bh_mod.montecarlo_bad_ratio(ns.h, ns.k_max, ns.trials, ns.seed))
     return 0
 
@@ -204,7 +225,7 @@ def _cmd_finite(ns: argparse.Namespace) -> int:
     if not is_primitive_root(g, q):
         raise UsageError(f"--g {g} is not a primitive root mod {q}")
     residues = sorted(finite_dlog_sidon_set(q, g))
-    sidon = is_sidon_mod(residues, q - 1)
+    sidon = is_sidon(residues, q - 1)
     _write_doc(ns.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
                          "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
@@ -225,14 +246,15 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
             raise UsageError(f"--q {ns.q} is not an irreducible polynomial of degree {n}")
     residues = sorted(gf2x.gf2_finite_sidon(n, q))
     modulus = (1 << n) - 1
-    sidon = is_sidon_mod(residues, modulus)
+    sidon = is_sidon(residues, modulus)
     _write_doc(ns.out, {"n": n, "q": format(q, "x"), "modulus": modulus,
                          "size": len(residues), "residues": residues, "sidon": sidon})
     return 0 if sidon else 1
 
 
 def _cmd_gf2_generate(ns: argparse.Namespace) -> int:
-    prefix = gf2x.gf2_generate_blocks(ns.k_max, sidon_params(c=parse_constant(ns.c), offset=0))
+    params = _checked_law(sidon_params(c=parse_constant(ns.c), offset=0), ns.k_max)
+    prefix = gf2x.gf2_generate_blocks(ns.k_max, params)
     # Polynomials are written as hex bit patterns.
     _write_lines(ns.out, (dict(e.to_json_obj(), p=format(e.p, "x")) for e in prefix.elements))
     _write_doc(ns.summary, {
@@ -292,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="emit a basis document as JSON")
-    p.add_argument("--scale", type=int, default=4, help="radix scale h^2 (default 4)")
+    p.add_argument("--scale", type=_square_scale, default=4, help="radix scale h^2 (default 4)")
     p.add_argument("--count", type=_positive_int, required=True, help="number of entries")
     _add_basis_flags(p)
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")

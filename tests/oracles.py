@@ -186,6 +186,13 @@ def is_sidon_list(vals):
     return True
 
 
+def double_equals_pair_sum(vals):
+    """True when some 2a = b + c with a, b, c in vals and a not in {b, c}."""
+    values = set(vals)
+    return any((b + c) % 2 == 0 and (b + c) // 2 in values
+               for b, c in combinations(values, 2))
+
+
 def cyclic_sidon(vals, mod):
     """Sums a + b (a <= b, repeats allowed) pairwise distinct mod mod."""
     seen = {}

@@ -1,26 +1,28 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
 from dlogsidon import auditor
 from dlogsidon.auditor import (
+    MAX_KEYS,
     MAX_SUBSETS,
     CollisionReport,
     check_collision_structure,
     find_collisions,
     find_collisions_bruteforce,
     growth_bracket_check,
-    is_sidon_mod,
+    is_sidon,
 )
 from dlogsidon.blocks import const_decimal, sidon_params
 from dlogsidon.encoder import SidonElement
 from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
 
-from oracles import cyclic_sidon, disjoint_report_keys
+from oracles import cyclic_sidon, disjoint_report_keys, double_equals_pair_sum, is_sidon_list
 
 M61 = (1 << 61) - 1
 
@@ -161,18 +163,120 @@ def test_search_validation():
 
 
 def test_audit_limit_raises_before_allocating():
-    # The densest k <= 7 prefix fits; the sqrt5 k <= 8 pair audit does not.
-    assert comb(14_759, 2) <= MAX_SUBSETS < comb(207_214, 2)
+    # The sqrt5 k <= 8 pair audit is within the work limit; a pair audit and
+    # an l = 4 audit beyond it refuse, and so do an l = 4 audit whose tails
+    # exceed the memory limit and a modulus audit, which has one bucket, of
+    # more keys than the memory limit.
+    assert comb(207_214, 2) <= MAX_SUBSETS < comb(262_145, 2)
+    assert comb(900, 4) <= MAX_SUBSETS < comb(1_000, 4)
+    assert comb(23_200, 2) > MAX_KEYS
+    wide = list(range(262_145))
     tracemalloc.start()
     try:
-        with pytest.raises(AuditTooLarge):
-            find_collisions(range(23_200), 2)
-        with pytest.raises(AuditTooLarge):
-            find_collisions(range(300), 4)
+        with pytest.raises(AuditTooLarge, match="audit limit"):
+            find_collisions(wide, 2)
+        with pytest.raises(AuditTooLarge, match="audit limit"):
+            find_collisions(range(1_000), 4)
+        with pytest.raises(AuditTooLarge, match="tails exceed"):
+            find_collisions(range(900), 4)
+        with pytest.raises(AuditTooLarge, match="in one bucket"):
+            find_collisions(range(23_200), 2, modulus=1 << 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_dense_pair_audit_holds_one_bucket(sqrt2_prefix_k7):
+    # 1.09e8 pairs: all their keys at once take 830 MiB, one bucket about 32.
+    elements = sqrt2_prefix_k7.elements
+    assert comb(len(elements), 2) == 108_906_661
+    tracemalloc.start()
+    try:
+        assert find_collisions(elements, 2) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+
+
+def use_prime(monkeypatch, p):
+    """Make the engine split the subsets by their sum mod p."""
+    monkeypatch.setattr(auditor, "_bucket_prime", lambda subsets: p)
+
+
+def test_bucket_prime_from_the_count():
+    # One bucket up to BUCKET_KEYS keys; above, the least odd prime P with
+    # about BUCKET_KEYS keys a bucket: the sidon-k7, prune-k7 and sqrt5 k <= 8
+    # pair audits.
+    assert auditor.BUCKET_KEYS == 1 << 22
+    assert auditor._bucket_prime(1 << 22) == 1
+    assert auditor._bucket_prime((1 << 22) + 1) == 3
+    assert auditor._bucket_prime(comb(5_477, 2)) == 5
+    assert auditor._bucket_prime(comb(14_759, 2)) == 29
+    assert auditor._bucket_prime(comb(207_214, 2)) == 5_119
+
+
+def report_objs(reports):
+    return [r.to_json_obj() for r in reports]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("l,n,span", [(2, 40, 3), (3, 16, 20), (4, 11, 40)])
+def test_buckets_agree_with_oracle(monkeypatch, p, l, n, span):
+    rng = random.Random(6000 + 10 * l + p)
+    for _ in range(4):
+        vals = rng.sample(range(span * n), n)
+        expected = find_collisions_bruteforce(vals, l)
+        assert expected
+        one_bucket = find_collisions(vals, l)
+        use_prime(monkeypatch, p)
+        reports = find_collisions(vals, l)
+        monkeypatch.undo()
+        assert report_keys(reports) == report_keys(expected)
+        assert report_objs(reports) == report_objs(one_bucket)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_buckets_planted_and_empty_classes(monkeypatch, p, l):
+    # Values above 2^200 are collision-free. Plant one collision whose 2l
+    # elements share one class mod p (at l = 2 both sides lie in the
+    # triangle of the class a with 2a = t mod p), then one spread over the
+    # classes; the fillers all sit in class 1, so classes stay empty.
+    rng = random.Random(7000 + 10 * l + p)
+
+    def big(residue):
+        return ((1 << 201) + rng.getrandbits(190)) // p * p + residue
+
+    for spread in (False, True):
+        vals = [big(i % p if spread else 2) for i in range(2 * l)]
+        vals[-1] += sum(vals[:l]) - sum(vals[l:])
+        sides = sorted((tuple(sorted(vals[:l], reverse=True)),
+                        tuple(sorted(vals[l:], reverse=True))), reverse=True)
+        planted = (l, sum(vals[:l]), *sides)
+        vals += [big(1) for _ in range(l)]
+        rng.shuffle(vals)
+        use_prime(monkeypatch, p)
+        assert report_keys(find_collisions(vals, l)) == [planted]
+        monkeypatch.undo()
+        assert report_keys(find_collisions_bruteforce(vals, l)) == [planted]
+    # Every value in class 0: one bucket holds every subset, the others none.
+    vals = [v * p for v in range(1, 3 * l + 3)]
+    use_prime(monkeypatch, p)
+    assert report_keys(find_collisions(vals, l)) == disjoint_report_keys(vals, l)
+
+
+@pytest.mark.parametrize("l,n,doubles", [(2, 9, False), (2, 9, True), (3, 8, False),
+                                         (4, 9, False)])
+def test_bucket_sizes_count_every_subset(l, n, doubles):
+    rng = random.Random(8000 + n)
+    pick = combinations_with_replacement if doubles else combinations
+    for p in (1, 3, 5, 7):
+        classes = [rng.randrange(p) for _ in range(n)]
+        expected = Counter(sum(t) % p for t in pick(classes, l))
+        sizes = auditor._bucket_sizes([classes.count(a) for a in range(p)], l, doubles)
+        assert sizes.tolist() == [expected[t] for t in range(p)]
 
 
 def test_sidon_mod_matches_oracle(seed=4243):
@@ -182,27 +286,62 @@ def test_sidon_mod_matches_oracle(seed=4243):
         m = rng.choice([rng.randrange(1, 60), rng.randrange(1, 5000), (1 << 64) - 59,
                         (1 << 64) + 13])
         vals = sorted({rng.randrange(m) for _ in range(rng.randrange(12))})
-        got = is_sidon_mod(vals, m)
+        got = is_sidon(vals, m)
         assert got == cyclic_sidon(vals, m), (vals, m)
         verdicts[got] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_sidon_mod_planted_and_small_cases():
-    assert not cyclic_sidon([0, 5], 10) and not is_sidon_mod([0, 5], 10)  # 0 + 0 = 5 + 5
-    assert not cyclic_sidon([1, 3, 5], 100) and not is_sidon_mod([1, 3, 5], 100)  # 3 + 3 = 1 + 5
-    assert is_sidon_mod([1, 3, 6], 100)
-    assert is_sidon_mod([], 7) and is_sidon_mod([4], 7)
+    assert not cyclic_sidon([0, 5], 10) and not is_sidon([0, 5], 10)  # 0 + 0 = 5 + 5
+    assert not cyclic_sidon([1, 3, 5], 100) and not is_sidon([1, 3, 5], 100)  # 3 + 3 = 1 + 5
+    assert is_sidon([1, 3, 6], 100)
+    assert is_sidon([], 7) and is_sidon([4], 7)
+    assert is_sidon([]) and is_sidon([4]) and not is_sidon([1, 3, 5])
     with pytest.raises(ValueError):
-        is_sidon_mod([1, 2], 0)
+        is_sidon([1, 2], 0)
+    with pytest.raises(ValueError):
+        is_sidon([1, 2, 2])
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 7])
+def test_sidon_agrees_with_oracle(monkeypatch, p):
+    # Random sets: pair repeats, doubled values 2a = b + c, and neither.
+    rng = random.Random(9000 + p)
+    verdicts = Counter()
+    for _ in range(300):
+        base = rng.choice([0, 1 << 210])
+        vals = [base + v for v in rng.sample(range(rng.choice([60, 400])), rng.randrange(2, 14))]
+        expected = is_sidon_list(vals)
+        doubled = double_equals_pair_sum(vals)
+        assert expected == (not disjoint_report_keys(vals, 2) and not doubled)
+        if p > 1:
+            use_prime(monkeypatch, p)
+        assert is_sidon(vals) == expected, vals
+        monkeypatch.undo()
+        verdicts[expected, doubled] += 1
+    assert verdicts[True, False] > 20 and verdicts[False, True] > 20
+    # 2a = b + c above 2^200 with a, b, c in one class mod p: the doubled key
+    # lands in the triangle bucket of that class, and only it repeats.
+    a = ((1 << 201) + 12345) // 105 * 105
+    vals = [a, a - 105_000, a + 105_000, (1 << 202) + 1, (1 << 203) + 2]
+    assert double_equals_pair_sum(vals) and not disjoint_report_keys(vals, 2)
+    if p > 1:
+        use_prime(monkeypatch, p)
+    assert not is_sidon(vals)
+    assert is_sidon(vals[1:])
 
 
 def test_sidon_mod_limit_raises_before_allocating():
-    assert comb(23_200, 2) > MAX_SUBSETS
+    assert comb(23_201, 2) > MAX_KEYS
+    assert comb(262_146, 2) > MAX_SUBSETS
+    wide = list(range(262_145))
     tracemalloc.start()
     try:
-        with pytest.raises(AuditTooLarge):
-            is_sidon_mod(range(23_200), 1 << 40)
+        with pytest.raises(AuditTooLarge, match="in one bucket"):
+            is_sidon(range(23_200), 1 << 40)
+        with pytest.raises(AuditTooLarge, match="audit limit"):
+            is_sidon(wide)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

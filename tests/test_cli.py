@@ -130,10 +130,16 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
 
 
 def test_audit_too_large_is_an_error(capsys, tmp_path):
-    # C(1200, 3) is above the engine's limit; it must refuse, not allocate.
+    # C(6000, 3) is above the engine's work limit, and 23,200 values mod a
+    # modulus (one bucket) above its memory limit; both must refuse, not
+    # allocate.
     wide = tmp_path / "wide.jsonl"
-    wide.write_text("".join(f"{v}\n" for v in range(1200)))
+    wide.write_text("".join(f"{v}\n" for v in range(6000)))
     rc, out, err = run_cli(capsys, ["audit", "--input", str(wide), "--l", "3"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "audit limit" in err
+    wide.write_text("".join(f"{v}\n" for v in range(23_200)))
+    rc, out, err = run_cli(capsys, ["audit", "--input", str(wide), "--modulus", str(1 << 40)])
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "audit limit" in err
 
@@ -235,6 +241,24 @@ def test_bh_montecarlo_deterministic(capsys):
 ])
 def test_counts_below_one_are_usage_errors(capsys, argv):
     assert "must be >= 1" in run_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--kmax", "1"], "below the first block 2"),
+    (["prune", "--kmax", "1"], "below the first block 2"),
+    (["count", "--kmax", "1", "--x", "5"], "below the first block 2"),
+    (["gf2", "generate", "--kmax", "1"], "below the first block 2"),
+    (["bh", "generate", "--kmax", "2"], "below the first block 3"),
+    (["bh", "montecarlo", "--h", "3", "--kmax", "2", "--trials", "1", "--seed", "1"],
+     "below the first block 3"),
+    (["bh", "generate", "--h", "2", "--kmax", "4"], "--h must be >= 3"),
+    (["bh", "montecarlo", "--h", "1", "--kmax", "4", "--trials", "1", "--seed", "1"],
+     "--h must be >= 3"),
+    (["basis", "--scale", "5", "--count", "2"], "must be the square of an integer >= 2"),
+    (["basis", "--scale", "1", "--count", "2"], "must be the square of an integer >= 2"),
+])
+def test_bad_law_values_are_usage_errors(capsys, argv, message):
+    assert message in run_usage_error(capsys, argv)
 
 
 # The working precision, the law's offset and first block, the digit window
