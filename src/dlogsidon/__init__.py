@@ -28,8 +28,8 @@ from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
                         expected_finite_size, finite_dlog_sidon_set, generate_blocks)
 from .gf2x import (GF2, gf2_deg, gf2_discrete_log, gf2_finite_sidon, gf2_generate_blocks,
-                   gf2_generator, gf2_log_table, gf2_mod, gf2_mul, irreducible_count,
-                   irreducibles_of_degree, is_irreducible, least_irreducible)
+                   gf2_generator, gf2_mod, gf2_mul, irreducible_count, irreducibles_of_degree,
+                   is_irreducible, least_irreducible)
 from .pruner import (BadPrimeRecord, PruneResult, SRangeBounds, bad_primes,
                      eligible_k2s, pruned_generate, s_bounds)
 

@@ -1,17 +1,19 @@
-"""Arithmetic substrate: primality, interval sieves, prime counting,
-primitive roots, and discrete logarithms.
+"""Arithmetic substrate: primality, interval sieves, prime counting, and
+the unit-group core shared by both rings.
 
 Everything here is exact integer arithmetic. Primality is deterministic
 Miller-Rabin (the fixed witness set is proven complete far beyond 64 bits),
 prime enumeration is a segmented sieve, and prime counting is the
-Lucy_Hedgehog recursion in O(n^(3/4)) steps. A single discrete log takes
-O(sqrt q) group operations with a cached baby-step table per (generator,
-modulus); many logs to one modulus are read off a full log table built in
-q - 1 steps.
+Lucy_Hedgehog recursion in O(n^(3/4)) steps. UnitGroupRing holds the
+generator search, baby-step giant-step and full log tables, and the finite
+Sidon set, once for Z and GF(2)[X]; a ring supplies only its arithmetic mod
+q. PrimeField is the Z ring, and is_primitive_root, smallest_primitive_root,
+discrete_log and log_table are its methods.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -149,85 +151,135 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def is_primitive_root(g: int, q: int) -> bool:
-    """Whether g generates the full multiplicative group mod prime q."""
-    if not is_prime(q):
-        raise InvalidModulus(f"{q} is not prime")
-    if q == 2:
-        return g % 2 == 1
-    g %= q
-    if g == 0:
-        return False
-    order = q - 1
-    return all(pow(g, order // r, q) != 1 for r in factorize(order))
+class UnitGroupRing:
+    """The cyclic unit group of the residue field R/q, written once for
+    R = Z (PrimeField, the field F_q) and R = GF(2)[X] (gf2x.Gf2Ring,
+    GF(2^n)). Residues are the ints 0..N(q) - 1.
 
-
-def smallest_primitive_root(q: int) -> int:
-    """Least g >= 2 of multiplicative order q-1 modulo the prime q.
-
-    For q = 2 the group is trivial and 1 is returned.
+    A subclass supplies check_modulus(q), which raises unless q is
+    irreducible, reduce(a, q), the norm N(q) = |R/q|, mul(a, b, q) and
+    pow(a, e, q) in R/q, and irreducibles_below(q), the irreducibles p
+    with N(p)^2 < N(q).
     """
-    if not is_prime(q):
-        raise InvalidModulus(f"{q} is not prime")
-    if q == 2:
-        return 1
-    order = q - 1
-    radicals = list(factorize(order))
-    g = 2
-    while True:
-        if all(pow(g, order // r, q) != 1 for r in radicals):
-            return g
-        g += 1
+
+    def is_generator(self, g: int, q: int) -> bool:
+        """Whether g generates the whole unit group of R/q."""
+        self.check_modulus(q)
+        g = self.reduce(g, q)
+        order = self.norm(q) - 1
+        return g != 0 and all(self.pow(g, order // r, q) != 1 for r in factorize(order))
+
+    def generator(self, q: int) -> int:
+        """The least residue g >= 1 of order N(q) - 1; 1 for the trivial
+        unit group (q = 2 over Z, q = X over GF(2)[X])."""
+        self.check_modulus(q)
+        order = self.norm(q) - 1
+        radicals = list(factorize(order))
+        return next(g for g in range(1, order + 1)
+                    if all(self.pow(g, order // r, q) != 1 for r in radicals))
+
+    @lru_cache(maxsize=128)
+    def _bsgs_table(self, g: int, q: int):
+        """Baby steps {g^j: j} for j < m = 2 ceil(sqrt(N(q) - 1)), g^-m, and
+        the group order.
+
+        A table serves many logs (the blocks of a generation, a finite set),
+        and a log takes (N(q) - 1) / (2m) giant steps on average, so twice
+        the square root costs fewer products in all from 4 logs on.
+        """
+        order = self.norm(q) - 1
+        m = 2 * (isqrt(order - 1) + 1)
+        mul = self.mul
+        powers = []
+        x = 1
+        for _ in range(m):
+            powers.append(x)
+            x = mul(x, g, q)
+        if x == 0:  # g = 0 mod q has no inverse power to step by
+            raise ValueError(f"{g} is 0 mod {q}, not a generator")
+        return m, dict(zip(powers, range(m))), self.pow(x, order - 1, q), order
+
+    def dlog(self, g: int, a: int, q: int) -> int:
+        """x in [0, N(q) - 2] with g^x = a in R/q, baby-step giant-step.
+
+        g must generate the unit group; a = 0 mod q has no logarithm and
+        raises DLogUndefined, a g that does not reach a raises ValueError.
+        """
+        y = self.reduce(a, q)
+        if y == 0:
+            raise DLogUndefined(f"0 has no discrete log mod {q}")
+        m, baby, giant, order = self._bsgs_table(g, q)
+        mul = self.mul
+        for i in range(m):
+            if y in baby:
+                return (i * m + baby[y]) % order
+            y = mul(y, giant, q)
+        raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a generator?")
+
+    def log_table(self, g: int, q: int) -> list[int]:
+        """Full table t with t[g^x mod q] = x for x in [0, N(q) - 2]; t[0] = -1.
+
+        Built in N(q) - 1 products. A g that does not reach every nonzero
+        residue raises the same ValueError as dlog.
+        """
+        order = self.norm(q) - 1
+        mul = self.mul
+        table = [-1] * (order + 1)
+        x = 1
+        for e in range(order):
+            table[x] = e
+            x = mul(x, g, q)
+        # g^order = 1 for any unit g, and table[1] keeps the largest exponent
+        # below order that maps to 1: 0 exactly when g has full order.
+        if x != 1 or table[1] != 0:
+            raise ValueError(f"powers of {g} mod {q} miss residues; is g a generator?")
+        return table
+
+    def finite_sidon(self, q: int, g: int | None = None) -> set[int]:
+        """{dlog_g(p) : p irreducible, N(p)^2 < N(q)} in Z_(N(q) - 1); g
+        defaults to the least generator.
+
+        Products of two such irreducibles have norm below N(q), so they are
+        their own residues mod q: distinct pairs give distinct products, and
+        the logs form a Sidon set in Z_(N(q) - 1).
+        """
+        self.check_modulus(q)
+        if g is None:
+            g = self.generator(q)
+        return {self.dlog(g, p, q) for p in self.irreducibles_below(q)}
 
 
-@lru_cache(maxsize=128)
-def _bsgs_table(g: int, q: int):
-    """Baby-step table {g^j: j} for j < m = ceil(sqrt(q-1)), plus g^-m."""
-    m = isqrt(q - 2) + 1 if q > 2 else 1
-    baby = {}
-    x = 1
-    for j in range(m):
-        baby.setdefault(x, j)
-        x = x * g % q
-    return m, baby, pow(x, -1, q)
+class PrimeField(UnitGroupRing):
+    """Z mod a prime q: reduction a % q, norm q, the primes up to sqrt(q)."""
+
+    reduce = staticmethod(operator.mod)
+    pow = staticmethod(pow)
+
+    @staticmethod
+    def check_modulus(q: int) -> None:
+        if not is_prime(q):
+            raise InvalidModulus(f"{q} is not prime")
+
+    @staticmethod
+    def norm(q: int) -> int:
+        return q
+
+    @staticmethod
+    def mul(a: int, b: int, q: int) -> int:
+        return a * b % q
+
+    @staticmethod
+    def irreducibles_below(q: int) -> list[int]:
+        return primes_upto(isqrt(q))
 
 
-def discrete_log(g: int, a: int, q: int) -> int:
-    """x in [0, q-2] with g^x = a (mod q), baby-step giant-step.
-
-    g must be a primitive root mod the prime q; a = 0 has no logarithm and
-    raises DLogUndefined.
-    """
-    a %= q
-    if a == 0:
-        raise DLogUndefined(f"0 has no discrete log mod {q}")
-    m, baby, giant = _bsgs_table(g, q)
-    y = a
-    for i in range(m):
-        j = baby.get(y)
-        if j is not None:
-            return (i * m + j) % (q - 1) if q > 2 else 0
-        y = y * giant % q
-    raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a primitive root?")
-
-
-def log_table(g: int, q: int) -> list[int]:
-    """Full discrete-log table t with t[g^x mod q] = x for x in [0, q-2].
-
-    Built in q - 1 multiplications; t[0] = -1, since 0 has no logarithm. g
-    must be a primitive root mod the prime q: a table that does not reach
-    all q - 1 nonzero residues raises the same ValueError as discrete_log.
-    """
-    table = [-1] * q
-    x = 1
-    for e in range(q - 1):
-        table[x] = e
-        x = x * g % q
-    # g^(q-1) = 1 for any g prime to q, and table[1] keeps the largest
-    # exponent below q - 1 that maps to 1: 0 exactly when g has order q - 1.
-    if x != 1 or table[1] != 0:
-        raise ValueError(f"powers of {g} mod {q} miss residues; is g a primitive root?")
-    return table
+# The unit-group algorithms of Z under their classic names; basis.INTEGERS,
+# a PrimeField too, serves the construction.
+_PRIMES = PrimeField()
+is_primitive_root = _PRIMES.is_generator
+smallest_primitive_root = _PRIMES.generator
+discrete_log = _PRIMES.dlog
+log_table = _PRIMES.log_table
 
 
 def lift_to_window(d: int, q: int, h: int) -> int:

@@ -8,7 +8,11 @@ lies inside one bucket. Each bucket in turn is written as keys (the sums
 mod 2^61 - 1, or mod `modulus`) into one buffer sized to the largest
 bucket, sorted in place, and only when keys repeat are those subsets
 regenerated and grouped by exact big-integer sum. Memory is one bucket,
-about BUCKET_KEYS keys, not all C(n, l) of them. P = 1 (one bucket) when
+about BUCKET_KEYS keys, not all C(n, l) of them. P starts at the least odd
+prime that leaves about BUCKET_KEYS subsets a bucket, and since values that
+share a residue mod P share a bucket, it moves on to the next prime while
+the bucket sizes, counted from the elements' classes mod P before any key
+is written, put more than twice that in one. P = 1 (one bucket) when
 everything fits, and always with a modulus: equal sums mod the modulus
 need not share a residue mod P. Above MAX_SUBSETS subsets, or when the
 largest bucket and the (l-1)-subset tails would take more than MAX_KEYS
@@ -48,8 +52,11 @@ MAX_SUBSETS = 1 << 35
 MAX_KEYS = 1 << 28
 _TAIL_WORDS = 4
 
-# P is chosen so that a bucket holds about this many keys (32 MiB).
+# P is chosen so that a bucket holds about this many keys (32 MiB), and
+# moved to the next prime, up to _PRIME_TRIES primes in all, while the
+# largest bucket holds more than twice as many.
 BUCKET_KEYS = 1 << 22
+_PRIME_TRIES = 16
 
 # Pairs of subsets with one key, each a potential report: a small modulus
 # gives O(C(n, l)^2 / m) of them, far more than there are subsets.
@@ -222,15 +229,19 @@ def _residues(vals, m):
     return np.fromiter((v % m for v in vals), np.uint64 if m <= 1 << 63 else object, len(vals))
 
 
+def _next_prime(p):
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
 def _bucket_prime(subsets):
     """1 when every key fits one bucket, else the least odd prime P with
     subsets / P <= BUCKET_KEYS."""
     if subsets <= BUCKET_KEYS:
         return 1
-    p = max(3, -(-subsets // BUCKET_KEYS))
-    while not is_prime(p):
-        p += 1
-    return p
+    return _next_prime(max(3, -(-subsets // BUCKET_KEYS)) - 1)
 
 
 def _bucket_sizes(counts, l, doubles):
@@ -269,12 +280,16 @@ def _candidates(vals, l, modulus, doubles=False):
     n = len(vals)
     subsets = comb(n + 1, 2) if doubles else comb(n, l)
     p = 1 if modulus is not None else _bucket_prime(subsets)
+    for attempt in range(_PRIME_TRIES):
+        cls = np.fromiter((v % p for v in vals), np.uint64, n)
+        order = np.argsort(cls, kind="stable")
+        cls = cls[order]
+        start = np.searchsorted(cls, np.arange(p + 1)).tolist()
+        sizes = _bucket_sizes(np.diff(start).tolist(), l, doubles)
+        if p == 1 or sizes.max() <= 2 * BUCKET_KEYS or attempt == _PRIME_TRIES - 1:
+            break
+        p = _next_prime(p)
     m = _MERSENNE61 if modulus is None else modulus
-    cls = np.fromiter((v % p for v in vals), np.uint64, n)
-    order = np.argsort(cls, kind="stable")
-    cls = cls[order]
-    start = np.searchsorted(cls, np.arange(p + 1)).tolist()
-    sizes = _bucket_sizes(np.diff(start).tolist(), l, doubles)
     largest = int(sizes.max())
     if largest + _TAIL_WORDS * comb(n, l - 1) > MAX_KEYS:
         raise AuditTooLarge(f"{largest} {l}-subset keys in one bucket and {comb(n, l - 1)} "

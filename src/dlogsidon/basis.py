@@ -17,8 +17,7 @@ import random
 from functools import lru_cache
 from math import isqrt
 
-from .arith import (PrimeInterval, discrete_log, is_prime, is_primitive_root, log_table,
-                    primes_in_interval, smallest_primitive_root)
+from .arith import PrimeField, PrimeInterval, is_prime, primes_in_interval
 from .blocks import primes_in_block
 from .errors import BasisGap
 
@@ -34,30 +33,20 @@ def dyadic_interval(j: int) -> PrimeInterval:
     return PrimeInterval(1 << (2 * j - 1), 1 << (2 * j + 1))
 
 
-class IntegerRing:
-    """Z: primes, reduction p % q, norm q, primitive roots, dlogs mod q."""
+class IntegerRing(PrimeField):
+    """Z: the primes of a block, and the least prime of each dyadic window
+    with its least primitive root; the unit-group algorithms are
+    PrimeField's."""
 
     def block(self, k, params) -> list[int]:
         return primes_in_block(k, params)
-
-    def reduce(self, p: int, q: int) -> int:
-        return p % q
-
-    def norm(self, q: int) -> int:
-        return q
 
     def basis_entry(self, j: int) -> tuple[int, int]:
         """The least prime of dyadic_interval(j) and its least primitive root."""
         # Bertrand's postulate puts a prime in every window (n, 4n].
         iv = dyadic_interval(j)
         q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
-        return q, smallest_primitive_root(q)
-
-    def log_table(self, g: int, q: int) -> list[int]:
-        return log_table(g, q)
-
-    def dlog(self, g: int, r: int, q: int) -> int:
-        return discrete_log(g, r, q)
+        return q, self.generator(q)
 
 
 INTEGERS = IntegerRing()
@@ -108,7 +97,7 @@ class Basis:
             raise ValueError(f"basis entry q_{j} = {q} is not prime")
         if require_dyadic and q not in dyadic_interval(j):
             raise ValueError(f"q_{j} = {q} outside {dyadic_interval(j)}")
-        if not is_primitive_root(g, q):
+        if not self.ring.is_generator(g, q):
             raise ValueError(f"g_{j} = {g} is not a primitive root mod {q}")
         if any(q == q_i for q_i, _, _ in self._entries):
             raise ValueError(f"duplicate basis prime {q}")
@@ -128,7 +117,7 @@ class Basis:
             self._append(*self.ring.basis_entry(j))
         else:
             q = self._rng.choice(_window_pool(j))
-            self._append(q, smallest_primitive_root(q))
+            self._append(q, self.ring.generator(q))
 
     def ensure(self, count: int) -> None:
         while len(self._entries) < count:

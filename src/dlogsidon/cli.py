@@ -20,7 +20,7 @@ from math import isqrt
 from . import bh as bh_mod
 from . import gf2x
 from .arith import is_prime, is_primitive_root, smallest_primitive_root
-from .auditor import find_collisions, find_collisions_bruteforce, growth_bracket_check, is_sidon
+from .auditor import find_collisions, growth_bracket_check, is_sidon
 from .basis import Basis, build_basis
 from .blocks import Constant, const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
@@ -198,8 +198,7 @@ def _cmd_audit(ns: argparse.Namespace) -> int:
             continue
         obj = json.loads(line)
         values.append(int(obj["a"]) if isinstance(obj, dict) else int(obj))
-    search = find_collisions_bruteforce if ns.method == "brute" else find_collisions
-    reports = search(values, l, modulus=ns.modulus)
+    reports = find_collisions(values, l, modulus=ns.modulus)
     _write_lines(ns.out, (r.to_json_obj() for r in reports))
     if reports and not ns.allow_collisions:
         where = "stdout" if ns.out == "-" else ns.out
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="element JSONL path, - for stdin")
     p.add_argument("--l", type=int, default=2, help="sum arity (default 2)")
     p.add_argument("--modulus", type=int, help="compare sums modulo this")
-    p.add_argument("--method", default="auto", choices=("auto", "brute"),
-                   help="auto: the numpy engine (default); brute: the direct-enumeration oracle")
     p.add_argument("--allow-collisions", dest="allow_collisions", action="store_true",
                    help="exit 0 even when collisions are found")
     p.add_argument("--out", default="-", help="collision report JSONL path")

@@ -20,8 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import discrete_log, prime_count, primes_upto, smallest_primitive_root
-from .basis import Basis
+from .arith import prime_count
+from .basis import INTEGERS, Basis
 from .blocks import BlockParams
 from .encoder import SidonElement, element_in_block
 from .errors import ExcludedPrime, PrefixTooShort
@@ -118,15 +118,9 @@ def count_upto(x: int, prefix: SequencePrefix) -> int:
     return bisect_right(prefix._values, x)
 
 
-def finite_dlog_sidon_set(q: int, g: int | None = None) -> set[int]:
-    """{dlog_g(p) : p prime, p <= sqrt(q)} in Z_(q-1).
-
-    Products of two such primes stay below q, so distinct digit pairs give
-    distinct products mod q and the residues form a Sidon set in Z_(q-1).
-    """
-    if g is None:
-        g = smallest_primitive_root(q)
-    return {discrete_log(g, p, q) for p in primes_upto(isqrt(q))}
+# {dlog_g(p) : p prime, p <= sqrt(q)} in Z_(q-1), a Sidon set: the finite
+# construction over Z.
+finite_dlog_sidon_set = INTEGERS.finite_sidon
 
 
 def expected_finite_size(q: int) -> int:

@@ -1,6 +1,9 @@
 """GF(2)[X] arithmetic and its ring: carry-less arithmetic on bit patterns,
 irreducibles in place of primes, and GF2, the ring the shared basis,
-encoder and generator run over.
+encoder and generator run over. GF2 supplies only reduction, products and
+powers mod q, the norm and the irreducible test; the generator search,
+discrete logs, log tables and finite Sidon set are arith.UnitGroupRing's,
+and gf2_generator and gf2_discrete_log are GF2's methods.
 
 A polynomial is a nonnegative int whose bit i is the coefficient of X^i, so
 X^3 + X + 1 is 0b1011. The j-th modulus is the least irreducible of degree
@@ -13,13 +16,12 @@ on the integer side.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 from ._precision import cmp_int, int_floor
-from .arith import factorize
+from .arith import UnitGroupRing, factorize
 from .basis import Basis
 from .blocks import BlockParams
-from .errors import DegreeTooLarge, DLogUndefined, NotIrreducible
+from .errors import DegreeTooLarge, NotIrreducible
 from .generator import SequencePrefix, generate_blocks
 
 Gf2Poly = int  # bit i holds the coefficient of X^i
@@ -143,85 +145,16 @@ def irreducible_count(d: int) -> int:
     return total // d
 
 
-def gf2_generator(q: Gf2Poly) -> Gf2Poly:
-    """Least residue (by bit pattern) of full order 2^n - 1 in GF(2)[X]/q."""
-    if not is_irreducible(q):
-        raise NotIrreducible(f"{q:#x} is not irreducible")
-    n = gf2_deg(q)
-    order = (1 << n) - 1
-    radicals = list(factorize(order)) if order > 1 else []
-    for a in range(1, 1 << n):
-        if all(gf2_powmod(a, order // r, q) != 1 for r in radicals):
-            return a
-    raise AssertionError("no generator found; the unit group is always cyclic")
-
-
-@lru_cache(maxsize=64)
-def _gf2_bsgs_table(g: Gf2Poly, q: Gf2Poly):
-    order = (1 << gf2_deg(q)) - 1
-    m = isqrt(order - 1) + 1 if order > 1 else 1
-    baby = {}
-    x = 1
-    for j in range(m):
-        baby.setdefault(x, j)
-        x = gf2_mulmod(x, g, q)
-    return m, baby, gf2_powmod(x, order - 1, q)
-
-
-def gf2_discrete_log(g: Gf2Poly, a: Gf2Poly, q: Gf2Poly) -> int:
-    """x in [0, 2^n - 2] with g^x = a in GF(2)[X]/q, baby-step giant-step."""
-    a = gf2_mod(a, q)
-    if a == 0:
-        raise DLogUndefined(f"0 has no discrete log mod {q:#x}")
-    order = (1 << gf2_deg(q)) - 1
-    m, baby, giant = _gf2_bsgs_table(g, q)
-    y = a
-    for i in range(m):
-        j = baby.get(y)
-        if j is not None:
-            return (i * m + j) % order if order > 1 else 0
-        y = gf2_mulmod(y, giant, q)
-    raise ValueError(f"no discrete log of {a:#x} base {g:#x} mod {q:#x}")
-
-
-def gf2_log_table(g: Gf2Poly, q: Gf2Poly) -> list[int]:
-    """Full table t with t[g^x mod q] = x for x in [0, 2^n - 2]; t[0] = -1.
-
-    Built in 2^n - 1 multiplications. A g that does not reach every nonzero
-    residue raises the same ValueError as gf2_discrete_log.
-    """
-    order = (1 << gf2_deg(q)) - 1
-    table = [-1] * (order + 1)
-    x = 1
-    for e in range(order):
-        table[x] = e
-        x = gf2_mulmod(x, g, q)
-    # As in arith.log_table: table[1] is 0 exactly when g has full order.
-    if x != 1 or table[1] != 0:
-        raise ValueError(f"powers of {g:#x} mod {q:#x} miss residues; is g a generator?")
-    return table
-
-
 def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
-    """{dlog(p) : p irreducible, deg p < n/2} in Z_(2^n - 1).
-
-    Products of two such polynomials stay below degree n, so distinct digit
-    pairs give distinct products mod q: a Sidon set in Z_(2^n - 1).
-    """
+    """GF2.finite_sidon(q), {dlog(p) : p irreducible, deg p < n/2} in
+    Z_(2^n - 1), for q of degree n >= 3, by default the least irreducible."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if q is None:
         q = least_irreducible(n)
     if gf2_deg(q) != n:
         raise ValueError(f"modulus degree {gf2_deg(q)} does not match n = {n}")
-    if not is_irreducible(q):
-        raise NotIrreducible(f"{q:#x} is not irreducible")
-    g = gf2_generator(q)
-    out = set()
-    for d in range(1, (n + 1) // 2):
-        for p in irreducibles_of_degree(d):
-            out.add(gf2_discrete_log(g, p, q))
-    return out
+    return GF2.finite_sidon(q)
 
 
 def block_of_degree(d: int, params: BlockParams) -> int:
@@ -244,40 +177,47 @@ def degrees_in_block(k: int, params: BlockParams) -> range:
     return range(max(lo + 1, 1), hi + 1)
 
 
-class Gf2Ring:
+class Gf2Ring(UnitGroupRing):
     """GF(2)[X] for the shared generator: the irreducibles of a block's
-    degrees, reduction gf2_mod, norm 2^deg(q), the least irreducible of
-    degree 2j - 1 with its least generator, and GF(2) dlogs."""
+    degrees, the least irreducible of degree 2j - 1 with its least
+    generator, and the field GF(2)[X]/q of norm 2^deg(q) for the unit-group
+    algorithms."""
+
+    reduce = staticmethod(gf2_mod)
+    mul = staticmethod(gf2_mulmod)
+    pow = staticmethod(gf2_powmod)
+
+    @staticmethod
+    def check_modulus(q: Gf2Poly) -> None:
+        if not is_irreducible(q):
+            raise NotIrreducible(f"{q:#x} is not irreducible")
+
+    @staticmethod
+    def norm(q: Gf2Poly) -> int:
+        return 1 << gf2_deg(q)
+
+    @staticmethod
+    def irreducibles_below(q: Gf2Poly) -> list[Gf2Poly]:
+        return [p for d in range(1, (gf2_deg(q) + 1) // 2) for p in irreducibles_of_degree(d)]
 
     def block(self, k: int, params: BlockParams) -> list[Gf2Poly]:
         return [p for d in degrees_in_block(k, params) for p in irreducibles_of_degree(d)]
 
-    def reduce(self, p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-        return gf2_mod(p, q)
-
-    def norm(self, q: Gf2Poly) -> int:
-        return 1 << gf2_deg(q)
-
     def basis_entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
         q = least_irreducible(2 * j - 1)
-        return q, gf2_generator(q)
-
-    def log_table(self, g: Gf2Poly, q: Gf2Poly) -> list[int]:
-        return gf2_log_table(g, q)
-
-    def dlog(self, g: Gf2Poly, r: Gf2Poly, q: Gf2Poly) -> int:
-        return gf2_discrete_log(g, r, q)
+        return q, self.generator(q)
 
 
 GF2 = Gf2Ring()
+gf2_generator = GF2.generator
+gf2_discrete_log = GF2.dlog
 
 
-def gf2_generate_blocks(k_max: int, params: BlockParams,
-                        basis: Basis | None = None) -> SequencePrefix:
+def gf2_generate_blocks(k_max: int, params: BlockParams) -> SequencePrefix:
     """Elements for every irreducible in blocks k_min..k_max by degree: the
     shared generate_blocks over a GF2 basis of scale 4."""
     # Degrees grow with k: the last block's are checked before any is listed.
     last = degrees_in_block(k_max, params)
     if last:
         _check_degree(last[-1])
-    return generate_blocks(k_max, params, Basis(4, ring=GF2) if basis is None else basis)
+    return generate_blocks(k_max, params, Basis(4, ring=GF2))

@@ -168,6 +168,9 @@ def test_discrete_log_roundtrip_large(seed=815):
         assert discrete_log(g, pow(g, e, q), q) == e
     with pytest.raises(DLogUndefined):
         discrete_log(g, 0, q)
+    for g in (1, 0, q):  # 1 generates nothing but 1, 0 and q nothing at all
+        with pytest.raises(ValueError):
+            discrete_log(g, 2, q)
 
 
 def test_log_table_matches_bsgs_and_power_table():

@@ -217,6 +217,23 @@ def test_bucket_prime_from_the_count():
     assert auditor._bucket_prime(comb(207_214, 2)) == 5_119
 
 
+def test_skewed_classes_move_the_bucket_prime():
+    # 5,000 values give C(5000, 2) = 1.25e7 pairs, so the count alone picks
+    # P = 3; when every value is a multiple of 3 they all share one class and
+    # one bucket would hold every key (about 96 MiB at P = 3). The engine
+    # moves on to P = 5, where the largest bucket is a fraction of that.
+    rng = random.Random(9100)
+    vals = [3 * rng.getrandbits(100) for _ in range(5_000)]
+    assert auditor._bucket_prime(comb(len(vals), 2)) == 3
+    tracemalloc.start()
+    try:
+        assert find_collisions(vals, 2) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+
+
 def report_objs(reports):
     return [r.to_json_obj() for r in reports]
 

@@ -2,8 +2,10 @@ from collections import Counter
 
 import pytest
 
+from dlogsidon import auditor
 from dlogsidon import basis as basis_module
 from dlogsidon.arith import primes_upto, smallest_primitive_root
+from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
 from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
@@ -58,8 +60,8 @@ def test_elements_sorted_and_blockwise_consistent(sqrt5_prefix_k7, default_basis
 
 
 @pytest.mark.slow
-def test_prefix_sqrt5_k8(default_basis, sqrt5_params):
-    # The prefix an exact k <= 8 Sidon audit would take as input.
+def test_prefix_sqrt5_k8(default_basis, sqrt5_params, monkeypatch):
+    # The north-star result: the k <= 8 prefix is exactly Sidon.
     prefix = generate_blocks(8, sqrt5_params, default_basis)
     assert len(prefix.elements) == 207214
     for k in range(prefix.params.k_min, 9):
@@ -67,6 +69,14 @@ def test_prefix_sqrt5_k8(default_basis, sqrt5_params):
         assert len(prefix.block_elements(k)) == prefix.block_sizes[k] - excl, k
     for e in prefix.elements:
         assert default_basis.weight(e.k) * default_basis.q(e.k) < e.value < default_basis.weight(e.k + 1)
+    # The audit counts its buckets once per prime it tries; these classes are
+    # even enough that it keeps the prime the subset count picks.
+    primes = []
+    bucket_sizes = auditor._bucket_sizes
+    monkeypatch.setattr(auditor, "_bucket_sizes", lambda counts, l, doubles: (
+        primes.append(len(counts)) or bucket_sizes(counts, l, doubles)))
+    assert is_sidon(prefix.values())
+    assert primes == [5_119]
 
 
 def test_element_count_matches_block_sizes(sqrt5_prefix_k7):
@@ -102,11 +112,12 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
         return wrapper
 
     # The integer ring's BSGS and log-table routes.
-    monkeypatch.setattr(basis_module, "discrete_log", counted(basis_module.discrete_log))
-    monkeypatch.setattr(basis_module, "log_table", counted(basis_module.log_table))
+    monkeypatch.setattr(basis_module.IntegerRing, "dlog", counted(basis_module.IntegerRing.dlog))
+    monkeypatch.setattr(basis_module.IntegerRing, "log_table",
+                        counted(basis_module.IntegerRing.log_table))
     prefix = generate_blocks(k_max, params, basis)
     # Both sides of the table/BSGS size rule ran.
-    assert calls["discrete_log"] > 0 and calls["log_table"] > 0, calls
+    assert calls["dlog"] > 0 and calls["log_table"] > 0, calls
     monkeypatch.undo()
 
     elements = {e.p: e for e in prefix.elements}

@@ -20,7 +20,6 @@ from dlogsidon.gf2x import (
     gf2_gcd,
     gf2_generate_blocks,
     gf2_generator,
-    gf2_log_table,
     gf2_mod,
     gf2_mul,
     gf2_mulmod,
@@ -168,8 +167,9 @@ def test_discrete_log_against_power_tables():
         gf2_discrete_log(g, 0, q)
     with pytest.raises(DLogUndefined):
         gf2_discrete_log(g, gf2_mul(q, 0b101), q)
-    with pytest.raises(ValueError):
-        gf2_discrete_log(1, 2, 0x13)  # base generates nothing but 1
+    for g in (1, 0, 0x13):  # 1 generates nothing but 1, 0 and q nothing at all
+        with pytest.raises(ValueError):
+            gf2_discrete_log(g, 2, 0x13)
 
 
 def test_finite_sidon_sets():
@@ -191,14 +191,14 @@ def test_log_table_against_bsgs_and_power_tables():
     basis = Basis(4, ring=GF2)
     for j in range(1, 7):
         q, g = basis.entry(j)
-        table = gf2_log_table(g, q)
+        table = GF2.log_table(g, q)
         powers = gf2_power_table(q, g)
         assert len(table) == basis.norm(j) == 1 << gf2_deg(q) and table[0] == -1
         assert len(powers) == basis.norm(j) - 1
         for r in range(1, basis.norm(j)):
             assert table[r] == gf2_discrete_log(g, r, q) == powers[r], (j, r)
     with pytest.raises(ValueError):
-        gf2_log_table(0b1000, 0x13)  # X^3 has order 5 of 15 mod X^4 + X + 1
+        GF2.log_table(0b1000, 0x13)  # X^3 has order 5 of 15 mod X^4 + X + 1
 
 
 def test_basis_entries_and_weights():
@@ -274,11 +274,11 @@ def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gf2x, "gf2_discrete_log", counted(gf2x.gf2_discrete_log))
-    monkeypatch.setattr(gf2x, "gf2_log_table", counted(gf2x.gf2_log_table))
+    monkeypatch.setattr(gf2x.Gf2Ring, "dlog", counted(gf2x.Gf2Ring.dlog))
+    monkeypatch.setattr(gf2x.Gf2Ring, "log_table", counted(gf2x.Gf2Ring.log_table))
     prefix = gf2_generate_blocks(6, params)
     # Both sides of the table/BSGS size rule ran.
-    assert calls["gf2_discrete_log"] > 0 and calls["gf2_log_table"] > 0, calls
+    assert calls["dlog"] > 0 and calls["log_table"] > 0, calls
     monkeypatch.undo()
 
     assert len(prefix.elements) == 1371
