@@ -24,7 +24,7 @@ from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
                      DegreeTooLarge, DigitOutOfRange, DlogSidonError, DLogUndefined,
                      ExcludedPrime, IneligiblePair, InvalidModulus, MissingDigits,
                      NotIrreducible, PrecisionAmbiguity, PrefixTooShort,
-                     RatioBoundExceeded, ValueTooLarge)
+                     RatioBoundExceeded, SieveTooLarge, ValueTooLarge)
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
                         expected_finite_size, finite_dlog_sidon_set, generate_blocks)
 from .gf2x import (GF2, gf2_deg, gf2_discrete_log, gf2_finite_sidon, gf2_generate_blocks,

@@ -2,13 +2,17 @@
 the unit-group core shared by both rings.
 
 Everything here is exact integer arithmetic. Primality is deterministic
-Miller-Rabin (the fixed witness set is proven complete far beyond 64 bits),
-prime enumeration is a segmented sieve, and prime counting is the
-Lucy_Hedgehog recursion in O(n^(3/4)) steps. UnitGroupRing holds the
-generator search, baby-step giant-step and full log tables, and the finite
-Sidon set, once for Z and GF(2)[X]; a ring supplies only its arithmetic mod
-q. PrimeField is the Z ring, and is_primitive_root, smallest_primitive_root,
-discrete_log and log_table are its methods.
+Miller-Rabin (the fixed witness set is proven complete far beyond 64 bits).
+Prime enumeration is a segmented sieve over numpy bool flags, read out with
+np.flatnonzero into an int64 array (prime_array; primes_in_interval is the
+same primes as Python ints), and it refuses an interval of more than
+SIEVE_LIMIT integers with SieveTooLarge before allocating. Prime counting is
+the Lucy_Hedgehog recursion in O(n^(3/4)) steps, run as whole-array updates
+on int64 arrays, for n below 2^62. UnitGroupRing holds the generator search,
+baby-step giant-step and full log tables, and the finite Sidon set, once for
+Z and GF(2)[X]; a ring supplies only its arithmetic mod q. PrimeField is the
+Z ring, and is_primitive_root, smallest_primitive_root, discrete_log and
+log_table are its methods.
 """
 
 from __future__ import annotations
@@ -16,15 +20,24 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import isqrt
 
-from .errors import DLogUndefined, InvalidModulus
+import numpy as np
+
+from .errors import DLogUndefined, InvalidModulus, SieveTooLarge
 
 # Proven deterministic for n < 3.3 * 10^24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SEGMENT = 1 << 22
+
+# Most integers one sieve lists. Its primes fill an int64 array of up to
+# about 60 MB, held twice while the segments are joined. The largest basis
+# window, j = 13's (2^25, 2^27], holds 1.0e8 integers.
+SIEVE_LIMIT = 1 << 27
+
+# prime_count holds values up to n in int64 arrays.
+PRIME_COUNT_LIMIT = 1 << 62
 
 
 def is_prime(n: int) -> bool:
@@ -67,32 +80,41 @@ class PrimeInterval:
         return self.lo < n <= self.hi
 
 
-def _sieve_segment(lo: int, hi: int, base: list[int]) -> bytearray:
-    """Flags for the integers lo..hi inclusive, using base primes."""
-    flags = bytearray(b"\x01") * (hi - lo + 1)
-    for p in base:
-        if p * p > hi:
-            break
-        start = max(p * p, (lo + p - 1) // p * p)
-        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return flags
+def check_sieve(lo: int, hi: int) -> None:
+    """Raise SieveTooLarge if (lo, hi] holds more than SIEVE_LIMIT integers."""
+    if hi - lo > SIEVE_LIMIT:
+        raise SieveTooLarge(f"sieving ({lo}, {hi}] lists {hi - lo} integers, "
+                            f"above the limit of 2^27 = {SIEVE_LIMIT}")
+
+
+def prime_array(iv: PrimeInterval) -> np.ndarray:
+    """Primes p with iv.lo < p <= iv.hi, ascending, as an int64 array.
+
+    A segmented sieve: each segment is a numpy bool array, each base prime
+    p up to sqrt(iv.hi) clears its multiples from p^2 on with one strided
+    slice, and np.flatnonzero reads the survivors out. The base primes come
+    from the same sieve, one level down; a base prime inside the interval
+    survives its own marking, which starts at p^2.
+    """
+    check_sieve(iv.lo, iv.hi)
+    lo, hi = iv.lo + 1, iv.hi
+    root = isqrt(hi)
+    base = prime_array(PrimeInterval(1, root)).tolist() if root >= 2 else []
+    segments = []
+    for seg_lo in range(lo, hi + 1, _SEGMENT):
+        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
+        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        for p in base:
+            if p * p > seg_hi:
+                break
+            flags[max(p * p, (seg_lo + p - 1) // p * p) - seg_lo :: p] = False
+        segments.append(np.add(np.flatnonzero(flags), seg_lo, dtype=np.int64))
+    return np.concatenate(segments)
 
 
 def primes_in_interval(iv: PrimeInterval) -> list[int]:
-    """Primes p with iv.lo < p <= iv.hi, ascending, segmented sieve.
-
-    The base primes up to sqrt(iv.hi) come from the same sieve, one level
-    down; a base prime inside the interval survives its own marking, which
-    starts at p^2.
-    """
-    lo, hi = iv.lo + 1, iv.hi
-    base = primes_upto(isqrt(hi))
-    out = []
-    for seg_lo in range(lo, hi + 1, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        flags = _sieve_segment(seg_lo, seg_hi, base)
-        out.extend(compress(range(seg_lo, seg_hi + 1), flags))
-    return out
+    """Primes p with iv.lo < p <= iv.hi, ascending: prime_array as Python ints."""
+    return prime_array(iv).tolist()
 
 
 def primes_upto(n: int) -> list[int]:
@@ -108,26 +130,37 @@ def prime_count(n: int) -> int:
     below p; only the values v = n // i ever occur. Sieving by the prime p
     removes from S(v), for v >= p^2, the survivors whose least prime factor
     is p: S(v // p) - S(p - 1) of them. Once p passes sqrt(n), S(n) = pi(n).
-    small[v] holds S(v) for v <= r = isqrt(n), large[i] holds S(n // i).
+    small[v] holds S(v) for v <= r = isqrt(n), large[i] holds S(n // i),
+    both int64 arrays, so n must stay below PRIME_COUNT_LIMIT = 2^62; each
+    prime's update is one array expression per side, and its right-hand side
+    is a new array, so every term reads values from before this p's update.
     """
     if n < 2:
         return 0
+    if n >= PRIME_COUNT_LIMIT:
+        raise SieveTooLarge(f"prime count at {n}: int64 arrays hold n < 2^62 only")
     r = isqrt(n)
-    small = [v - 1 for v in range(r + 1)]
-    large = [0] + [n // i - 1 for i in range(1, r + 1)]
+    small = np.arange(-1, r, dtype=np.int64)
+    quotients = np.zeros(r + 1, dtype=np.int64)  # quotients[i] = n // i
+    quotients[1:] = n // np.arange(1, r + 1, dtype=np.int64)
+    large = quotients - 1
+    large[0] = 0
     for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
+        below = int(small[p - 1])
+        if small[p] == below:
             continue  # p is composite
-        below = small[p - 1]
         p2 = p * p
-        # Every right-hand side reads values from before this p's update.
         top = min(r, n // p2)
         mid = min(top, r // p)
-        large[1 : top + 1] = (
-            [large[i] - large[i * p] + below for i in range(1, mid + 1)]
-            + [large[i] - small[n // (i * p)] + below for i in range(mid + 1, top + 1)])
-        small[p2 : r + 1] = [small[v] - small[v // p] + below for v in range(p2, r + 1)]
-    return large[1]
+        # S(n // (i p)) is large[i p] while i p <= r, else small[(n // i) // p].
+        rhs = np.empty(top, dtype=np.int64)
+        rhs[:mid] = large[p : mid * p + 1 : p]
+        rhs[mid:] = small[quotients[mid + 1 : top + 1] // p]
+        rhs -= below
+        large[1 : top + 1] -= rhs
+        if p2 <= r:
+            small[p2:] -= small[np.arange(p2, r + 1, dtype=np.int64) // p] - below
+    return int(large[1])
 
 
 def factorize(n: int) -> dict[int, int]:

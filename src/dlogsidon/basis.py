@@ -8,7 +8,10 @@ its stored length.
 The ring (INTEGERS here, GF2 in gf2x) holds all that differs between the
 two constructions. Over Z, q_j is a prime from (2^(2j-1), 2^(2j+1)]: the
 deterministic basis takes the least one by a primality scan, random bases
-draw from a per-interval pool that is sieved once per process.
+draw from a per-interval pool, an int64 array from arith.prime_array that
+is sieved once per process. Random.choice indexes the array as it would a
+tuple, so a seed draws the same q_j either way. The Z ring also checks a
+block's integer edges against the sieve limit before any block is listed.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ import random
 from functools import lru_cache
 from math import isqrt
 
-from .arith import PrimeField, PrimeInterval, is_prime, primes_in_interval
-from .blocks import primes_in_block
+import numpy as np
+
+from .arith import PrimeField, PrimeInterval, check_sieve, is_prime, prime_array
+from .blocks import block_edges, primes_in_block
 from .errors import BasisGap
 
-# Largest index materialized on demand; a random j = 12 entry already needs
-# a sieve to 2^25. Anything past this is out of desk range.
-MAX_INDEX = 12
+# Largest index materialized on demand; a random j = 13 entry needs a sieve
+# of (2^25, 2^27], 1.0e8 integers and 5.5M primes, just inside the sieve
+# limit. Anything past this is out of desk range.
+MAX_INDEX = 13
 
 
 def dyadic_interval(j: int) -> PrimeInterval:
@@ -41,6 +47,11 @@ class IntegerRing(PrimeField):
     def block(self, k, params) -> list[int]:
         return primes_in_block(k, params)
 
+    @staticmethod
+    def check_block(k, params) -> None:
+        """Raise SieveTooLarge if block k is wider than one sieve may list."""
+        check_sieve(*block_edges(k, params))
+
     def basis_entry(self, j: int) -> tuple[int, int]:
         """The least prime of dyadic_interval(j) and its least primitive root."""
         # Bertrand's postulate puts a prime in every window (n, 4n].
@@ -53,9 +64,12 @@ INTEGERS = IntegerRing()
 
 
 @lru_cache(maxsize=None)
-def _window_pool(j: int) -> tuple[int, ...]:
-    """Every prime of dyadic_interval(j), ascending; shared by all random bases."""
-    return tuple(primes_in_interval(dyadic_interval(j)))
+def _window_pool(j: int) -> np.ndarray:
+    """Every prime of dyadic_interval(j), ascending, as a read-only int64
+    array; shared by all random bases."""
+    pool = prime_array(dyadic_interval(j))
+    pool.flags.writeable = False
+    return pool
 
 
 class Basis:
@@ -116,7 +130,7 @@ class Basis:
         if self.mode == "deterministic":
             self._append(*self.ring.basis_entry(j))
         else:
-            q = self._rng.choice(_window_pool(j))
+            q = int(self._rng.choice(_window_pool(j)))
             self._append(q, self.ring.generator(q))
 
     def ensure(self, count: int) -> None:

@@ -122,12 +122,15 @@ def block_of_prime(p: int, params: BlockParams) -> int:
     return k
 
 
-def primes_in_block(k: int, params: BlockParams) -> list[int]:
-    """Primes of block k, ascending. Empty when the edges pinch below 2."""
+def block_edges(k: int, params: BlockParams) -> tuple[int, int]:
+    """(lo, hi): block k holds the integers n with lo < n <= hi, lo >= 1.
+    Empty when the edges pinch below 2 (hi <= lo)."""
     if k < params.k_min:
         raise ValueError(f"block index {k} below k_min = {params.k_min}")
-    hi = params.upper_edge(k)
-    lo = max(params.upper_edge(k - 1), 1)
-    if hi <= max(lo, 1):
-        return []
-    return primes_in_interval(PrimeInterval(lo, hi))
+    return max(params.upper_edge(k - 1), 1), params.upper_edge(k)
+
+
+def primes_in_block(k: int, params: BlockParams) -> list[int]:
+    """Primes of block k, ascending."""
+    lo, hi = block_edges(k, params)
+    return primes_in_interval(PrimeInterval(lo, hi)) if hi > lo else []

@@ -64,6 +64,11 @@ class MissingDigits(DlogSidonError):
     """Structural facts need digit vectors, but only raw values were given."""
 
 
+class SieveTooLarge(DlogSidonError):
+    """A sieve would list more integers than arith.SIEVE_LIMIT, or a prime
+    count would leave the int64 range of its arrays."""
+
+
 class DegreeTooLarge(DlogSidonError):
     """Polynomial degree beyond the supported enumeration bound."""
 

@@ -85,9 +85,12 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
     to a basis modulus as exclusions."""
     if k_max < params.k_min:
         raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
-    # A basis too short for k_max fails here, before any block is listed.
-    basis.ensure(k_max)
     ring = basis.ring
+    # Blocks widen with k, so a last block past the ring's listing limit
+    # (sieve width over Z, degree over GF(2)[X]) fails here, before any block
+    # is listed; so does a basis too short for k_max.
+    ring.check_block(k_max, params)
+    basis.ensure(k_max)
     tables: dict[int, list[int]] = {}
     elements: list[SidonElement] = []
     excluded: list[ExclusionRecord] = []

@@ -203,6 +203,13 @@ class Gf2Ring(UnitGroupRing):
     def block(self, k: int, params: BlockParams) -> list[Gf2Poly]:
         return [p for d in degrees_in_block(k, params) for p in irreducibles_of_degree(d)]
 
+    @staticmethod
+    def check_block(k: int, params: BlockParams) -> None:
+        """Raise DegreeTooLarge if block k holds a degree past the bound."""
+        degrees = degrees_in_block(k, params)
+        if degrees:
+            _check_degree(degrees[-1])
+
     def basis_entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
         q = least_irreducible(2 * j - 1)
         return q, self.generator(q)
@@ -216,8 +223,4 @@ gf2_discrete_log = GF2.dlog
 def gf2_generate_blocks(k_max: int, params: BlockParams) -> SequencePrefix:
     """Elements for every irreducible in blocks k_min..k_max by degree: the
     shared generate_blocks over a GF2 basis of scale 4."""
-    # Degrees grow with k: the last block's are checked before any is listed.
-    last = degrees_in_block(k_max, params)
-    if last:
-        _check_degree(last[-1])
     return generate_blocks(k_max, params, Basis(4, ring=GF2))

@@ -25,23 +25,56 @@ def primes_upto_trial(n):
     return [p for p in range(2, n + 1) if is_prime_trial(p)]
 
 
+def _sieve_segments(lo, hi, segment):
+    """(start, flags) per segment of the integers lo..hi, lo >= 2: a
+    bytearray sieve of Eratosthenes, base primes by trial division."""
+    base = [p for p in range(2, isqrt(hi) + 1) if is_prime_trial(p)]
+    for start in range(lo, hi + 1, segment):
+        end = min(start + segment - 1, hi)
+        flags = bytearray(b"\x01") * (end - start + 1)
+        for p in base:
+            if p * p > end:
+                break
+            first = max(p * p, (start + p - 1) // p * p)
+            flags[first - start :: p] = bytes(len(range(first, end + 1, p)))
+        yield start, flags
+
+
+def primes_between_sieve(lo, hi, segment=1 << 22):
+    """Primes p with lo < p <= hi, by the bytearray sieve."""
+    return [n for start, flags in _sieve_segments(max(lo + 1, 2), hi, segment)
+            for n, flag in zip(range(start, start + len(flags)), flags) if flag]
+
+
 def prime_count_sieve(n, segment=1 << 22):
-    """pi(n) by a sieve of Eratosthenes over 2..n, one segment at a time."""
+    """pi(n) by the bytearray sieve over 2..n."""
+    return sum(flags.count(1) for _, flags in _sieve_segments(2, n, segment))
+
+
+def prime_count_lucy(n):
+    """pi(n) by the Lucy_Hedgehog recursion on Python lists.
+
+    small[v] = S(v) for v <= r = isqrt(n), large[i] = S(n // i), where S(v)
+    counts the integers in [2, v] left after sieving by the primes below p.
+    Each list comprehension reads only values from before p's update.
+    """
     if n < 2:
         return 0
-    root = isqrt(n)
-    base = [p for p in range(2, root + 1) if is_prime_trial(p)]
-    count = 0
-    for lo in range(2, n + 1, segment):
-        hi = min(lo + segment - 1, n)
-        flags = bytearray(b"\x01") * (hi - lo + 1)
-        for p in base:
-            if p * p > hi:
-                break
-            start = max(p * p, (lo + p - 1) // p * p)
-            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
-        count += flags.count(1)
-    return count
+    r = isqrt(n)
+    small = [v - 1 for v in range(r + 1)]
+    large = [0] + [n // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue
+        below = small[p - 1]
+        p2 = p * p
+        top = min(r, n // p2)
+        mid = min(top, r // p)
+        large[1 : top + 1] = (
+            [large[i] - large[i * p] + below for i in range(1, mid + 1)]
+            + [large[i] - small[n // (i * p)] + below for i in range(mid + 1, top + 1)])
+        small[p2 : r + 1] = [small[v] - small[v // p] + below for v in range(p2, r + 1)]
+    return large[1]
 
 
 def factorize_trial(n):

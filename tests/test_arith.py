@@ -1,30 +1,39 @@
 import random
+import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 
+from dlogsidon import arith
 from dlogsidon.arith import (
+    PRIME_COUNT_LIMIT,
+    SIEVE_LIMIT,
     PrimeInterval,
+    check_sieve,
     discrete_log,
     factorize,
     is_prime,
     is_primitive_root,
     lift_to_window,
     log_table,
+    prime_array,
     prime_count,
     primes_in_interval,
     primes_upto,
     smallest_primitive_root,
 )
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
-from dlogsidon.errors import DLogUndefined, InvalidModulus
+from dlogsidon.errors import DLogUndefined, InvalidModulus, SieveTooLarge
 
 from oracles import (
     factorize_trial,
     is_prime_trial,
     lift_naive,
     power_table,
+    prime_count_lucy,
     prime_count_sieve,
+    primes_between_sieve,
     primes_upto_trial,
     primitive_root_naive,
 )
@@ -85,6 +94,58 @@ def test_primes_in_interval_crosses_segment_boundary():
     assert len(primes_upto(hi)) == prime_count(hi)
 
 
+def test_prime_array_is_int64_and_matches_the_list():
+    iv = PrimeInterval(1000, 5000)
+    arr = prime_array(iv)
+    assert arr.dtype == np.int64
+    assert arr.tolist() == primes_in_interval(iv) == primes_between_sieve(1000, 5000)
+
+
+def test_prime_array_matches_oracle_at_the_smallest_edges():
+    for lo in (1, 2, 3):
+        for hi in (2, 3, 4):
+            if lo < hi:
+                assert primes_in_interval(PrimeInterval(lo, hi)) == primes_between_sieve(lo, hi)
+
+
+def test_prime_array_matches_oracle_around_base_prime_squares():
+    # p^2 is the first multiple a base prime p clears; p itself must survive
+    # when the interval holds it (lo = p - 1).
+    for p in primes_upto_trial(120):
+        sq = p * p
+        for lo in (p - 1, sq - 2, sq - 1, sq, sq + 1):
+            for hi in (sq - 1, sq, sq + 1, sq + 2, sq + 60):
+                if 1 <= lo < hi:
+                    got = primes_in_interval(PrimeInterval(lo, hi))
+                    assert got == primes_between_sieve(lo, hi), (lo, hi)
+
+
+def test_prime_array_matches_oracle_across_three_segments(monkeypatch):
+    monkeypatch.setattr(arith, "_SEGMENT", 1000)
+    rng = random.Random(1018)
+    for lo in (1, 999, 1000, 1001, 7 * 7 * 41 - 3, 123_456):
+        for width in (2_001, 2_999, 3_000, 3_001 + rng.randrange(500)):
+            assert primes_in_interval(PrimeInterval(lo, lo + width)) == (
+                primes_between_sieve(lo, lo + width)), (lo, width)
+
+
+def test_sieve_limit_raises_before_allocating():
+    check_sieve(1, SIEVE_LIMIT + 1)  # exactly SIEVE_LIMIT integers pass
+    tracemalloc.start()
+    try:
+        with pytest.raises(SieveTooLarge, match="2\\^27"):
+            prime_array(PrimeInterval(1, SIEVE_LIMIT + 2))
+        with pytest.raises(SieveTooLarge):
+            primes_in_interval(PrimeInterval(1 << 40, (1 << 40) + (1 << 28)))
+        # A narrow interval past 2^54 needs base primes past the limit.
+        with pytest.raises(SieveTooLarge):
+            primes_in_interval(PrimeInterval(1 << 70, (1 << 70) + 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_prime_count_classics():
     assert prime_count(10) == 4
     assert prime_count(1000) == 168
@@ -112,6 +173,35 @@ def test_prime_count_matches_sieve_at_block_edges(c, ks):
     for k in ks:
         n = params.upper_edge(k)
         assert prime_count(n) == prime_count_sieve(n), (c, k, n)
+
+
+# The int64 recursion against the list one in tests/oracles.py. The sqrt5
+# edge of block 10 (3.9e10) takes the oracle about 10 s.
+@pytest.mark.parametrize("c, ks", [
+    pytest.param("sqrt5", range(1, 10), id="sqrt5-k1-9"),
+    pytest.param("sqrt2", range(1, 10), id="sqrt2-k1-9"),
+    pytest.param("sqrt5", (10,), id="sqrt5-k10", marks=pytest.mark.slow),
+])
+def test_prime_count_matches_lucy_oracle_at_block_edges(c, ks):
+    params = sidon_params(c={"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[c]())
+    for k in ks:
+        n = params.upper_edge(k)
+        assert prime_count(n) == prime_count_lucy(n), (c, k, n)
+
+
+def test_prime_count_matches_lucy_oracle_at_random_n(seed=1019):
+    rng = random.Random(seed)
+    ns = [rng.randrange(1 << (bits - 1), 1 << bits)
+          for bits in (rng.randrange(1, 26) for _ in range(200))]
+    for n in ns:
+        assert prime_count(n) == prime_count_lucy(n), n
+
+
+def test_prime_count_refuses_past_int64():
+    for n in (PRIME_COUNT_LIMIT, 1 << 70):
+        with pytest.raises(SieveTooLarge, match="2\\^62"):
+            prime_count(n)
+    assert prime_count.cache_info().maxsize == 64
 
 
 def test_prime_count_matches_sieve_at_random_n(seed=1017):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from dlogsidon import basis
-from dlogsidon.arith import is_prime, is_primitive_root, primes_in_interval
+from dlogsidon.arith import is_primitive_root
 from dlogsidon.basis import MAX_INDEX, Basis, build_basis, dyadic_interval
 from dlogsidon.errors import BasisGap
 
-from oracles import primes_upto_trial, primitive_root_naive
+from oracles import (factorize_trial, is_prime_trial, primes_between_sieve, primes_upto_trial,
+                     primitive_root_naive)
 
 
 def test_dyadic_interval_edges():
@@ -83,16 +84,32 @@ def test_random_mode_reproducible_and_in_pool():
 
 
 def test_entries_match_a_fresh_window_sieve():
-    # The primality scan finds each least prime, and the cached pools hand
-    # rng.choice the same sequence a fresh sieve of the window would.
-    pools = [primes_in_interval(dyadic_interval(j)) for j in range(1, 11)]
-    det = build_basis("deterministic", 4, 10)
-    assert [det.q(j) for j in range(1, 11)] == [pool[0] for pool in pools]
-    rng = random.Random(2024)
-    expected = [rng.choice(pool) for pool in pools]
-    for _ in range(2):  # the second basis reuses the cached pools
-        rand = build_basis("random", 9, 10, seed=2024)
-        assert [rand.q(j) for j in range(1, 11)] == expected
+    # The primality scan finds each least prime, and the cached int64 pools
+    # hand rng.choice the same primes, in the same order, as the oracle's
+    # sieve of each window as a list.
+    pools = [primes_between_sieve(iv.lo, iv.hi)
+             for iv in (dyadic_interval(j) for j in range(1, 12))]
+    det = build_basis("deterministic", 4, 11)
+    assert [det.q(j) for j in range(1, 12)] == [pool[0] for pool in pools]
+    for seed in (2024, 1, 6, 99):
+        rng = random.Random(seed)
+        expected = [rng.choice(pool) for pool in pools]
+        for _ in range(2):  # the second basis reuses the cached pools
+            rand = build_basis("random", 9, 11, seed=seed)
+            assert [rand.q(j) for j in range(1, 12)] == expected
+            assert all(type(rand.q(j)) is int for j in range(1, 12))
+
+
+def test_random_basis_through_max_index():
+    # j = 13 draws from the largest window, (2^25, 2^27].
+    assert MAX_INDEX == 13
+    b = build_basis("random", 9, MAX_INDEX, seed=31)
+    for j in range(1, MAX_INDEX + 1):
+        q, g = b.entry(j)
+        assert is_prime_trial(q) and q in dyadic_interval(j), j
+        assert 1 <= g < q and all(pow(g, (q - 1) // r, q) != 1 for r in factorize_trial(q - 1)), j
+    with pytest.raises(BasisGap):
+        b.ensure(MAX_INDEX + 1)
 
 
 def test_fixed_mode_never_extends():

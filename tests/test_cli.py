@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,33 @@ def test_bh_generate_small(capsys):
 
     raw = run_cli(capsys, ["bh", "generate", "--kmax", "5", "--raw"])[1]
     assert raw.splitlines()[0] == lines[0]
+
+
+def test_bh_generate_through_max_index(capsys, tmp_path):
+    # MAX_INDEX = 13: block 13 of the B_3 law needs q_13 from (2^25, 2^27].
+    summary = tmp_path / "summary.json"
+    rc, out, err = run_cli(capsys, ["bh", "generate", "--h", "3", "--kmax", "13", "--raw",
+                                    "--summary", str(summary)])
+    assert rc == 0 and err == ""
+    doc = json.loads(summary.read_text())
+    blocks = doc["blocks"]
+    assert [b["k"] for b in blocks] == list(range(3, 14))
+    n = len(out.splitlines())
+    assert n == 3473 == sum(b["block_size"] - b["excluded"] for b in blocks)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--c", "sqrt5", "--kmax", "9"],
+    ["generate", "--c", "sqrt5", "--kmax", "10"],
+    ["prune", "--c", "sqrt2", "--kmax", "9"],
+    ["count", "--c", "sqrt5", "--kmax", "9", "--x", "1000"],
+])
+def test_block_past_the_sieve_limit_is_an_error(capsys, argv):
+    # sqrt5 block 9 spans 2.5e8 integers, sqrt2 block 9 1.6e9: above 2^27.
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == "" and err.startswith("error:") and "2^27" in err
 
 
 def test_bh_montecarlo_deterministic(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from dlogsidon.bh import bh_params
 from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
                               primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
-from dlogsidon.errors import BasisGap, ExcludedPrime, PrefixTooShort
+from dlogsidon.errors import BasisGap, ExcludedPrime, PrefixTooShort, SieveTooLarge
 from dlogsidon.generator import (
     count_upto,
     expected_finite_size,
@@ -184,6 +185,24 @@ def test_short_basis_fails_before_any_block_is_listed(monkeypatch, fake_basis):
     monkeypatch.setattr(basis_module, "primes_in_block", refuse)
     with pytest.raises(BasisGap):
         generate_blocks(5, sidon_params(), fake_basis((3, 11, 37), 4))
+
+
+@pytest.mark.parametrize("c, k_max", [(const_sqrt5, 9), (const_sqrt5, 10), (const_sqrt2, 9)])
+def test_block_past_the_sieve_limit_fails_before_any_block_is_listed(monkeypatch, c, k_max):
+    def refuse(k, params):
+        raise AssertionError(f"block {k} listed before the sieve limit was checked")
+
+    monkeypatch.setattr(basis_module, "primes_in_block", refuse)
+    basis = build_basis("deterministic", 4, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SieveTooLarge):
+            generate_blocks(k_max, sidon_params(c=c()), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(basis) == 2  # nor was the basis extended
 
 
 def test_finite_set_q101_matches_table():
