@@ -32,8 +32,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SEGMENT = 1 << 22
 
 # Most integers one sieve lists. Its primes fill an int64 array of up to
-# about 60 MB, held twice while the segments are joined. The largest basis
-# window, j = 13's (2^25, 2^27], holds 1.0e8 integers.
+# about 60 MB, beside their uint32 offsets while it is filled. The largest
+# basis window, j = 13's (2^25, 2^27], holds 1.0e8 integers.
 SIEVE_LIMIT = 1 << 27
 
 # prime_count holds values up to n in int64 arrays.
@@ -90,26 +90,35 @@ def check_sieve(lo: int, hi: int) -> None:
 def prime_array(iv: PrimeInterval) -> np.ndarray:
     """Primes p with iv.lo < p <= iv.hi, ascending, as an int64 array.
 
-    A segmented sieve: each segment is a numpy bool array, each base prime
-    p up to sqrt(iv.hi) clears its multiples from p^2 on with one strided
-    slice, and np.flatnonzero reads the survivors out. The base primes come
-    from the same sieve, one level down; a base prime inside the interval
-    survives its own marking, which starts at p^2.
+    A segmented sieve: each segment is one numpy bool buffer, reused, in
+    which each base prime p up to sqrt(iv.hi) clears its multiples from p^2
+    on with one strided slice, and np.flatnonzero reads the survivors out,
+    kept as uint32 offsets into the segment until one int64 array of the
+    total length is filled, so the primes are held one and a half times at
+    most. The base primes come from the same sieve, one level down; a base
+    prime inside the interval survives its own marking, which starts at p^2.
     """
     check_sieve(iv.lo, iv.hi)
     lo, hi = iv.lo + 1, iv.hi
     root = isqrt(hi)
     base = prime_array(PrimeInterval(1, root)).tolist() if root >= 2 else []
-    segments = []
+    offsets = []
+    buffer = np.empty(min(_SEGMENT, hi - lo + 1), dtype=bool)
     for seg_lo in range(lo, hi + 1, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        flags = buffer[: seg_hi - seg_lo + 1]
+        flags[:] = True
         for p in base:
             if p * p > seg_hi:
                 break
             flags[max(p * p, (seg_lo + p - 1) // p * p) - seg_lo :: p] = False
-        segments.append(np.add(np.flatnonzero(flags), seg_lo, dtype=np.int64))
-    return np.concatenate(segments)
+        offsets.append((seg_lo, np.flatnonzero(flags).astype(np.uint32)))
+    primes = np.empty(sum(len(off) for _, off in offsets), dtype=np.int64)
+    pos = 0
+    for seg_lo, off in offsets:
+        np.add(off, seg_lo, out=primes[pos : pos + len(off)], dtype=np.int64)
+        pos += len(off)
+    return primes
 
 
 def primes_in_interval(iv: PrimeInterval) -> list[int]:

@@ -279,6 +279,10 @@ def _candidates(vals, l, modulus, doubles=False):
     """
     n = len(vals)
     subsets = comb(n + 1, 2) if doubles else comb(n, l)
+    n_tails = comb(n, l - 1)
+    if _TAIL_WORDS * n_tails > MAX_KEYS:  # whatever the bucket prime
+        raise AuditTooLarge(f"{n_tails} {l - 1}-subset tails exceed the audit limit of "
+                            f"{MAX_KEYS} words")
     p = 1 if modulus is not None else _bucket_prime(subsets)
     for attempt in range(_PRIME_TRIES):
         cls = np.fromiter((v % p for v in vals), np.uint64, n)
@@ -291,8 +295,8 @@ def _candidates(vals, l, modulus, doubles=False):
         p = _next_prime(p)
     m = _MERSENNE61 if modulus is None else modulus
     largest = int(sizes.max())
-    if largest + _TAIL_WORDS * comb(n, l - 1) > MAX_KEYS:
-        raise AuditTooLarge(f"{largest} {l}-subset keys in one bucket and {comb(n, l - 1)} "
+    if largest + _TAIL_WORDS * n_tails > MAX_KEYS:
+        raise AuditTooLarge(f"{largest} {l}-subset keys in one bucket and {n_tails} "
                             f"tails exceed the audit limit of {MAX_KEYS} words")
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)

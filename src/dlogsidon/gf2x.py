@@ -5,6 +5,11 @@ powers mod q, the norm and the irreducible test; the generator search,
 discrete logs, log tables and finite Sidon set are arith.UnitGroupRing's,
 and gf2_generator and gf2_discrete_log are GF2's methods.
 
+The irreducibles of a degree come from a sieve over numpy bool flags, the
+GF(2) twin of arith.prime_array (irreducibles_of_degree, up to degree 24).
+Rabin's test (is_irreducible) serves the single polynomials: the least
+irreducible of a degree and the check of a given modulus.
+
 A polynomial is a nonnegative int whose bit i is the coefficient of X^i, so
 X^3 + X + 1 is 0b1011. The j-th modulus is the least irreducible of degree
 2j - 1, so its norm (the size of GF(2)[X]/q_j) is N_j = 2^(2j-1): digits
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from ._precision import cmp_int, int_floor
 from .arith import UnitGroupRing, factorize
 from .basis import Basis
@@ -27,6 +34,10 @@ from .generator import SequencePrefix, generate_blocks
 Gf2Poly = int  # bit i holds the coefficient of X^i
 
 _MAX_DEGREE = 24
+
+# Cofactors one sieve pass multiplies at a time: three int64 arrays of this
+# length, 6 MiB in all, beside the 16 MiB of flags at degree 24.
+_COFACTORS = 1 << 18
 
 
 def gf2_deg(a: Gf2Poly) -> int:
@@ -115,9 +126,35 @@ def _check_degree(d: int) -> None:
 
 @lru_cache(maxsize=32)
 def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
-    """All monic irreducibles of degree d, ascending by bit pattern."""
+    """All monic irreducibles of degree d, ascending by bit pattern.
+
+    A sieve: flags[r] stands for X^d + r, r < 2^d. Each irreducible f of
+    degree e <= d/2, taken from the cached lower degrees, clears its
+    multiples f (X^(d-e) + g) = X^d + (f g ^ (f - X^e) X^(d-e)) for every
+    g of degree below d - e. The carry-less f g over an int64 array of g is
+    one XOR of shifted copies of g per set bit of f, with g taken
+    _COFACTORS at a time. A reducible polynomial has an irreducible factor
+    of degree <= d/2, so np.flatnonzero reads out exactly the irreducibles.
+    """
     _check_degree(d)
-    found = tuple(f for f in range(1 << d, 1 << (d + 1)) if is_irreducible(f))
+    flags = np.ones(1 << d, dtype=bool)
+    for e in range(1, d // 2 + 1):
+        m = d - e
+        for lo in range(0, 1 << m, _COFACTORS):
+            g = np.arange(lo, min(lo + _COFACTORS, 1 << m), dtype=np.int64)
+            product, shifted = np.empty_like(g), np.empty_like(g)
+            for f in irreducibles_of_degree(e):
+                product.fill((f ^ (1 << e)) << m)
+                for s in range(e + 1):
+                    if f >> s & 1:
+                        np.left_shift(g, s, out=shifted)
+                        product ^= shifted
+                flags[product] = False
+    found = np.flatnonzero(flags)
+    del flags
+    found += 1 << d
+    found = found.tolist()  # drops the array before the tuple is built
+    found = tuple(found)
     if len(found) != irreducible_count(d):
         raise AssertionError(f"irreducible count mismatch at degree {d}")
     return found

@@ -1,8 +1,9 @@
 """Slow reference implementations the fast code is tested against.
 
 Everything here favors obviousness over speed: trial division, full power
-tables, exhaustive enumeration. Nothing imports from dlogsidon except the
-basis container type needed to build synthetic bases.
+tables, exhaustive enumeration. Nothing here imports from dlogsidon except
+gf2_irreducibles_rabin, which runs the package's Rabin test (itself checked
+against trial division) on every polynomial of a degree.
 """
 
 from collections import defaultdict
@@ -160,6 +161,13 @@ def gf2_irreducible_naive(f):
 
 def gf2_irreducibles_naive(d):
     return [f for f in range(1 << d, 1 << (d + 1)) if gf2_irreducible_naive(f)]
+
+
+def gf2_irreducibles_rabin(d):
+    """The irreducibles of degree d by Rabin's test on every polynomial of
+    the degree, one at a time."""
+    from dlogsidon.gf2x import is_irreducible
+    return [f for f in range(1 << d, 1 << (d + 1)) if is_irreducible(f)]
 
 
 def gf2_power_table(q, g):

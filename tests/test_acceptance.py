@@ -10,6 +10,8 @@ import json
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from dlogsidon.arith import smallest_primitive_root
 from dlogsidon.auditor import (
     check_collision_structure,
@@ -287,8 +289,23 @@ def test_c8_polynomial_variant(capsys):
         assert len(set(vals)) == 20
         assert find_collisions(vals, 2) == []
         assert is_sidon_list(vals)
+        prefix = gf2_generate_blocks(6, sidon_params(c=const_sqrt5(), offset=0))
+        vals = prefix.values()
+        assert len(vals) == 1371
+        assert is_sidon(vals)
+        assert find_collisions(vals, 2) == []
         note.append("counts 2/1/2/3/6/9, finite sizes 5 and 23, "
-                    "prefix of 20 with distinct pair sums")
+                    "prefixes of 20 and 1371 with distinct pair sums")
+
+
+@pytest.mark.slow
+def test_c8_polynomial_prefix_k7_is_sidon(capsys):
+    with verdict(capsys, 8, "GF(2)[x] prefix k <= 7") as note:
+        prefix = gf2_generate_blocks(7, sidon_params(c=const_sqrt5(), offset=0))
+        vals = prefix.values()
+        assert len(vals) == 31_036
+        assert is_sidon(vals)
+        note.append("31036 values, sums a + b (a <= b) all distinct")
 
 
 def test_c9_exponent_diagnostics(sqrt5_prefix_k7, capsys):

@@ -129,6 +129,24 @@ def test_prime_array_matches_oracle_across_three_segments(monkeypatch):
                 primes_between_sieve(lo, lo + width)), (lo, width)
 
 
+def test_prime_array_holds_its_primes_once_and_a_half(monkeypatch):
+    # 128 segments: their primes wait as uint32 offsets, half the size of the
+    # int64 result they fill, beside one segment's flags and survivors.
+    iv = PrimeInterval(1 << 22, (1 << 22) + (1 << 20))
+    expected = prime_array(iv)  # one segment
+    segment = 1 << 13
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    tracemalloc.start()
+    try:
+        arr = prime_array(iv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.dtype == np.int64 and np.array_equal(arr, expected)
+    assert np.all(arr[1:] > arr[:-1])
+    assert peak <= 1.5 * arr.nbytes + 16 * segment
+
+
 def test_sieve_limit_raises_before_allocating():
     check_sieve(1, SIEVE_LIMIT + 1)  # exactly SIEVE_LIMIT integers pass
     tracemalloc.start()

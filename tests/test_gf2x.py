@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from dlogsidon.gf2x import (
     gf2_powmod,
     gf2_powmod_tower,
     irreducible_count,
+    is_irreducible,
     irreducibles_of_degree,
     least_irreducible,
 )
@@ -33,6 +35,8 @@ from dlogsidon.gf2x import (
 from oracles import (
     cyclic_sidon,
     gf2_irreducible_naive,
+    gf2_irreducibles_naive,
+    gf2_irreducibles_rabin,
     gf2_mod_naive,
     gf2_mul_naive,
     gf2_power_table,
@@ -104,7 +108,6 @@ def test_powmod_and_tower():
 
 
 def test_irreducibility_matches_trial_division():
-    from dlogsidon.gf2x import is_irreducible
     assert not is_irreducible(0)
     assert not is_irreducible(1)
     for f in range(2, 1 << 11):
@@ -114,7 +117,7 @@ def test_irreducibility_matches_trial_division():
 def test_irreducible_enumeration_and_counts():
     assert [irreducible_count(d) for d in range(1, 13)] == [
         2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
-    for d in range(1, 13):
+    for d in range(1, 25):
         total = sum(mobius_naive(e) * (1 << (d // e))
                     for e in range(1, d + 1) if d % e == 0)
         assert irreducible_count(d) == total // d
@@ -130,6 +133,58 @@ def test_irreducible_enumeration_and_counts():
         irreducibles_of_degree(0)
     with pytest.raises(DegreeTooLarge):
         irreducibles_of_degree(25)
+
+
+def test_sieve_matches_rabin_and_trial_division(monkeypatch):
+    rabin = {d: gf2_irreducibles_rabin(d) for d in range(1, 13)}
+    for d in range(1, 13):
+        found = irreducibles_of_degree(d)
+        assert type(found) is tuple and all(type(f) is int for f in found)
+        assert list(found) == rabin[d], d
+        if d <= 8:
+            assert list(found) == gf2_irreducibles_naive(d), d
+    # Cofactors a few at a time, so that every degree from 4 on runs the
+    # chunked passes; the cache is cleared on both sides of the patch.
+    monkeypatch.setattr(gf2x, "_COFACTORS", 5)
+    irreducibles_of_degree.cache_clear()
+    try:
+        for d in range(1, 13):
+            assert list(irreducibles_of_degree(d)) == rabin[d], d
+    finally:
+        irreducibles_of_degree.cache_clear()
+
+
+def sampled_agreement(degrees, per_degree, seed):
+    rng = random.Random(seed)
+    for d in degrees:
+        found = set(irreducibles_of_degree(d))
+        for f in (rng.randrange(1 << d, 1 << (d + 1)) for _ in range(per_degree)):
+            assert (f in found) == is_irreducible(f), hex(f)
+
+
+def test_sieve_agrees_with_rabin_on_sampled_polynomials():
+    sampled_agreement(range(17, 21), 200, 20261019)
+
+
+@pytest.mark.slow
+def test_sieve_matches_rabin_at_degrees_13_to_16():
+    for d in range(13, 17):
+        assert list(irreducibles_of_degree(d)) == gf2_irreducibles_rabin(d), d
+
+
+@pytest.mark.slow
+def test_sieve_at_degrees_21_to_24():
+    sampled_agreement(range(21, 25), 200, 20261020)
+    # Degree 24 from a cold cache, lower degrees and the result tuple included.
+    irreducibles_of_degree.cache_clear()
+    tracemalloc.start()
+    try:
+        found = irreducibles_of_degree(24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == irreducible_count(24) == 698_870
+    assert peak < 48 << 20
 
 
 def test_least_irreducible_is_first_of_its_degree():
@@ -252,7 +307,7 @@ def test_generated_prefix():
 
 def test_generation_past_the_degree_bound_fails_before_listing(monkeypatch):
     # Block 9 holds degrees 25..30, past the bound of 24; blocks 2..8 would
-    # cost some 3e7 irreducibility tests before block 9 is reached.
+    # sieve every degree up to 24 before block 9 is reached.
     def refuse(d):
         raise AssertionError(f"degree {d} listed before the bound was checked")
 
