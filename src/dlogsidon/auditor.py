@@ -8,13 +8,13 @@ lies inside one bucket. Each bucket in turn is written as keys (the sums
 mod 2^61 - 1, or mod `modulus`) into one buffer sized to the largest
 bucket, sorted in place, and only when keys repeat are those subsets
 regenerated and grouped by exact big-integer sum. Memory is one bucket,
-about BUCKET_KEYS keys, not all C(n, l) of them. P starts at the least odd
-prime that leaves about BUCKET_KEYS subsets a bucket, and since values that
-share a residue mod P share a bucket, it moves on to the next prime while
-the bucket sizes, counted from the elements' classes mod P before any key
-is written, put more than twice that in one. P = 1 (one bucket) when
-everything fits, and always with a modulus: equal sums mod the modulus
-need not share a residue mod P. Above MAX_SUBSETS subsets, or when the
+about BUCKET_KEYS keys, not all C(n, l) of them. P starts at the least
+prime from 11 up that leaves about BUCKET_KEYS subsets a bucket, and since
+values that share a residue mod P share a bucket, it moves on to the next
+prime while the bucket sizes, counted from the elements' classes mod P
+before any key is written, put more than twice that in one. P = 1 (one
+bucket) when everything fits, and always with a modulus: equal sums mod
+the modulus need not share a residue mod P. Above MAX_SUBSETS subsets, or when the
 largest bucket and the (l-1)-subset tails would take more than MAX_KEYS
 words, the engine raises AuditTooLarge before allocating any key. Reports
 are sorted, so they do not depend on P. The brute-force enumeration is the
@@ -57,6 +57,13 @@ _TAIL_WORDS = 4
 # largest bucket holds more than twice as many.
 BUCKET_KEYS = 1 << 22
 _PRIME_TRIES = 16
+
+# Least bucket prime. A construction's elements are units mod its first
+# basis prime q_1, which is 3, 5 or 7, so at P = q_1 one class is empty and
+# the largest bucket holds q_1 / (q_1 - 1) of an even share: on the sidon-k7
+# prefix 28.6 MiB at P = 5 for a basis with q_1 = 5, 22.9 MiB for one
+# without. From 11 up the buckets are even whatever q_1 a basis drew.
+_MIN_BUCKET_PRIME = 11
 
 # Pairs of subsets with one key, each a potential report: a small modulus
 # gives O(C(n, l)^2 / m) of them, far more than there are subsets.
@@ -237,11 +244,11 @@ def _next_prime(p):
 
 
 def _bucket_prime(subsets):
-    """1 when every key fits one bucket, else the least odd prime P with
-    subsets / P <= BUCKET_KEYS."""
+    """1 when every key fits one bucket, else the least prime P >=
+    _MIN_BUCKET_PRIME with subsets / P <= BUCKET_KEYS."""
     if subsets <= BUCKET_KEYS:
         return 1
-    return _next_prime(max(3, -(-subsets // BUCKET_KEYS)) - 1)
+    return _next_prime(max(_MIN_BUCKET_PRIME, -(-subsets // BUCKET_KEYS)) - 1)
 
 
 def _bucket_sizes(counts, l, doubles):

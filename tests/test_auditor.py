@@ -206,25 +206,27 @@ def use_prime(monkeypatch, p):
 
 
 def test_bucket_prime_from_the_count():
-    # One bucket up to BUCKET_KEYS keys; above, the least odd prime P with
+    # One bucket up to BUCKET_KEYS keys; above, the least prime P >= 11 with
     # about BUCKET_KEYS keys a bucket: the sidon-k7, prune-k7 and sqrt5 k <= 8
-    # pair audits.
+    # pair audits. The sidon-k7 count alone would give P = 5, which is q_1 for
+    # some random bases.
     assert auditor.BUCKET_KEYS == 1 << 22
     assert auditor._bucket_prime(1 << 22) == 1
-    assert auditor._bucket_prime((1 << 22) + 1) == 3
-    assert auditor._bucket_prime(comb(5_477, 2)) == 5
+    assert auditor._bucket_prime((1 << 22) + 1) == 11
+    assert auditor._bucket_prime(comb(5_477, 2)) == 11
     assert auditor._bucket_prime(comb(14_759, 2)) == 29
     assert auditor._bucket_prime(comb(207_214, 2)) == 5_119
 
 
 def test_skewed_classes_move_the_bucket_prime():
     # 5,000 values give C(5000, 2) = 1.25e7 pairs, so the count alone picks
-    # P = 3; when every value is a multiple of 3 they all share one class and
-    # one bucket would hold every key (about 96 MiB at P = 3). The engine
-    # moves on to P = 5, where the largest bucket is a fraction of that.
+    # P = 11; when every value is a multiple of 11 they all share one class
+    # and one bucket would hold every key (about 96 MiB at P = 11). The
+    # engine moves on to P = 13, where the largest bucket is a fraction of
+    # that.
     rng = random.Random(9100)
-    vals = [3 * rng.getrandbits(100) for _ in range(5_000)]
-    assert auditor._bucket_prime(comb(len(vals), 2)) == 3
+    vals = [11 * rng.getrandbits(100) for _ in range(5_000)]
+    assert auditor._bucket_prime(comb(len(vals), 2)) == 11
     tracemalloc.start()
     try:
         assert find_collisions(vals, 2) == []
