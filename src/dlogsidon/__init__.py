@@ -11,7 +11,7 @@ from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
                     is_primitive_root, lift_to_window, log_table, prime_count,
                     primes_in_interval, primes_upto, smallest_primitive_root)
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
-                      find_collisions_bruteforce, growth_bracket_check, is_sidon)
+                      find_collisions_bruteforce, growth_bracket_check, is_bh, is_sidon)
 from .basis import INTEGERS, Basis, build_basis, dyadic_interval
 from .bh import (BhPruneResult, bh_generate, bh_params, bh_prune, montecarlo_bad_ratio,
                  negative_taper_blocks, prune_repeated_sums)

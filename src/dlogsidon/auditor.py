@@ -1,24 +1,24 @@
 """Exhaustive collision search, structural decomposition of collisions, and
 the growth brackets for counting functions.
 
-Collision search is exact. One numpy engine serves every arity l and the
-Sidon check. It splits the l-subsets into buckets by their exact sum mod a
-small odd prime P: equal sums have equal residues, so every repeated sum
-lies inside one bucket. Each bucket in turn is written as keys (the sums
-mod 2^61 - 1, or mod `modulus`) into one buffer sized to the largest
-bucket, sorted in place, and only when keys repeat are those subsets
-regenerated and grouped by exact big-integer sum. Memory is one bucket,
-about BUCKET_KEYS keys, not all C(n, l) of them. P starts at the least
-prime from 11 up that leaves about BUCKET_KEYS subsets a bucket, and since
-values that share a residue mod P share a bucket, it moves on to the next
-prime while the bucket sizes, counted from the elements' classes mod P
-before any key is written, put more than twice that in one. P = 1 (one
-bucket) when everything fits, and always with a modulus: equal sums mod
-the modulus need not share a residue mod P. Above MAX_SUBSETS subsets, or when the
-largest bucket and the (l-1)-subset tails would take more than MAX_KEYS
-words, the engine raises AuditTooLarge before allocating any key. Reports
-are sorted, so they do not depend on P. The brute-force enumeration is the
-independent oracle the tests hold the engine to.
+Collision search is exact, over the paper's sums a_1 + ... + a_l with
+a_1 <= ... <= a_l. One numpy engine splits the l-multisets, for every l and
+the B_h check, into buckets by their exact sum mod a small odd prime P:
+equal sums have equal residues, so every repeated sum lies inside one
+bucket. Each bucket in turn is written as keys (the sums mod 2^61 - 1, or
+mod `modulus`) into one buffer sized to the largest bucket, sorted in
+place, and only when keys repeat are those multisets regenerated and
+grouped by exact big-integer sum. Memory is one bucket, about BUCKET_KEYS
+keys, not all C(n + l - 1, l) of them. P starts at the least prime from 11
+up that leaves about BUCKET_KEYS multisets a bucket, and since values that
+share a residue mod P share a bucket, it moves on to the next prime while
+the bucket sizes, counted from the classes mod P before any key is written,
+put more than twice that in one. P = 1 (one bucket) when everything fits,
+and always with a modulus: equal sums mod the modulus need not share a
+residue mod P. Above MAX_SUBSETS multisets, or when the largest bucket and
+the (l-1)-multiset tails would take more than MAX_KEYS words, the engine
+raises AuditTooLarge before allocating any key. Reports are sorted, so they
+do not depend on P. The brute-force enumeration is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import mpmath
@@ -40,14 +40,14 @@ from .encoder import SidonElement
 from .errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from .generator import SequencePrefix, count_upto
 
-# Work limit: the subsets the search enumerates. The sqrt5 k <= 8 pair audit
+# Work limit: the l-multisets the search enumerates. The sqrt5 k <= 8 pair audit
 # has 2.15e10 of them, about 2^34.3.
 MAX_SUBSETS = 1 << 35
 
 # Memory limit, in 8-byte words held at once (2 GiB): the largest bucket of
-# keys plus _TAIL_WORDS for each (l-1)-subset tail, which are its sum, its
+# keys plus _TAIL_WORDS for each (l-1)-multiset tail, which are its sum, its
 # smallest index and its place in the sort, and one unsorted copy while they
-# are built. With a modulus there is one bucket, so this caps the subsets at
+# are built. With a modulus there is one bucket, so this caps the multisets at
 # about 2^28.
 MAX_KEYS = 1 << 28
 _TAIL_WORDS = 4
@@ -65,8 +65,8 @@ _PRIME_TRIES = 16
 # without. From 11 up the buckets are even whatever q_1 a basis drew.
 _MIN_BUCKET_PRIME = 11
 
-# Pairs of subsets with one key, each a potential report: a small modulus
-# gives O(C(n, l)^2 / m) of them, far more than there are subsets.
+# Pairs of multisets with one key, each a potential report: a small modulus
+# gives O(C(n + l - 1, l)^2 / m) of them, far more than there are multisets.
 MAX_REPORT_PAIRS = 1 << 20
 
 _MERSENNE61 = (1 << 61) - 1
@@ -81,7 +81,7 @@ def _value_of(e):
 
 @dataclass
 class CollisionReport:
-    """Two element-disjoint l-tuples of distinct elements with equal sums."""
+    """Two element-disjoint l-multisets with equal sums (a side may repeat)."""
 
     l: int
     total: int
@@ -127,7 +127,7 @@ def _distinct_values(items):
 def _brute_groups(vals, l, modulus):
     """Sum -> index tuples by direct enumeration and sorting; the slow oracle."""
     entries = []
-    for t in combinations(range(len(vals)), l):
+    for t in combinations_with_replacement(range(len(vals)), l):
         s = sum(vals[i] for i in t)
         if modulus is not None:
             s %= modulus
@@ -158,17 +158,17 @@ def _reduce(keys, m):
 
 
 def _subset_sums(res, l, m):
-    """Residues mod m of all l-subset sums, in lexicographic order: for each
-    head index i, the tails are the (l-1)-subsets whose smallest index
-    exceeds i, a suffix of the (l-1)-subset sums."""
+    """Residues mod m of all l-multiset sums, in lexicographic order: for
+    each head index i, the tails are the (l-1)-multisets whose smallest
+    index is at least i, a suffix of the (l-1)-multiset sums."""
     if l == 1:
         return res
     n = len(res)
     tails = _subset_sums(res, l - 1, m)
-    out = np.empty(comb(n, l), res.dtype)
+    out = np.empty(comb(n + l - 1, l), res.dtype)
     pos = 0
-    for i in range(n - l + 1):
-        width = comb(n - i - 1, l - 1)
+    for i in range(n):
+        width = comb(n - i + l - 2, l - 1)
         _reduce(np.add(tails[len(tails) - width:], res[i], out=out[pos:pos + width]), m)
         pos += width
     return out
@@ -187,23 +187,23 @@ def _repeated_keys(keys):
 
 
 def _unrank(rank, n, l):
-    """The rank-th l-subset of range(n) in lexicographic order."""
+    """The rank-th l-multiset of range(n) in lexicographic order."""
     out = []
     i = 0
     while l:
-        width = comb(n - i - 1, l - 1)  # subsets whose smallest index is i
+        width = comb(n - i + l - 2, l - 1)  # multisets whose smallest index is i
         if rank < width:
             out.append(i)
             l -= 1
         else:
             rank -= width
-        i += 1
+            i += 1
     return tuple(out)
 
 
 def _check_report_pairs(pairs, l):
     if pairs > MAX_REPORT_PAIRS:
-        raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-subsets "
+        raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-multisets "
                             f"share a sum (the report limit)")
 
 
@@ -227,7 +227,7 @@ def _reports_from_groups(items, vals, groups, l):
 
 def _check_work(subsets, l):
     if subsets > MAX_SUBSETS:
-        raise AuditTooLarge(f"{subsets} {l}-subsets exceed the audit limit of "
+        raise AuditTooLarge(f"{subsets} {l}-multisets exceed the audit limit of "
                             f"{MAX_SUBSETS}")
 
 
@@ -251,9 +251,9 @@ def _bucket_prime(subsets):
     return _next_prime(max(_MIN_BUCKET_PRIME, -(-subsets // BUCKET_KEYS)) - 1)
 
 
-def _bucket_sizes(counts, l, doubles):
-    """Subsets per bucket, from the number of elements in each class mod P:
-    the l-subsets (the l-multisets with `doubles`) by class sum mod P."""
+def _bucket_sizes(counts, l):
+    """l-multisets per bucket, by class sum mod P, from the number of
+    elements in each class mod P."""
     p = len(counts)
     by_size = np.zeros((l + 1, p), np.int64)
     by_size[0, 0] = 1
@@ -263,32 +263,29 @@ def _bucket_sizes(counts, l, doubles):
         before = by_size.copy()
         for j in range(1, l + 1):
             # ways to take j elements of class a; their classes add up to j * a
-            ways = comb(c + j - 1, j) if doubles else comb(c, j)
-            by_size[j:] += np.roll(before[:l + 1 - j], j * a % p, axis=1) * ways
+            by_size[j:] += np.roll(before[:l + 1 - j], j * a % p, axis=1) * comb(c + j - 1, j)
     return by_size[l]
 
 
-def _candidates(vals, l, modulus, doubles=False):
-    """Index tuples of the l-subsets of vals whose key repeats in their bucket.
+def _candidates(vals, l, modulus):
+    """Index tuples of the l-multisets of vals whose key repeats in a bucket.
 
-    With `doubles` (l = 2 only) the subsets are the multisets {i, j}, i <= j,
-    so the doubled values 2a sit in the buckets too. The elements are put in
-    class order (v mod P), and a subset is a head index i plus a tail, an
-    (l-1)-subset whose smallest index exceeds i (or equals it, with
-    doubles). The tails are sorted by (class sum mod P, smallest index), so
-    the tails matching head i in bucket t are one contiguous slice, and the
-    heads of one class that lie below every index of a tail class take the
-    whole class: one outer sum. At l = 2 bucket t is then the outer sums of
-    the classes a < b with a + b = t mod P, and the triangle of the class a
-    with 2a = t mod P. The caller has checked MAX_SUBSETS; raises
-    AuditTooLarge, before allocating any key, when the largest bucket and
-    the tails take more than MAX_KEYS words.
+    The elements are put in class order (v mod P), and a multiset is a head
+    index i plus a tail, an (l-1)-multiset whose smallest index is at least
+    i. The tails are sorted by (class sum mod P, smallest index), so the
+    tails matching head i in bucket t are one contiguous slice, and the
+    heads of one class that lie at or below every index of a tail class
+    take the whole class: one outer sum. At l = 2 bucket t is then the outer
+    sums of the classes a < b with a + b = t mod P, and the triangle of the
+    class a with 2a = t mod P. The caller has checked MAX_SUBSETS and passes
+    at least one value; raises AuditTooLarge, before allocating any key,
+    when the largest bucket and the tails take more than MAX_KEYS words.
     """
     n = len(vals)
-    subsets = comb(n + 1, 2) if doubles else comb(n, l)
-    n_tails = comb(n, l - 1)
+    subsets = comb(n + l - 1, l)
+    n_tails = comb(n + l - 2, l - 1)
     if _TAIL_WORDS * n_tails > MAX_KEYS:  # whatever the bucket prime
-        raise AuditTooLarge(f"{n_tails} {l - 1}-subset tails exceed the audit limit of "
+        raise AuditTooLarge(f"{n_tails} {l - 1}-multiset tails exceed the audit limit of "
                             f"{MAX_KEYS} words")
     p = 1 if modulus is not None else _bucket_prime(subsets)
     for attempt in range(_PRIME_TRIES):
@@ -296,14 +293,14 @@ def _candidates(vals, l, modulus, doubles=False):
         order = np.argsort(cls, kind="stable")
         cls = cls[order]
         start = np.searchsorted(cls, np.arange(p + 1)).tolist()
-        sizes = _bucket_sizes(np.diff(start).tolist(), l, doubles)
+        sizes = _bucket_sizes(np.diff(start).tolist(), l)
         if p == 1 or sizes.max() <= 2 * BUCKET_KEYS or attempt == _PRIME_TRIES - 1:
             break
         p = _next_prime(p)
     m = _MERSENNE61 if modulus is None else modulus
     largest = int(sizes.max())
     if largest + _TAIL_WORDS * n_tails > MAX_KEYS:
-        raise AuditTooLarge(f"{largest} {l}-subset keys in one bucket and {n_tails} "
+        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} "
                             f"tails exceed the audit limit of {MAX_KEYS} words")
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)
@@ -313,10 +310,9 @@ def _candidates(vals, l, modulus, doubles=False):
     ts = np.searchsorted(tail_cls, np.arange(p + 1), sorter=perm).tolist()
     del tail_cls
     tails = _subset_sums(res, l - 1, m)[perm]
-    tail_min = np.repeat(np.arange(n), [comb(n - i - 1, l - 2) for i in range(n)])[perm]
+    tail_min = np.repeat(np.arange(n), [comb(n - i + l - 3, l - 2) for i in range(n)])[perm]
     first = tail_min[np.minimum(ts[:-1], len(tail_min) - 1)].tolist()
     last = tail_min[np.maximum(np.array(ts[1:]) - 1, 0)].tolist()
-    gap = 0 if doubles else 1
 
     def rects(t):
         """(h0, h1, lo, hi): heads h0..h1-1 with the tails at lo..hi-1."""
@@ -326,10 +322,10 @@ def _candidates(vals, l, modulus, doubles=False):
             t0, t1 = ts[c], ts[c + 1]
             if h0 == h1 or t0 == t1:
                 continue
-            if first[c] >= h1 - 1 + gap:
+            if first[c] >= h1 - 1:
                 yield h0, h1, t0, t1
-            elif last[c] >= h0 + gap:
-                los = np.searchsorted(tail_min[t0:t1], np.arange(h0 + gap, h1 + gap))
+            elif last[c] >= h0:
+                los = np.searchsorted(tail_min[t0:t1], np.arange(h0, h1))
                 for h, lo in zip(range(h0, h1), (los + t0).tolist()):
                     if lo < t1:
                         yield h, h + 1, lo, t1
@@ -358,21 +354,20 @@ def _candidates(vals, l, modulus, doubles=False):
                 yield tuple(order[i] for i in subset)
 
 
-def is_sidon(values, modulus: int | None = None) -> bool:
-    """Whether the sums a + b (a <= b) of the distinct values are pairwise
-    distinct, as integers or mod `modulus`.
-
-    The pair buckets of find_collisions hold the doubled values 2a as well,
-    and a repeated key is confirmed by its exact sum, so 2a = b + c counts
-    as a repeat. Raises AuditTooLarge as find_collisions does.
+def is_bh(values, h: int, modulus: int | None = None) -> bool:
+    """Whether the sums a_1 + ... + a_h (a_1 <= ... <= a_h) of the distinct
+    values differ, as integers or mod `modulus`; 2a = b + c is a repeat at
+    h = 2. One run at h covers every lower order: one element added to both
+    sides of a repeat among (h-1)-multisets makes a repeat among
+    h-multisets. Raises AuditTooLarge as find_collisions does.
     """
-    items = _prepare(values, 2, modulus)
-    _check_work(comb(len(items) + 1, 2), 2)
+    items = _prepare(values, h, modulus)
+    _check_work(comb(len(items) + h - 1, h), h)
     vals = _distinct_values(items)
     if len(vals) < 2:
         return True
     seen = set()
-    for t in _candidates(vals, 2, modulus, doubles=True):
+    for t in _candidates(vals, h, modulus):
         s = sum(vals[i] for i in t)
         s = s if modulus is None else s % modulus
         if s in seen:
@@ -381,22 +376,26 @@ def is_sidon(values, modulus: int | None = None) -> bool:
     return True
 
 
-def find_collisions(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
-    """All unordered pairs of disjoint size-l subsets with equal sums.
+def is_sidon(values, modulus: int | None = None) -> bool:
+    """is_bh at h = 2: the sums a + b (a <= b) are pairwise distinct."""
+    return is_bh(values, 2, modulus)
 
-    Each side is l distinct elements and the two sides share none, so
-    [0, 1, 2, 3] at l = 2 carries exactly one collision, 0+3 = 1+2.
-    With `modulus` the sums are compared mod it. Raises AuditTooLarge,
-    before allocating any key, above MAX_SUBSETS l-subsets or MAX_KEYS
-    words, and before building any report when more than MAX_REPORT_PAIRS
-    pairs of subsets share a sum.
+
+def find_collisions(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
+    """All unordered pairs of element-disjoint l-multisets with equal sums.
+
+    A side may repeat an element, but the two sides share none, so
+    [0, 1, 2, 3] at l = 2 carries three collisions: 0+2 = 1+1, 0+3 = 1+2
+    and 1+3 = 2+2. With `modulus` the sums are compared mod it. Raises
+    AuditTooLarge, before allocating any key, above MAX_SUBSETS l-multisets
+    or MAX_KEYS words, and before building any report when more than
+    MAX_REPORT_PAIRS pairs of multisets share a sum.
     """
     items = _prepare(elements, l, modulus)
-    if len(items) >= 2 * l:
-        _check_work(comb(len(items), l), l)
+    _check_work(comb(len(items) + l - 1, l), l)
     vals = _distinct_values(items)
-    if len(vals) < 2 * l:
-        return []  # no two disjoint l-subsets
+    if len(vals) < 2:
+        return []  # no two element-disjoint l-multisets
     exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     pairs = 0
     for t in _candidates(vals, l, modulus):

@@ -1,5 +1,5 @@
-"""Sequences with distinct h-fold sums, h >= 3: tapered blocks, greedy
-repeated-sum pruning, and a Monte-Carlo survey over random bases.
+"""B_h sequences, h >= 3 (all a_1 + ... + a_h, a_1 <= ... <= a_h, distinct):
+tapered blocks, greedy B_h pruning and a Monte-Carlo survey over random bases.
 
 The window constant c = sqrt((h-1)^2 + 1) - (h-1) satisfies
 -1 + 2c(h-1)/(1-c) - c = 0, which balances the two sides of the counting
@@ -52,20 +52,19 @@ def bh_generate(k_max: int, params: BlockParams, basis: Basis) -> SequencePrefix
 
 
 def prune_repeated_sums(values, h: int) -> tuple[list[int], list[int]]:
-    """Greedy core: while some l-fold sum (2 <= l <= h) repeats, drop the
-    largest value involved. Returns (survivors ascending, removed in order)."""
+    """Greedy core: while two element-disjoint l-multisets (2 <= l <= h)
+    share a sum, drop the largest value involved, which leaves a B_h set.
+    Returns (survivors ascending, removed in order)."""
     current = sorted(values)
     removed = []
     while True:
-        hit = None
         for l in range(2, h + 1):
             reports = find_collisions(current, l)
             if reports:
-                hit = reports[0]
                 break
-        if hit is None:
+        else:
             return current, removed
-        worst = max(hit.left_values() + hit.right_values())
+        worst = max(reports[0].left_values() + reports[0].right_values())
         current.remove(worst)
         removed.append(worst)
 
@@ -78,8 +77,8 @@ class BhPruneResult:
 
 
 def bh_prune(prefix: SequencePrefix) -> BhPruneResult:
-    """Drop elements until all l-fold sums, 2 <= l <= h, are distinct, for
-    the order h of the prefix's basis."""
+    """Drop elements until the prefix is B_h, for the order h of the
+    prefix's basis."""
     _, removed_values = prune_repeated_sums(prefix.values(), prefix.basis.h)
     removed_set = set(removed_values)
     removed = [e for e in prefix.elements if e.value in removed_set]

@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="exhaustive l-fold sum collision search")
     p.add_argument("--input", required=True, help="element JSONL path, - for stdin")
-    p.add_argument("--l", type=int, default=2, help="sum arity (default 2)")
+    p.add_argument("--l", type=int, default=2, help="sum arity, sides l-multisets (default 2)")
     p.add_argument("--modulus", type=int, help="compare sums modulo this")
     p.add_argument("--allow-collisions", dest="allow_collisions", action="store_true",
                    help="exit 0 even when collisions are found")

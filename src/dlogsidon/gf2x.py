@@ -60,10 +60,11 @@ def gf2_divmod(a: Gf2Poly, b: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     db = gf2_deg(b)
     quo = 0
-    while gf2_deg(a) >= db:
-        shift = gf2_deg(a) - db
+    shift = gf2_deg(a) - db
+    while shift >= 0:
         quo ^= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - 1 - db
     return quo, a
 
 

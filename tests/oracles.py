@@ -184,9 +184,9 @@ def gf2_power_table(q, g):
 
 
 def collision_groups_naive(vals, l, modulus=None):
-    """sum -> list of index l-subsets, keeping only repeated sums."""
+    """sum -> list of index l-multisets, keeping only repeated sums."""
     groups = defaultdict(list)
-    for t in combinations(range(len(vals)), l):
+    for t in combinations_with_replacement(range(len(vals)), l):
         s = sum(vals[i] for i in t)
         if modulus is not None:
             s %= modulus
@@ -195,8 +195,9 @@ def collision_groups_naive(vals, l, modulus=None):
 
 
 def disjoint_report_keys(vals, l, modulus=None):
-    """(l, sum, left values desc, right values desc) for every disjoint pair
-    of same-sum subsets, sorted. Mirrors what the auditor must emit."""
+    """(l, sum, left values desc, right values desc) for every
+    element-disjoint pair of same-sum multisets, sorted. Mirrors what the
+    auditor must emit."""
     keys = []
     for s, ts in collision_groups_naive(vals, l, modulus).items():
         for ta, tb in combinations(ts, 2):
@@ -208,11 +209,6 @@ def disjoint_report_keys(vals, l, modulus=None):
                 left, right = right, left
             keys.append((l, s, left, right))
     return sorted(keys)
-
-
-def no_repeated_sums(vals, h):
-    """True when no two disjoint equal-size subsets (size 2..h) share a sum."""
-    return all(not disjoint_report_keys(vals, l) for l in range(2, h + 1))
 
 
 def is_sidon_list(vals):
@@ -246,11 +242,11 @@ def cyclic_sidon(vals, mod):
     return True
 
 
-def is_bh_list(vals, h):
-    """Every multiset of h values has a distinct sum."""
+def is_bh_list(vals, h, modulus=None):
+    """Every multiset of h values has a distinct sum (mod `modulus`)."""
     seen = {}
     for t in combinations_with_replacement(sorted(vals), h):
-        s = sum(t)
+        s = sum(t) if modulus is None else sum(t) % modulus
         if s in seen and seen[s] != t:
             return False
         seen[s] = t

@@ -18,6 +18,7 @@ from dlogsidon.auditor import (
     find_collisions,
     find_collisions_bruteforce,
     growth_bracket_check,
+    is_bh,
     is_sidon,
 )
 from dlogsidon.bh import bh_prune, montecarlo_bad_ratio
@@ -207,9 +208,9 @@ def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
 # (qs, c, l, elements, reports, reports passing all four structure clauses)
 BH_FIXTURES = (
     ((11, 13, 3, 5), "0.45", 2, 59, 174, 11),
-    ((13, 17, 3, 5), "0.47", 2, 70, 221, 15),
-    ((23, 29, 3, 5), "0.43", 3, 48, 1148, 1148),
-    ((19, 23, 3, 5), "0.43", 3, 48, 1664, 1664),
+    ((13, 17, 3, 5), "0.47", 2, 70, 227, 15),
+    ((23, 29, 3, 5), "0.43", 3, 48, 1300, 1300),
+    ((19, 23, 3, 5), "0.43", 3, 48, 1891, 1891),
 )
 
 
@@ -224,6 +225,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
             assert find_collisions(prefix.elements, l) == []
             assert find_collisions_bruteforce(prefix.elements, l) == []
         assert is_bh_list(vals, 3)
+        assert is_bh(vals, 3)
         pruned = bh_prune(prefix)
         assert pruned.removed == []
         assert pruned.pruned.values() == vals
@@ -243,7 +245,8 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
             for rep in reports:
                 facts = check_collision_structure(rep, fb, fparams)
                 # digit equality, block recovery, congruences, divisibility
-                # are theorems of the carry-free arithmetic: always true
+                # are theorems of the carry-free arithmetic: always true,
+                # on sides that repeat an element too
                 assert facts["digitwise_equal"]
                 assert facts["block_indices"]
                 assert facts["congruence_chain"]
@@ -257,7 +260,7 @@ def test_c6_bh3_audit_and_structure(bh3, fake_basis, capsys):
             if l == 3:
                 assert got_all4 == len(reports)
         note.append("prefix exactly B_3, prune a no-op, "
-                    "structure clauses verified on 3207 fixture collisions")
+                    "structure clauses verified on 3592 fixture collisions")
 
 
 def test_c7_montecarlo_reproducibility(capsys):

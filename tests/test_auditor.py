@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from dlogsidon.auditor import (
     find_collisions,
     find_collisions_bruteforce,
     growth_bracket_check,
+    is_bh,
     is_sidon,
 )
 from dlogsidon.blocks import const_decimal, sidon_params
@@ -22,7 +23,8 @@ from dlogsidon.encoder import SidonElement
 from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
 
-from oracles import cyclic_sidon, disjoint_report_keys, double_equals_pair_sum, is_sidon_list
+from oracles import (cyclic_sidon, disjoint_report_keys, double_equals_pair_sum, is_bh_list,
+                     is_sidon_list)
 
 M61 = (1 << 61) - 1
 
@@ -31,23 +33,33 @@ def report_keys(reports):
     return [r.key() for r in reports]
 
 
+def shifted(l, base, rows):
+    """Report keys for the values base + x, from (offset of the sum, left
+    offsets, right offsets) rows."""
+    return [(l, l * base + s, tuple(base + x for x in left), tuple(base + x for x in right))
+            for s, left, right in rows]
+
+
 def test_textbook_pair_collisions():
     reports = find_collisions([1, 2, 3, 4], 2)
-    assert report_keys(reports) == [(2, 5, (4, 1), (3, 2))]
+    assert report_keys(reports) == [(2, 4, (3, 1), (2, 2)), (2, 5, (4, 1), (3, 2)),
+                                    (2, 6, (4, 2), (3, 3))]
 
     reports = find_collisions([0, 1, 2, 3], 2)
-    assert report_keys(reports) == [(2, 3, (3, 0), (2, 1))]
+    assert report_keys(reports) == [(2, 2, (2, 0), (1, 1)), (2, 3, (3, 0), (2, 1)),
+                                    (2, 4, (3, 1), (2, 2))]
 
     obj = reports[0].to_json_obj()
-    assert obj == {"l": 2, "sum": "3", "left": ["3", "0"], "right": ["2", "1"]}
+    assert obj == {"l": 2, "sum": "2", "left": ["2", "0"], "right": ["1", "1"]}
 
 
 def test_sides_hold_distinct_elements():
-    # 0+2 equals 1+1, but a side never repeats an element, so no report.
-    assert find_collisions([0, 1, 2], 2) == []
-    assert find_collisions_bruteforce([0, 1, 2], 2) == []
-    # ... and shared elements between sides are skipped: 1+2 = 0+3 is the
-    # only pair here even though 1+3 = 0+4 shares nothing with it.
+    # A side may repeat an element: 0+2 equals 1+1.
+    assert report_keys(find_collisions([0, 1, 2], 2)) == [(2, 2, (2, 0), (1, 1))]
+    assert report_keys(find_collisions_bruteforce([0, 1, 2], 2)) == [(2, 2, (2, 0), (1, 1))]
+    # ... but the two sides share no element: 1+1+2 = 0+2+2 shares 2, so
+    # [0, 1, 2] has no report at l = 3.
+    assert find_collisions([0, 1, 2], 3) == []
     reports = find_collisions([0, 1, 2, 3, 4], 2)
     totals = [r.total for r in reports]
     assert totals == sorted(totals)
@@ -89,12 +101,18 @@ def test_engine_big_values_and_wraparound():
     # planted collision exactly.
     base = 1 << 200
     vals = [base + 1, base + 4, base + 2, base + 3, base + 9]
-    expected = [(2, 2 * base + 5, (base + 4, base + 1), (base + 3, base + 2))]
+    expected = shifted(2, base, [(4, (3, 1), (2, 2)), (5, (4, 1), (3, 2)), (6, (4, 2), (3, 3))])
     assert report_keys(find_collisions(vals, 2)) == expected
     assert report_keys(find_collisions_bruteforce(vals, 2)) == expected
     vals = [base + 1, base + 2, base + 9, base + 3, base + 4, base + 5]
-    expected = [(3, 3 * base + 12, (base + 9, base + 2, base + 1),
-                 (base + 5, base + 4, base + 3))]
+    expected = shifted(3, base, [
+        (6, (4, 1, 1), (2, 2, 2)), (7, (5, 1, 1), (3, 2, 2)), (9, (4, 4, 1), (3, 3, 3)),
+        (9, (5, 2, 2), (3, 3, 3)), (9, (5, 2, 2), (4, 4, 1)), (11, (5, 5, 1), (4, 4, 3)),
+        (11, (9, 1, 1), (4, 4, 3)), (11, (9, 1, 1), (5, 3, 3)), (11, (9, 1, 1), (5, 4, 2)),
+        (12, (5, 5, 2), (4, 4, 4)), (12, (9, 2, 1), (4, 4, 4)), (12, (9, 2, 1), (5, 4, 3)),
+        (13, (9, 2, 2), (5, 4, 4)), (13, (9, 2, 2), (5, 5, 3)), (13, (9, 3, 1), (5, 4, 4)),
+        (14, (9, 3, 2), (5, 5, 4)), (15, (9, 3, 3), (5, 5, 5)), (15, (9, 4, 2), (5, 5, 5)),
+    ])
     assert report_keys(find_collisions(vals, 3)) == expected
     assert report_keys(find_collisions_bruteforce(vals, 3)) == expected
 
@@ -114,8 +132,11 @@ def test_engine_big_values_and_wraparound():
     assert find_collisions(vals, 2) == []
     assert find_collisions_bruteforce(vals, 2) == []
     vals = [M61 + 5, 1, 6, 2, 3, 7]
-    assert find_collisions(vals, 3) == []
-    assert find_collisions_bruteforce(vals, 3) == []
+    expected = [(3, 8, (6, 1, 1), (3, 3, 2)), (3, 9, (6, 2, 1), (3, 3, 3)),
+                (3, 9, (7, 1, 1), (3, 3, 3)), (3, 13, (7, 3, 3), (6, 6, 1)),
+                (3, 15, (7, 7, 1), (6, 6, 3))]
+    assert report_keys(find_collisions(vals, 3)) == expected
+    assert report_keys(find_collisions_bruteforce(vals, 3)) == expected
 
 
 def test_modular_collision_search():
@@ -158,8 +179,9 @@ def test_search_validation():
         find_collisions([1, 2, 2, 3], 2)
     with pytest.raises(ValueError):
         find_collisions([1, 2, 3, 4], 2, modulus=0)
-    assert find_collisions([1, 2, 3], 4) == []
-    assert find_collisions(range(40), 35) == []  # C(40, 20) would not fit
+    assert report_keys(find_collisions([1, 2, 3], 4)) == [(4, 8, (3, 3, 1, 1), (2, 2, 2, 2))]
+    with pytest.raises(AuditTooLarge, match="audit limit"):
+        find_collisions(range(40), 35)  # C(74, 35) 35-multisets
 
 
 def test_audit_limit_raises_before_allocating():
@@ -201,7 +223,7 @@ def test_dense_pair_audit_holds_one_bucket(sqrt2_prefix_k7):
 
 
 def use_prime(monkeypatch, p):
-    """Make the engine split the subsets by their sum mod p."""
+    """Make the engine split the multisets by their sum mod p."""
     monkeypatch.setattr(auditor, "_bucket_prime", lambda subsets: p)
 
 
@@ -286,15 +308,13 @@ def test_buckets_planted_and_empty_classes(monkeypatch, p, l):
     assert report_keys(find_collisions(vals, l)) == disjoint_report_keys(vals, l)
 
 
-@pytest.mark.parametrize("l,n,doubles", [(2, 9, False), (2, 9, True), (3, 8, False),
-                                         (4, 9, False)])
-def test_bucket_sizes_count_every_subset(l, n, doubles):
+@pytest.mark.parametrize("l,n", [(2, 9), (3, 8), (4, 9)])
+def test_bucket_sizes_count_every_subset(l, n):
     rng = random.Random(8000 + n)
-    pick = combinations_with_replacement if doubles else combinations
     for p in (1, 3, 5, 7):
         classes = [rng.randrange(p) for _ in range(n)]
-        expected = Counter(sum(t) % p for t in pick(classes, l))
-        sizes = auditor._bucket_sizes([classes.count(a) for a in range(p)], l, doubles)
+        expected = Counter(sum(t) % p for t in combinations_with_replacement(classes, l))
+        sizes = auditor._bucket_sizes([classes.count(a) for a in range(p)], l)
         assert sizes.tolist() == [expected[t] for t in range(p)]
 
 
@@ -333,7 +353,8 @@ def test_sidon_agrees_with_oracle(monkeypatch, p):
         vals = [base + v for v in rng.sample(range(rng.choice([60, 400])), rng.randrange(2, 14))]
         expected = is_sidon_list(vals)
         doubled = double_equals_pair_sum(vals)
-        assert expected == (not disjoint_report_keys(vals, 2) and not doubled)
+        reported = bool(disjoint_report_keys(vals, 2))
+        assert expected == (not reported) and (reported or not doubled)
         if p > 1:
             use_prime(monkeypatch, p)
         assert is_sidon(vals) == expected, vals
@@ -344,11 +365,64 @@ def test_sidon_agrees_with_oracle(monkeypatch, p):
     # lands in the triangle bucket of that class, and only it repeats.
     a = ((1 << 201) + 12345) // 105 * 105
     vals = [a, a - 105_000, a + 105_000, (1 << 202) + 1, (1 << 203) + 2]
-    assert double_equals_pair_sum(vals) and not disjoint_report_keys(vals, 2)
+    assert double_equals_pair_sum(vals)
+    assert disjoint_report_keys(vals, 2) == [(2, 2 * a, (a + 105_000, a - 105_000), (a, a))]
     if p > 1:
         use_prime(monkeypatch, p)
     assert not is_sidon(vals)
     assert is_sidon(vals[1:])
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 7])
+def test_bh_agrees_with_oracle(monkeypatch, p):
+    # Random sets at h = 2, 3, 4, small or above 2^200, as integers and mod
+    # 97 and 1009, with the bucket prime forced to p.
+    rng = random.Random(9500 + p)
+    verdicts = Counter()
+    for _ in range(400):
+        h = rng.choice([2, 3, 4])
+        modulus = rng.choice([None, None, 97, 1009])
+        base = rng.choice([0, 1 << 210])
+        vals = [base + v for v in rng.sample(range(rng.choice([60, 400, 4000])),
+                                             rng.randrange(2, 11))]
+        expected = is_bh_list(vals, h, modulus)
+        if p > 1:
+            use_prime(monkeypatch, p)
+        assert is_bh(vals, h, modulus) == expected, (vals, h, modulus)
+        monkeypatch.undo()
+        verdicts[expected] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 7])
+def test_planted_b3_counterexample(monkeypatch, p):
+    # 8+8+49 = 17+17+31: every side repeats an element, and the pair sums
+    # are distinct, so only the multiset audit at l = 3 sees it.
+    vals = [8, 17, 29, 31, 32, 49]
+    if p > 1:
+        use_prime(monkeypatch, p)
+    assert is_bh(vals, 2) and is_sidon(vals) and is_bh_list(vals, 2)
+    assert not is_bh(vals, 3) and not is_bh_list(vals, 3)
+    assert not is_bh(vals, 4) and not is_bh_list(vals, 4)
+    reports = find_collisions(vals, 3)
+    assert len(reports) == 5
+    assert (reports[0].left_values(), reports[0].right_values()) == ((49, 8, 8), (31, 17, 17))
+    assert report_keys(reports) == report_keys(find_collisions_bruteforce(vals, 3))
+    assert report_keys(reports) == disjoint_report_keys(vals, 3)
+    big = [(1 << 201) + v for v in vals]
+    assert is_bh(big, 2) and not is_bh(big, 3)
+
+
+def test_zero_and_one_values():
+    for l in (2, 3, 4):
+        for vals in ([], [5], [(1 << 201) + 5]):
+            assert is_bh(vals, l) and is_bh(vals, l, 7)
+            assert find_collisions(vals, l) == find_collisions(vals, l, 7) == []
+            assert find_collisions_bruteforce(vals, l) == []
+    # Two values: the sides l * a and l * b differ, but not always mod m.
+    assert is_bh([0, 5], 3) and not is_bh([0, 5], 2, 10)
+    assert find_collisions([0, 5], 2) == []
+    assert report_keys(find_collisions([0, 5], 2, 10)) == [(2, 0, (5, 5), (0, 0))]
 
 
 def test_sidon_mod_limit_raises_before_allocating():
@@ -368,16 +442,17 @@ def test_sidon_mod_limit_raises_before_allocating():
 
 
 def test_report_limit_bounds_the_output(monkeypatch):
-    # The limit counts pairs of subsets sharing a sum: [0, 1, 2, 3] has one.
+    # The limit counts pairs of multisets sharing a sum: [0, 1, 2, 3] has three.
     for search in (find_collisions, find_collisions_bruteforce):
-        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 1)
-        assert len(search([0, 1, 2, 3], 2)) == 1
-        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 0)
+        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 3)
+        assert len(search([0, 1, 2, 3], 2)) == 3
+        monkeypatch.setattr(auditor, "MAX_REPORT_PAIRS", 2)
         with pytest.raises(AuditTooLarge, match="report limit"):
             search([0, 1, 2, 3], 2)
     monkeypatch.undo()
-    # A small modulus puts about C(n, l)^2 / m pairs of subsets on equal keys:
-    # 400 values at l = 2 mod 3 give 1.1e9, far more than the 79,800 subsets.
+    # A small modulus puts about C(n + l - 1, l)^2 / m pairs of multisets on
+    # equal keys: 400 values at l = 2 mod 3 give 1.1e9, far more than the
+    # 80,200 multisets.
     # The engine stops confirming candidates as soon as the count passes the
     # limit (confirming them all first peaks above 6 MiB here and takes
     # seconds).
@@ -405,7 +480,7 @@ def test_structure_facts_on_dense_prefix(dense_fixture):
     basis, params, prefix = dense_fixture
     reports = find_collisions(prefix.elements, 2)
     assert len(prefix.elements) == 59
-    assert len(reports) == 179
+    assert len(reports) == 180
 
     by_total = {r.total: r for r in reports}
     good = by_total[187124]

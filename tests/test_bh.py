@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from dlogsidon.auditor import is_bh
+from dlogsidon.basis import Basis
 from dlogsidon.bh import (
     bh_generate,
     bh_params,
@@ -12,7 +14,7 @@ from dlogsidon.bh import (
 )
 from dlogsidon.blocks import const_window
 
-from oracles import is_bh_list, no_repeated_sums
+from oracles import is_bh_list
 
 
 def test_bh_params_identity_and_scale():
@@ -63,11 +65,27 @@ def test_bh_prune_keeps_everything_when_clean(bh3):
 
 
 def test_prune_repeated_sums_drops_largest():
-    # 0 + 3 = 1 + 2: the largest participant goes.
+    # 0 + 2 = 1 + 1, the first report: the largest participant goes, and
+    # 0 + 3 = 1 + 2 goes with it.
     survivors, removed = prune_repeated_sums([0, 1, 2, 3], 2)
-    assert removed == [3]
-    assert survivors == [0, 1, 2]
-    assert no_repeated_sums(survivors, 2)
+    assert removed == [2]
+    assert survivors == [0, 1, 3]
+    assert is_bh_list(survivors, 2)
+
+
+def test_prune_repeated_sums_is_exact_bh():
+    # 8+8+49 = 17+17+31 repeats an element on each side, so 49 goes; then
+    # 8+29+29 = 17+17+32 takes 32. The pair sums are distinct throughout.
+    vals = [8, 17, 29, 31, 32, 49]
+    assert prune_repeated_sums(vals, 2) == (vals, [])
+    survivors, removed = prune_repeated_sums(vals, 3)
+    assert (survivors, removed) == ([8, 17, 29, 31], [49, 32])
+    assert is_bh(survivors, 3) and is_bh_list(survivors, 3)
+    # Empty and one-value inputs, and the empty B_3 prefix of k <= 4.
+    assert prune_repeated_sums([], 3) == ([], [])
+    assert prune_repeated_sums([5], 3) == ([5], [])
+    report = montecarlo_bad_ratio(3, 4, trials=2, seed=7)
+    assert all(r["block_size"] == 0 for t in report["per_trial"] for r in t["ratios"])
 
 
 def test_prune_repeated_sums_reaches_a_bh_set(seed=77):
@@ -76,7 +94,7 @@ def test_prune_repeated_sums_reaches_a_bh_set(seed=77):
     vals = rng.sample(range(500), 40)
     for h in (2, 3):
         survivors, removed = prune_repeated_sums(vals, h)
-        assert no_repeated_sums(survivors, h)
+        assert is_bh_list(survivors, h)
         assert sorted(survivors + removed) == sorted(vals)
         # greedy never removes more than it must: rerunning is a no-op
         again, removed_again = prune_repeated_sums(survivors, h)
@@ -90,7 +108,7 @@ def test_bh_prune_on_synthetic_collision(fake_basis):
     prefix = generate_blocks(4, params, fake_basis((11, 13, 3, 5), 9))
     result = bh_prune(prefix)
     assert len(result.removed) > 0
-    assert no_repeated_sums(result.pruned.values(), 3)
+    assert is_bh_list(result.pruned.values(), 3)
     assert sum(result.removed_by_block.values()) == len(result.removed)
     # removed elements are real prefix members
     values = set(prefix.values())
@@ -111,3 +129,13 @@ def test_montecarlo_deterministic_and_shaped():
     for trials in (0, -1):
         with pytest.raises(ValueError):
             montecarlo_bad_ratio(3, 7, trials, seed=99)
+
+
+@pytest.mark.slow
+def test_bh3_prefix_k13_is_b3():
+    # 3,473 values of up to 210 bits: C(3475, 3) = 6.99e9 multisets, about
+    # 3 minutes on one core.
+    prefix = bh_generate(13, bh_params(3), Basis(9))
+    vals = prefix.values()
+    assert len(vals) == 3_473
+    assert is_bh(vals, 3)

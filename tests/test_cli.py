@@ -102,13 +102,15 @@ def test_audit_clean_and_planted(capsys, tmp_path):
     planted.write_text("3\n1\n0\n2\n")
     rc, out, err = run_cli(capsys, ["audit", "--input", str(planted)])
     assert rc == 1
-    assert out.splitlines() == ['{"l":2,"left":["3","0"],"right":["2","1"],"sum":"3"}']
-    assert "1 collision report(s)" in err
+    assert out.splitlines() == ['{"l":2,"left":["2","0"],"right":["1","1"],"sum":"2"}',
+                                '{"l":2,"left":["3","0"],"right":["2","1"],"sum":"3"}',
+                                '{"l":2,"left":["3","1"],"right":["2","2"],"sum":"4"}']
+    assert "3 collision report(s)" in err
 
     rc, out, err = run_cli(capsys, ["audit", "--input", str(planted),
                                     "--allow-collisions"])
     assert rc == 0
-    assert len(out.splitlines()) == 1
+    assert len(out.splitlines()) == 3
 
 
 def test_audit_methods_and_modulus(capsys, tmp_path):
@@ -120,7 +122,14 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
     rc, out, err = run_cli(capsys, ["audit", "--input", str(planted),
                                     "--allow-collisions", "--modulus", "3"])
     assert rc == 0
-    assert out.splitlines() == ['{"l":2,"left":["3","0"],"right":["2","1"],"sum":"0"}']
+    assert out.splitlines() == ['{"l":2,"left":["2","1"],"right":["0","0"],"sum":"0"}',
+                                '{"l":2,"left":["3","0"],"right":["2","1"],"sum":"0"}',
+                                '{"l":2,"left":["3","3"],"right":["0","0"],"sum":"0"}',
+                                '{"l":2,"left":["3","3"],"right":["2","1"],"sum":"0"}',
+                                '{"l":2,"left":["2","2"],"right":["1","0"],"sum":"1"}',
+                                '{"l":2,"left":["3","1"],"right":["2","2"],"sum":"1"}',
+                                '{"l":2,"left":["2","0"],"right":["1","1"],"sum":"2"}',
+                                '{"l":2,"left":["3","2"],"right":["1","1"],"sum":"2"}']
 
     run_usage_error(capsys, ["audit", "--input", str(planted), "--l", "1"])
     rc, out, err = run_cli(capsys, ["audit", "--input", str(tmp_path / "missing.jsonl")])
@@ -156,7 +165,9 @@ def test_audit_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n3\n4\n"))
     rc, out, err = run_cli(capsys, ["audit", "--input", "-", "--allow-collisions"])
     assert rc == 0
-    assert out.splitlines() == ['{"l":2,"left":["4","1"],"right":["3","2"],"sum":"5"}']
+    assert out.splitlines() == ['{"l":2,"left":["3","1"],"right":["2","2"],"sum":"4"}',
+                                '{"l":2,"left":["4","1"],"right":["3","2"],"sum":"5"}',
+                                '{"l":2,"left":["4","2"],"right":["3","3"],"sum":"6"}']
 
 
 def test_count_and_brackets(capsys):

@@ -74,8 +74,8 @@ def test_prefix_sqrt5_k8(default_basis, sqrt5_params, monkeypatch):
     # even enough that it keeps the prime the subset count picks.
     primes = []
     bucket_sizes = auditor._bucket_sizes
-    monkeypatch.setattr(auditor, "_bucket_sizes", lambda counts, l, doubles: (
-        primes.append(len(counts)) or bucket_sizes(counts, l, doubles)))
+    monkeypatch.setattr(auditor, "_bucket_sizes", lambda counts, l: (
+        primes.append(len(counts)) or bucket_sizes(counts, l)))
     assert is_sidon(prefix.values())
     assert primes == [5_119]
 
