@@ -7,12 +7,12 @@ collisions into divisibility constraints that either cannot happen at all
 or are destroyed by removing an explicit sparse set of primes.
 """
 
-from .arith import (PrimeInterval, discrete_log, factorize, is_prime,
-                    is_primitive_root, lift_to_window, log_table, prime_count,
+from .arith import (INTEGERS, PrimeInterval, discrete_log, dyadic_interval, factorize,
+                    is_prime, is_primitive_root, lift_to_window, log_table, prime_count,
                     primes_in_interval, primes_upto, smallest_primitive_root)
 from .auditor import (CollisionReport, check_collision_structure, find_collisions,
                       find_collisions_bruteforce, growth_bracket_check, is_bh, is_sidon)
-from .basis import INTEGERS, Basis, build_basis, dyadic_interval
+from .basis import Basis, build_basis
 from .bh import (BhPruneResult, bh_generate, bh_params, bh_prune, montecarlo_bad_ratio,
                  negative_taper_blocks, prune_repeated_sums)
 from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,

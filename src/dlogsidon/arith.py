@@ -10,14 +10,15 @@ SIEVE_LIMIT integers with SieveTooLarge before allocating. Prime counting is
 the Lucy_Hedgehog recursion in O(n^(3/4)) steps, run as whole-array updates
 on int64 arrays, for n below 2^62. UnitGroupRing holds the generator search,
 baby-step giant-step and full log tables, and the finite Sidon set, once for
-Z and GF(2)[X]; a ring supplies only its arithmetic mod q. PrimeField is the
-Z ring, and is_primitive_root, smallest_primitive_root, discrete_log and
+Z and GF(2)[X]; a ring supplies its arithmetic and irreducibles. INTEGERS is
+the Z ring, and is_primitive_root, smallest_primitive_root, discrete_log and
 log_table are its methods.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -78,6 +79,13 @@ class PrimeInterval:
 
     def __contains__(self, n: int) -> bool:
         return self.lo < n <= self.hi
+
+
+def dyadic_interval(j: int) -> PrimeInterval:
+    """The prime pool (2^(2j-1), 2^(2j+1)] for basis entry j >= 1."""
+    if j < 1:
+        raise ValueError(f"basis index must be >= 1, got {j}")
+    return PrimeInterval(1 << (2 * j - 1), 1 << (2 * j + 1))
 
 
 def check_sieve(lo: int, hi: int) -> None:
@@ -200,8 +208,9 @@ class UnitGroupRing:
 
     A subclass supplies check_modulus(q), which raises unless q is
     irreducible, reduce(a, q), the norm N(q) = |R/q|, mul(a, b, q) and
-    pow(a, e, q) in R/q, and irreducibles_below(q), the irreducibles p
-    with N(p)^2 < N(q).
+    pow(a, e, q) in R/q, irreducibles(lo, hi), the irreducibles p with
+    lo < N(p) <= hi, check_listing(lo, hi), which raises the ring's limit
+    error before that listing allocates, and basis_entry(j).
     """
 
     def is_generator(self, g: int, q: int) -> bool:
@@ -258,15 +267,16 @@ class UnitGroupRing:
             y = mul(y, giant, q)
         raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a generator?")
 
-    def log_table(self, g: int, q: int) -> list[int]:
+    def log_table(self, g: int, q: int) -> array:
         """Full table t with t[g^x mod q] = x for x in [0, N(q) - 2]; t[0] = -1.
 
-        Built in N(q) - 1 products. A g that does not reach every nonzero
-        residue raises the same ValueError as dlog.
+        Built in N(q) - 1 products, as 4-byte ints: every basis norm is
+        below 2^31. A g that does not reach every nonzero residue raises the
+        same ValueError as dlog.
         """
         order = self.norm(q) - 1
         mul = self.mul
-        table = [-1] * (order + 1)
+        table = array("i", [-1]) * (order + 1)
         x = 1
         for e in range(order):
             table[x] = e
@@ -290,12 +300,18 @@ class UnitGroupRing:
             g = self.generator(q)
         return {self.dlog(g, p, q) for p in self.irreducibles_below(q)}
 
+    def irreducibles_below(self, q: int) -> list[int]:
+        """The irreducibles p with N(p)^2 < N(q), ascending."""
+        return self.irreducibles(1, isqrt(self.norm(q) - 1))
+
 
 class PrimeField(UnitGroupRing):
-    """Z mod a prime q: reduction a % q, norm q, the primes up to sqrt(q)."""
+    """Z mod a prime q: reduction a % q, norm q; the primes of an interval
+    from the sieve, and the least prime of each dyadic window."""
 
     reduce = staticmethod(operator.mod)
     pow = staticmethod(pow)
+    check_listing = staticmethod(check_sieve)
 
     @staticmethod
     def check_modulus(q: int) -> None:
@@ -311,17 +327,23 @@ class PrimeField(UnitGroupRing):
         return a * b % q
 
     @staticmethod
-    def irreducibles_below(q: int) -> list[int]:
-        return primes_upto(isqrt(q))
+    def irreducibles(lo: int, hi: int) -> list[int]:
+        return primes_in_interval(PrimeInterval(lo, hi)) if hi > lo else []
+
+    def basis_entry(self, j: int) -> tuple[int, int]:
+        """The least prime of dyadic_interval(j) and its least primitive root."""
+        # Bertrand's postulate puts a prime in every window (n, 4n].
+        iv = dyadic_interval(j)
+        q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
+        return q, self.generator(q)
 
 
-# The unit-group algorithms of Z under their classic names; basis.INTEGERS,
-# a PrimeField too, serves the construction.
-_PRIMES = PrimeField()
-is_primitive_root = _PRIMES.is_generator
-smallest_primitive_root = _PRIMES.generator
-discrete_log = _PRIMES.dlog
-log_table = _PRIMES.log_table
+# The Z ring, and its unit-group algorithms under their classic names.
+INTEGERS = PrimeField()
+is_primitive_root = INTEGERS.is_generator
+smallest_primitive_root = INTEGERS.generator
+discrete_log = INTEGERS.dlog
+log_table = INTEGERS.log_table
 
 
 def lift_to_window(d: int, q: int, h: int) -> int:

@@ -476,7 +476,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     facts["congruence_chain"] = chain_ok
 
     with mpmath.workprec(PRECISION):
-        c = params.c.eval()
+        c = params.c.value
         ratio = c / (1 - c)
         k1 = ks[0]
         kl = ks[-1]
@@ -526,6 +526,6 @@ def growth_bracket_check(prefix: SequencePrefix) -> list[dict]:
             "count_ok": lower <= count <= upper,
             "elements_ok": all(rail_lo < e.value < rail_hi for e in elems),
             "log2_ratio_approx": (math.log2(count) / math.log2(x)) if count > 0 else None,
-            "c_target_approx": float(params.c.eval()),
+            "c_target_approx": float(params.c.value),
         })
     return out

@@ -5,13 +5,13 @@ over Z, 2^deg(q_j) over GF(2)[X]. Entries extend on demand, so callers
 never size the basis up front. A basis parsed back from JSON is frozen at
 its stored length.
 
-The ring (INTEGERS here, GF2 in gf2x) holds all that differs between the
-two constructions. Over Z, q_j is a prime from (2^(2j-1), 2^(2j+1)]: the
-deterministic basis takes the least one by a primality scan, random bases
-draw from a per-interval pool, an int64 array from arith.prime_array that
-is sieved once per process. Random.choice indexes the array as it would a
-tuple, so a seed draws the same q_j either way. The Z ring also checks a
-block's integer edges against the sieve limit before any block is listed.
+The ring (arith.INTEGERS, the default, or gf2x.GF2) holds all that differs
+between the two constructions, and its basis_entry(j) gives the
+deterministic entries. Over Z, q_j is a prime from (2^(2j-1), 2^(2j+1)]:
+the deterministic basis takes the least one by a primality scan, random
+bases draw from a per-interval pool, an int64 array from arith.prime_array
+that is sieved once per process. Random.choice indexes the array as it
+would a tuple, so a seed draws the same q_j either way.
 """
 
 from __future__ import annotations
@@ -22,45 +22,13 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import PrimeField, PrimeInterval, check_sieve, is_prime, prime_array
-from .blocks import block_edges, primes_in_block
+from .arith import INTEGERS, dyadic_interval, is_prime, prime_array
 from .errors import BasisGap
 
 # Largest index materialized on demand; a random j = 13 entry needs a sieve
 # of (2^25, 2^27], 1.0e8 integers and 5.5M primes, just inside the sieve
 # limit. Anything past this is out of desk range.
 MAX_INDEX = 13
-
-
-def dyadic_interval(j: int) -> PrimeInterval:
-    """The prime pool (2^(2j-1), 2^(2j+1)] for entry j >= 1."""
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
-    return PrimeInterval(1 << (2 * j - 1), 1 << (2 * j + 1))
-
-
-class IntegerRing(PrimeField):
-    """Z: the primes of a block, and the least prime of each dyadic window
-    with its least primitive root; the unit-group algorithms are
-    PrimeField's."""
-
-    def block(self, k, params) -> list[int]:
-        return primes_in_block(k, params)
-
-    @staticmethod
-    def check_block(k, params) -> None:
-        """Raise SieveTooLarge if block k is wider than one sieve may list."""
-        check_sieve(*block_edges(k, params))
-
-    def basis_entry(self, j: int) -> tuple[int, int]:
-        """The least prime of dyadic_interval(j) and its least primitive root."""
-        # Bertrand's postulate puts a prime in every window (n, 4n].
-        iv = dyadic_interval(j)
-        q = next(p for p in range(iv.lo + 1, iv.hi + 1) if is_prime(p))
-        return q, self.generator(q)
-
-
-INTEGERS = IntegerRing()
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,16 @@
-"""Partition of the primes into blocks by an exponent law.
+"""Partition of the irreducibles into blocks by an exponent law.
 
-Block k holds the primes p with E(k-1) < log2(p) <= E(k), where
+Block k holds the irreducibles p whose norm N(p) (p itself over Z,
+2^deg(p) over GF(2)[X]) has E(k-1) < log2 N(p) <= E(k), where
 
     E(k) = c * k^2 * taper(k) + offset
 
 for a constant 0 < c < 1/2. The plain law uses taper(k) = 1 and offset -3;
-the tapered law uses taper(k) = 1 - 1/sqrt(ln k) and offset 0. All edge
-decisions go through the guard-banded comparisons in _precision, so a
-prime near an edge raises PrecisionAmbiguity instead of being misassigned.
+the tapered law uses taper(k) = 1 - 1/sqrt(ln k) and offset 0. Norms are
+integers, so block_edges gives block k as floor(2^E(k-1)) < N(p) <=
+floor(2^E(k)) for both rings. All edge decisions go through the
+guard-banded comparisons in _precision, so an edge too close to call
+raises PrecisionAmbiguity instead of misassigning an irreducible.
 """
 
 from __future__ import annotations
@@ -17,54 +20,44 @@ from dataclasses import dataclass
 import mpmath
 
 from ._precision import PRECISION, cmp_log2, pow2_floor
-from .arith import PrimeInterval, primes_in_interval
+from .arith import INTEGERS
 
 
 @dataclass(frozen=True)
 class Constant:
-    """A named constant in (0, 1/2), evaluated fresh at the working precision."""
+    """A named constant in (0, 1/2), an mpf at the working precision."""
 
     name: str
-    kind: str
-    payload: int | str | None = None
+    value: mpmath.mpf
 
-    def eval(self):
-        with mpmath.workprec(PRECISION):
-            if self.kind == "sqrt5":
-                value = (3 - mpmath.sqrt(5)) / 2
-            elif self.kind == "sqrt2":
-                value = mpmath.sqrt(2) - 1
-            elif self.kind == "window":
-                h = self.payload
-                value = mpmath.sqrt((h - 1) ** 2 + 1) - (h - 1)
-            elif self.kind == "decimal":
-                value = mpmath.mpf(self.payload)
-            else:
-                raise ValueError(f"unknown constant kind {self.kind!r}")
-            if not 0 < value < mpmath.mpf(1) / 2:
-                raise ValueError(f"constant {self.name} = {value} outside (0, 1/2)")
-            return value
+    def __post_init__(self):
+        if not 0 < self.value < mpmath.mpf(1) / 2:
+            raise ValueError(f"constant {self.name} = {self.value} outside (0, 1/2)")
 
 
 def const_sqrt5() -> Constant:
     """(3 - sqrt 5)/2, the exact-Sidon exponent constant."""
-    return Constant("sqrt5", "sqrt5")
+    with mpmath.workprec(PRECISION):
+        return Constant("sqrt5", (3 - mpmath.sqrt(5)) / 2)
 
 
 def const_sqrt2() -> Constant:
     """sqrt 2 - 1, the densest pruned-Sidon exponent constant."""
-    return Constant("sqrt2", "sqrt2")
+    with mpmath.workprec(PRECISION):
+        return Constant("sqrt2", mpmath.sqrt(2) - 1)
 
 
 def const_window(h: int) -> Constant:
     """sqrt((h-1)^2 + 1) - (h - 1), the h-fold-sum exponent constant."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    return Constant(f"window{h}", "window", h)
+    with mpmath.workprec(PRECISION):
+        return Constant(f"window{h}", mpmath.sqrt((h - 1) ** 2 + 1) - (h - 1))
 
 
 def const_decimal(text: str) -> Constant:
-    return Constant(text, "decimal", text)
+    with mpmath.workprec(PRECISION):
+        return Constant(text, mpmath.mpf(text))
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class BlockParams:
     def exponent(self, k: int):
         """E(k), an mpf at the working precision."""
         with mpmath.workprec(PRECISION):
-            e = self.c.eval() * k * k
+            e = self.c.value * k * k
             if self.taper:
                 e *= self.taper_factor(k)
             return e + self.offset
@@ -132,5 +125,4 @@ def block_edges(k: int, params: BlockParams) -> tuple[int, int]:
 
 def primes_in_block(k: int, params: BlockParams) -> list[int]:
     """Primes of block k, ascending."""
-    lo, hi = block_edges(k, params)
-    return primes_in_interval(PrimeInterval(lo, hi)) if hi > lo else []
+    return INTEGERS.irreducibles(*block_edges(k, params))

@@ -43,17 +43,14 @@ def parse_constant(text: str) -> Constant:
     """sqrt5 | sqrt2 | bh:<h> | decimal string in (0, 1/2)."""
     try:
         if text == "sqrt5":
-            const = const_sqrt5()
-        elif text == "sqrt2":
-            const = const_sqrt2()
-        elif text.startswith("bh:"):
-            const = const_window(int(text.split(":", 1)[1]))
-        else:
-            const = const_decimal(text)
-        const.eval()
+            return const_sqrt5()
+        if text == "sqrt2":
+            return const_sqrt2()
+        if text.startswith("bh:"):
+            return const_window(int(text.split(":", 1)[1]))
+        return const_decimal(text)
     except (ValueError, DlogSidonError) as e:
         raise UsageError(f"--c {text!r}: {e}") from None
-    return const
 
 
 def _positive_int(text: str) -> int:
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="exhaustive l-fold sum collision search")
     p.add_argument("--input", required=True, help="element JSONL path, - for stdin")
     p.add_argument("--l", type=int, default=2, help="sum arity, sides l-multisets (default 2)")
-    p.add_argument("--modulus", type=int, help="compare sums modulo this")
+    p.add_argument("--modulus", type=_positive_int, help="compare sums modulo this")
     p.add_argument("--allow-collisions", dest="allow_collisions", action="store_true",
                    help="exit 0 even when collisions are found")
     p.add_argument("--out", default="-", help="collision report JSONL path")

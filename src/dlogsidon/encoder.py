@@ -11,6 +11,7 @@ which is what makes collision structure readable off the digits.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .arith import lift_to_window
@@ -34,7 +35,7 @@ class SidonElement:
 
 
 def digits_for_block(p: int, k: int, basis: Basis,
-                     tables: dict[int, list[int]] | None = None) -> tuple[int, ...]:
+                     tables: dict[int, array] | None = None) -> tuple[int, ...]:
     """Digits of the irreducible p given its block index k, in the windows
     of the basis order h.
 
@@ -90,18 +91,18 @@ def decode_value(a: int, basis: Basis) -> tuple[int, ...]:
 
 
 def element_in_block(p: int, k: int, basis: Basis,
-                     tables: dict[int, list[int]] | None = None) -> SidonElement:
+                     tables: dict[int, array] | None = None) -> SidonElement:
     """Element of an irreducible p of block k, checked to land between the
     block rails W_k N_k < a < W_(k+1).
 
-    Over Z, block generation passes k straight from primes_in_block, whose
-    integer edges floor(2^E(k-1)) < p <= floor(2^E(k)) decide membership
-    exactly: an integer p is at most 2^E iff p <= floor(2^E). pow2_floor
-    fixes each edge by comparing integers with 2^E itself, evaluated with the
-    working precision past its integer part, and raises PrecisionAmbiguity
-    instead of returning an edge within 2^-64 of 2^E; so membership needs no
-    per-prime guard at any size of p. tables is passed on to
-    digits_for_block.
+    Block generation passes k straight from the ring's listing between the
+    integer edges floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges,
+    which decide membership exactly in both rings: an integer norm is at most
+    2^E iff it is at most floor(2^E). pow2_floor fixes each edge by comparing
+    integers with 2^E itself, evaluated with the working precision past its
+    integer part, and raises PrecisionAmbiguity instead of returning an edge
+    within 2^-64 of 2^E; so membership needs no per-irreducible guard at any
+    size of p. tables is passed on to digits_for_block.
     """
     d = digits_for_block(p, k, basis, tables)
     value = encode_value(d, basis)

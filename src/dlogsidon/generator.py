@@ -1,11 +1,11 @@
 """Sequence prefixes: all elements of blocks k_min..k_max, plus the finite
 single-modulus construction.
 
-Generation streams one block of irreducibles at a time, as the basis ring
-lists them: over Z the primes between the block's integer edges, over
-GF(2)[X] the irreducibles of the block's degrees. Irreducibles equal to a
-basis modulus carry no digit vector; they are recorded as exclusions, not
-elements.
+Generation streams one block of irreducibles at a time: the basis ring
+lists those whose norm lies between the block's integer edges (the primes
+between them over Z, the irreducibles of the degrees d with 2^d between
+them over GF(2)[X]). Irreducibles equal to a basis modulus carry no digit
+vector; they are recorded as exclusions, not elements.
 
 Digits come from a full log table of (g_j, q_j) once some block has at
 least isqrt(N_j) irreducibles (N_j the norm of q_j), the point where
@@ -16,13 +16,14 @@ large basis builds no big tables.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .arith import prime_count
-from .basis import INTEGERS, Basis
-from .blocks import BlockParams
+from .arith import INTEGERS, prime_count
+from .basis import Basis
+from .blocks import BlockParams, block_edges
 from .encoder import SidonElement, element_in_block
 from .errors import ExcludedPrime, PrefixTooShort
 
@@ -89,14 +90,14 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
     # Blocks widen with k, so a last block past the ring's listing limit
     # (sieve width over Z, degree over GF(2)[X]) fails here, before any block
     # is listed; so does a basis too short for k_max.
-    ring.check_block(k_max, params)
+    ring.check_listing(*block_edges(k_max, params))
     basis.ensure(k_max)
-    tables: dict[int, list[int]] = {}
+    tables: dict[int, array] = {}
     elements: list[SidonElement] = []
     excluded: list[ExclusionRecord] = []
     block_sizes: dict[int, int] = {}
     for k in range(params.k_min, k_max + 1):
-        ps = ring.block(k, params)
+        ps = ring.irreducibles(*block_edges(k, params))
         block_sizes[k] = len(ps)
         for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
             if j not in tables and len(ps) >= isqrt(n):

@@ -1,9 +1,11 @@
 """GF(2)[X] arithmetic and its ring: carry-less arithmetic on bit patterns,
 irreducibles in place of primes, and GF2, the ring the shared basis,
 encoder and generator run over. GF2 supplies only reduction, products and
-powers mod q, the norm and the irreducible test; the generator search,
-discrete logs, log tables and finite Sidon set are arith.UnitGroupRing's,
-and gf2_generator and gf2_discrete_log are GF2's methods.
+powers mod q, the norm, the irreducible test and its irreducibles by norm;
+the generator search, discrete logs, log tables and finite Sidon set are
+arith.UnitGroupRing's, and gf2_generator and gf2_discrete_log are GF2's
+methods. An irreducible of degree d has norm 2^d, so a block's degrees come
+from the same integer edges, blocks.block_edges, as its primes over Z.
 
 The irreducibles of a degree come from a sieve over numpy bool flags, the
 GF(2) twin of arith.prime_array (irreducibles_of_degree, up to degree 24).
@@ -24,10 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._precision import cmp_int, int_floor
 from .arith import UnitGroupRing, factorize
 from .basis import Basis
-from .blocks import BlockParams
+from .blocks import BlockParams, block_edges, block_of_prime
 from .errors import DegreeTooLarge, NotIrreducible
 from .generator import SequencePrefix, generate_blocks
 
@@ -195,31 +196,27 @@ def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
     return GF2.finite_sidon(q)
 
 
+def _degrees(lo: int, hi: int) -> range:
+    """The degrees d >= 1 with lo < 2^d <= hi, for lo >= 1."""
+    return range(lo.bit_length(), hi.bit_length())
+
+
 def block_of_degree(d: int, params: BlockParams) -> int:
-    """The unique k >= k_min with E(k-1) < d <= E(k) for an integer degree."""
+    """block_of_prime(2^d): the unique k >= k_min with E(k-1) < d <= E(k)."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if cmp_int(d, params.exponent(params.k_min - 1)) <= 0:
-        raise ValueError(f"degree {d} at or below the lower edge of block {params.k_min}")
-    k = params.k_min
-    while cmp_int(d, params.exponent(k)) > 0:
-        k += 1
-    return k
+    return block_of_prime(1 << d, params)
 
 
 def degrees_in_block(k: int, params: BlockParams) -> range:
-    if k < params.k_min:
-        raise ValueError(f"block index {k} below k_min = {params.k_min}")
-    lo = int_floor(params.exponent(k - 1))
-    hi = int_floor(params.exponent(k))
-    return range(max(lo + 1, 1), hi + 1)
+    """The degrees of the irreducibles of block k, from its integer edges."""
+    return _degrees(*block_edges(k, params))
 
 
 class Gf2Ring(UnitGroupRing):
-    """GF(2)[X] for the shared generator: the irreducibles of a block's
-    degrees, the least irreducible of degree 2j - 1 with its least
-    generator, and the field GF(2)[X]/q of norm 2^deg(q) for the unit-group
-    algorithms."""
+    """GF(2)[X] for the shared generator: the irreducibles of the degrees d
+    with 2^d in a norm interval, the least irreducible of degree 2j - 1 with
+    its least generator, and the field GF(2)[X]/q of norm 2^deg(q)."""
 
     reduce = staticmethod(gf2_mod)
     mul = staticmethod(gf2_mulmod)
@@ -235,16 +232,13 @@ class Gf2Ring(UnitGroupRing):
         return 1 << gf2_deg(q)
 
     @staticmethod
-    def irreducibles_below(q: Gf2Poly) -> list[Gf2Poly]:
-        return [p for d in range(1, (gf2_deg(q) + 1) // 2) for p in irreducibles_of_degree(d)]
-
-    def block(self, k: int, params: BlockParams) -> list[Gf2Poly]:
-        return [p for d in degrees_in_block(k, params) for p in irreducibles_of_degree(d)]
+    def irreducibles(lo: int, hi: int) -> list[Gf2Poly]:
+        return [p for d in _degrees(lo, hi) for p in irreducibles_of_degree(d)]
 
     @staticmethod
-    def check_block(k: int, params: BlockParams) -> None:
-        """Raise DegreeTooLarge if block k holds a degree past the bound."""
-        degrees = degrees_in_block(k, params)
+    def check_listing(lo: int, hi: int) -> None:
+        """Raise DegreeTooLarge if (lo, hi] holds a norm 2^d past the degree bound."""
+        degrees = _degrees(lo, hi)
         if degrees:
             _check_degree(degrees[-1])
 

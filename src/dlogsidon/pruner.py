@@ -67,7 +67,7 @@ class BadPrimeRecord:
 
 def _is_eligible(k2: int, k1: int, params: BlockParams) -> bool:
     with mpmath.workprec(PRECISION):
-        c = params.c.eval()
+        c = params.c.value
         return cmp_int(k2 * k2, c / (1 - c) * k1 * k1) < 0
 
 
@@ -196,7 +196,7 @@ def pruned_generate(prefix: SequencePrefix) -> PruneResult:
     longer have the intended density.
     """
     params, basis = prefix.params, prefix.basis
-    if not params.c.eval() > const_sqrt5().eval():
+    if not params.c.value > const_sqrt5().value:
         raise ValueError("pruning needs c above (3 - sqrt 5)/2; below that "
                          "no pair collision exists to prune")
     records: list[BadPrimeRecord] = []

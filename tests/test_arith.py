@@ -7,6 +7,7 @@ import pytest
 
 from dlogsidon import arith
 from dlogsidon.arith import (
+    INTEGERS,
     PRIME_COUNT_LIMIT,
     SIEVE_LIMIT,
     PrimeInterval,
@@ -63,6 +64,12 @@ def test_primes_upto_matches_trial():
     assert primes_upto(1000) == primes_upto_trial(1000)
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
+
+
+def test_irreducibles_below_match_trial():
+    # The primes p with p^2 < q, that is p <= isqrt(q) for a prime q.
+    for q in (2, 3, 101, 10007):
+        assert INTEGERS.irreducibles_below(q) == primes_upto_trial(isqrt(q)), q
 
 
 def test_interval_validation():

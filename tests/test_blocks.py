@@ -6,7 +6,6 @@ import pytest
 
 from dlogsidon._precision import PRECISION
 from dlogsidon.blocks import (
-    Constant,
     block_of_prime,
     const_decimal,
     const_sqrt2,
@@ -24,19 +23,17 @@ from oracles import primes_upto_trial
 
 def test_constant_values_at_high_precision():
     with mpmath.workprec(PRECISION):
-        assert mpmath.almosteq(const_sqrt5().eval(), (3 - mpmath.sqrt(5)) / 2)
-        assert mpmath.almosteq(const_sqrt2().eval(), mpmath.sqrt(2) - 1)
+        assert mpmath.almosteq(const_sqrt5().value, (3 - mpmath.sqrt(5)) / 2)
+        assert mpmath.almosteq(const_sqrt2().value, mpmath.sqrt(2) - 1)
         # h = 3: sqrt(5) - 2
-        assert mpmath.almosteq(const_window(3).eval(), mpmath.sqrt(5) - 2)
-        assert mpmath.almosteq(const_decimal("0.25").eval(), mpmath.mpf(1) / 4)
+        assert mpmath.almosteq(const_window(3).value, mpmath.sqrt(5) - 2)
+        assert mpmath.almosteq(const_decimal("0.25").value, mpmath.mpf(1) / 4)
 
 
 def test_constant_range_check():
     for text in ("0", "0.5", "0.75", "-0.1"):
         with pytest.raises(ValueError):
-            const_decimal(text).eval()
-    with pytest.raises(ValueError):
-        Constant("bogus", "cube").eval()
+            const_decimal(text)
     with pytest.raises(ValueError):
         const_window(1)
 

@@ -136,6 +136,17 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
     assert rc == 1 and err.startswith("error:")
 
 
+def test_audit_modulus_below_one_is_a_usage_error(capsys, tmp_path):
+    values = tmp_path / "values.jsonl"
+    values.write_text("1\n2\n")
+    for modulus in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--input", str(values), "--modulus", modulus])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--modulus: must be >= 1" in err, modulus
+
+
 def test_audit_too_large_is_an_error(capsys, tmp_path):
     # C(6000, 3) is above the engine's work limit, and 23,200 values mod a
     # modulus (one bucket) above its memory limit; both must refuse, not

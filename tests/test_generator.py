@@ -4,8 +4,7 @@ from collections import Counter
 import pytest
 
 from dlogsidon import auditor
-from dlogsidon import basis as basis_module
-from dlogsidon.arith import primes_upto, smallest_primitive_root
+from dlogsidon.arith import PrimeField, primes_upto, smallest_primitive_root
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
@@ -113,9 +112,8 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
         return wrapper
 
     # The integer ring's BSGS and log-table routes.
-    monkeypatch.setattr(basis_module.IntegerRing, "dlog", counted(basis_module.IntegerRing.dlog))
-    monkeypatch.setattr(basis_module.IntegerRing, "log_table",
-                        counted(basis_module.IntegerRing.log_table))
+    monkeypatch.setattr(PrimeField, "dlog", counted(PrimeField.dlog))
+    monkeypatch.setattr(PrimeField, "log_table", counted(PrimeField.log_table))
     prefix = generate_blocks(k_max, params, basis)
     # Both sides of the table/BSGS size rule ran.
     assert calls["dlog"] > 0 and calls["log_table"] > 0, calls
@@ -179,20 +177,20 @@ def test_small_prefix_is_sidon(fake_basis):
 
 
 def test_short_basis_fails_before_any_block_is_listed(monkeypatch, fake_basis):
-    def refuse(k, params):
-        raise AssertionError(f"block {k} listed before the basis was checked")
+    def refuse(ring, lo, hi):
+        raise AssertionError(f"block ({lo}, {hi}] listed before the basis was checked")
 
-    monkeypatch.setattr(basis_module, "primes_in_block", refuse)
+    monkeypatch.setattr(PrimeField, "irreducibles", refuse)
     with pytest.raises(BasisGap):
         generate_blocks(5, sidon_params(), fake_basis((3, 11, 37), 4))
 
 
 @pytest.mark.parametrize("c, k_max", [(const_sqrt5, 9), (const_sqrt5, 10), (const_sqrt2, 9)])
 def test_block_past_the_sieve_limit_fails_before_any_block_is_listed(monkeypatch, c, k_max):
-    def refuse(k, params):
-        raise AssertionError(f"block {k} listed before the sieve limit was checked")
+    def refuse(ring, lo, hi):
+        raise AssertionError(f"block ({lo}, {hi}] listed before the sieve limit was checked")
 
-    monkeypatch.setattr(basis_module, "primes_in_block", refuse)
+    monkeypatch.setattr(PrimeField, "irreducibles", refuse)
     basis = build_basis("deterministic", 4, 2)
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import pytest
 
 from dlogsidon import gf2x
 from dlogsidon.basis import Basis
-from dlogsidon.blocks import sidon_params
+from dlogsidon.blocks import const_sqrt2, const_sqrt5, const_window, sidon_params
 from dlogsidon.encoder import element_in_block
 from dlogsidon.errors import DegreeTooLarge, DLogUndefined, ExcludedPrime, NotIrreducible
 from dlogsidon.generator import SequencePrefix
@@ -279,6 +279,26 @@ def test_block_partition_of_degrees():
         block_of_degree(0, params)
     with pytest.raises(ValueError):
         degrees_in_block(1, params)
+
+
+@pytest.mark.parametrize("c", [const_sqrt5, const_sqrt2, lambda: const_window(3)],
+                         ids=["sqrt5", "sqrt2", "bh:3"])
+@pytest.mark.parametrize("offset", [0, -3])
+def test_degrees_in_block_match_block_of_degree(c, offset):
+    # The listing's degrees come from the integer edges 2^d; block_of_degree
+    # decides each degree on its own by cmp_log2.
+    params = sidon_params(c=c(), offset=offset)
+    blocks = {d: block_of_degree(d, params) for d in range(1, 25)}
+    for k in range(params.k_min, blocks[24] + 1):
+        want = {d for d, kd in blocks.items() if kd == k}
+        assert {d for d in degrees_in_block(k, params) if d <= 24} == want, k
+
+
+def test_irreducibles_below_match_rabin():
+    # The irreducibles of degree d with N(p)^2 < N(q), that is 2d < deg q.
+    for n in range(3, 18):
+        want = [f for d in range(1, n) if 2 * d < n for f in gf2_irreducibles_rabin(d)]
+        assert GF2.irreducibles_below(least_irreducible(n)) == want, n
 
 
 def test_generated_prefix():

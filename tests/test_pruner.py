@@ -20,7 +20,7 @@ from oracles import bad_primes_naive
 def test_eligible_k2s_matches_inequality(sqrt2_params):
     import mpmath
     with mpmath.workprec(PRECISION):
-        c = sqrt2_params.c.eval()
+        c = sqrt2_params.c.value
         ratio = c / (1 - c)
         for k1 in range(3, 9):
             want = [k2 for k2 in range(2, k1) if k2 * k2 < ratio * k1 * k1]
