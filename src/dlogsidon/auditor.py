@@ -6,27 +6,33 @@ a_1 <= ... <= a_l. One numpy engine splits the l-multisets, for every l and
 the B_h check, into buckets by their exact sum mod a small odd prime P:
 equal sums have equal residues, so every repeated sum lies inside one
 bucket. Each bucket in turn is written as keys (the sums mod 2^61 - 1, or
-mod `modulus`) into one buffer sized to the largest bucket, sorted in
-place, and only when keys repeat are those multisets regenerated and
-grouped by exact big-integer sum. Memory is one bucket, about BUCKET_KEYS
-keys, not all C(n + l - 1, l) of them. P starts at the least prime from 11
-up that leaves about BUCKET_KEYS multisets a bucket, and since values that
-share a residue mod P share a bucket, it moves on to the next prime while
-the bucket sizes, counted from the classes mod P before any key is written,
-put more than twice that in one. P = 1 (one bucket) when everything fits,
-and always with a modulus: equal sums mod the modulus need not share a
-residue mod P. Above MAX_SUBSETS multisets, or when the largest bucket and
-the (l-1)-multiset tails would take more than MAX_KEYS words, the engine
-raises AuditTooLarge before allocating any key. Reports are sorted, so they
-do not depend on P. The brute-force enumeration is the tests' oracle.
+mod `modulus`) into a buffer sized to the largest bucket, sorted in place,
+and only when keys repeat are those multisets regenerated and grouped by
+exact big-integer sum. The buckets are filled and sorted on a pool of
+WORKERS threads, one buffer each (numpy releases the GIL in those calls);
+repeats are confirmed on the calling thread in bucket order. Memory is
+WORKERS buckets, not all C(n + l - 1, l) keys. P starts at the least prime
+from 11 up that leaves about BUCKET_KEYS multisets a bucket, and rises to
+about 2 * WORKERS times that, so that the buffers together hold half of
+BUCKET_KEYS, while a class keeps _MIN_CLASS values or more. Since values
+that share a residue mod P share a bucket, P moves on to the next prime
+while the bucket sizes, counted from the classes mod P before any key is
+written, put more than twice an even share in one. P = 1 (one bucket, no
+pool) when everything fits, and always with a modulus: equal sums mod the
+modulus need not share a residue mod P. Above MAX_SUBSETS multisets, or
+when the buffers and the (l-1)-multiset tails would take more than MAX_KEYS
+words, the engine raises AuditTooLarge before allocating any key. Reports
+are sorted, so they depend on neither P nor WORKERS. The brute-force
+enumeration is the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import os
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 
 import mpmath
@@ -44,19 +50,32 @@ from .generator import SequencePrefix, count_upto
 # has 2.15e10 of them, about 2^34.3.
 MAX_SUBSETS = 1 << 35
 
-# Memory limit, in 8-byte words held at once (2 GiB): the largest bucket of
-# keys plus _TAIL_WORDS for each (l-1)-multiset tail, which are its sum, its
-# smallest index and its place in the sort, and one unsorted copy while they
-# are built. With a modulus there is one bucket, so this caps the multisets at
-# about 2^28.
+# Memory limit, in 8-byte words held at once (2 GiB): one buffer the size of
+# the largest bucket for each bucket in flight, plus _TAIL_WORDS for each
+# (l-1)-multiset tail, which are its sum, its smallest index and its place in
+# the sort, and one unsorted copy while they are built. With a modulus there
+# is one bucket, so this caps the multisets at about 2^28.
 MAX_KEYS = 1 << 28
 _TAIL_WORDS = 4
 
-# P is chosen so that a bucket holds about this many keys (32 MiB), and
-# moved to the next prime, up to _PRIME_TRIES primes in all, while the
-# largest bucket holds more than twice as many.
+# P is first chosen so that a bucket holds about this many keys (32 MiB),
+# then raised so that the WORKERS buffers hold about half as many together,
+# and moved to the next prime, up to _PRIME_TRIES primes in all, while the
+# largest bucket holds more than twice an even share.
 BUCKET_KEYS = 1 << 22
 _PRIME_TRIES = 16
+
+# Buckets scanned at once, one thread and one buffer each.
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # not on every platform
+    WORKERS = os.cpu_count() or 1
+
+# P rises for the pool only while a class keeps about this many values: at
+# l = 2 a bucket is about P / 2 outer sums of two classes, 4k keys each at 64
+# values a class. Past that, more buckets mostly add to the Python rect
+# loops, which hold the GIL: O(P^2) at l = 2 and O(P n) at l = 3.
+_MIN_CLASS = 64
 
 # Least bucket prime. A construction's elements are units mod its first
 # basis prime q_1, which is 3, 5 or 7, so at P = q_1 one class is empty and
@@ -243,12 +262,17 @@ def _next_prime(p):
     return p
 
 
-def _bucket_prime(subsets):
-    """1 when every key fits one bucket, else the least prime P >=
-    _MIN_BUCKET_PRIME with subsets / P <= BUCKET_KEYS."""
+def _bucket_prime(n, l):
+    """1 when the C(n + l - 1, l) keys fit one bucket. Else P, the least
+    prime >= _MIN_BUCKET_PRIME with about BUCKET_KEYS keys a bucket, or the
+    least prime from min(2 * WORKERS * P, n // _MIN_CLASS) up when that
+    minimum exceeds P."""
+    subsets = comb(n + l - 1, l)
     if subsets <= BUCKET_KEYS:
         return 1
-    return _next_prime(max(_MIN_BUCKET_PRIME, -(-subsets // BUCKET_KEYS)) - 1)
+    p = _next_prime(max(_MIN_BUCKET_PRIME, -(-subsets // BUCKET_KEYS)) - 1)
+    split = min(2 * WORKERS * p, n // _MIN_CLASS)
+    return _next_prime(split - 1) if split > p else p
 
 
 def _bucket_sizes(counts, l):
@@ -267,6 +291,30 @@ def _bucket_sizes(counts, l):
     return by_size[l]
 
 
+def _in_order(scan, buckets, bufs):
+    """(t, buf, scan(buf, t)) for each bucket t, in order. With one buffer
+    the scans run inline. With more they run on a pool of one thread a
+    buffer, so at most len(bufs) buckets are in flight; a buffer goes back
+    to the pool only when the caller asks for the next bucket, so the caller
+    may refill it first. Closing the generator, or an exception in a scan,
+    cancels the pending scans and joins the pool."""
+    if len(bufs) == 1:
+        for t in buckets:
+            yield t, bufs[0], scan(bufs[0], t)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(len(bufs))
+    todo = iter(buckets)
+    try:
+        pending = deque((t, buf, pool.submit(scan, buf, t)) for buf, t in zip(bufs, todo))
+        while pending:
+            t, buf, job = pending.popleft()
+            yield t, buf, job.result()
+            pending.extend((t, buf, pool.submit(scan, buf, t)) for t in islice(todo, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _candidates(vals, l, modulus):
     """Index tuples of the l-multisets of vals whose key repeats in a bucket.
 
@@ -279,29 +327,32 @@ def _candidates(vals, l, modulus):
     sums of the classes a < b with a + b = t mod P, and the triangle of the
     class a with 2a = t mod P. The caller has checked MAX_SUBSETS and passes
     at least one value; raises AuditTooLarge, before allocating any key,
-    when the largest bucket and the tails take more than MAX_KEYS words.
+    when the buffers and the tails take more than MAX_KEYS words.
     """
     n = len(vals)
-    subsets = comb(n + l - 1, l)
     n_tails = comb(n + l - 2, l - 1)
     if _TAIL_WORDS * n_tails > MAX_KEYS:  # whatever the bucket prime
         raise AuditTooLarge(f"{n_tails} {l - 1}-multiset tails exceed the audit limit of "
                             f"{MAX_KEYS} words")
-    p = 1 if modulus is not None else _bucket_prime(subsets)
+    p = 1 if modulus is not None else _bucket_prime(n, l)
+    even_share = -(-comb(n + l - 1, l) // p)
     for attempt in range(_PRIME_TRIES):
         cls = np.fromiter((v % p for v in vals), np.uint64, n)
         order = np.argsort(cls, kind="stable")
         cls = cls[order]
         start = np.searchsorted(cls, np.arange(p + 1)).tolist()
         sizes = _bucket_sizes(np.diff(start).tolist(), l)
-        if p == 1 or sizes.max() <= 2 * BUCKET_KEYS or attempt == _PRIME_TRIES - 1:
+        if p == 1 or sizes.max() <= 2 * even_share or attempt == _PRIME_TRIES - 1:
             break
         p = _next_prime(p)
     m = _MERSENNE61 if modulus is None else modulus
     largest = int(sizes.max())
-    if largest + _TAIL_WORDS * n_tails > MAX_KEYS:
-        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} "
-                            f"tails exceed the audit limit of {MAX_KEYS} words")
+    buckets = np.flatnonzero(sizes).tolist()
+    n_bufs = min(WORKERS, len(buckets))
+    if n_bufs * largest + _TAIL_WORDS * n_tails > MAX_KEYS:
+        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket, {n_bufs} buckets at "
+                            f"once, and {n_tails} tails exceed the audit limit of "
+                            f"{MAX_KEYS} words")
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)
 
@@ -338,11 +389,11 @@ def _candidates(vals, l, modulus):
             pos += size
         return _reduce(buf[:pos], m)
 
-    buf = np.empty(largest, res.dtype)
-    for t in range(p):
-        if not sizes[t]:
-            continue
-        repeated = _repeated_keys(fill(buf, rects(t)))
+    def scan(buf, t):
+        return _repeated_keys(fill(buf, rects(t)))
+
+    bufs = [np.empty(largest, res.dtype) for _ in range(n_bufs)]
+    for t, buf, repeated in _in_order(scan, buckets, bufs):
         if not len(repeated):
             continue
         for h0, h1, lo, hi in rects(t):

@@ -201,11 +201,13 @@ def test_prime_count_matches_sieve_at_block_edges(c, ks):
 
 
 # The int64 recursion against the list one in tests/oracles.py. The sqrt5
-# edge of block 10 (3.9e10) takes the oracle about 10 s.
+# edge of block 10 (3.9e10) takes the oracle about 10 s, the sqrt2 one
+# (368,112,615,683, pi = 14,385,554,229) about 32 s.
 @pytest.mark.parametrize("c, ks", [
     pytest.param("sqrt5", range(1, 10), id="sqrt5-k1-9"),
     pytest.param("sqrt2", range(1, 10), id="sqrt2-k1-9"),
     pytest.param("sqrt5", (10,), id="sqrt5-k10", marks=pytest.mark.slow),
+    pytest.param("sqrt2", (10,), id="sqrt2-k10", marks=pytest.mark.slow),
 ])
 def test_prime_count_matches_lucy_oracle_at_block_edges(c, ks):
     params = sidon_params(c={"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[c]())

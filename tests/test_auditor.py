@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -224,38 +226,177 @@ def test_dense_pair_audit_holds_one_bucket(sqrt2_prefix_k7):
 
 def use_prime(monkeypatch, p):
     """Make the engine split the multisets by their sum mod p."""
-    monkeypatch.setattr(auditor, "_bucket_prime", lambda subsets: p)
+    monkeypatch.setattr(auditor, "_bucket_prime", lambda n, l: p)
 
 
-def test_bucket_prime_from_the_count():
-    # One bucket up to BUCKET_KEYS keys; above, the least prime P >= 11 with
-    # about BUCKET_KEYS keys a bucket: the sidon-k7, prune-k7 and sqrt5 k <= 8
-    # pair audits. The sidon-k7 count alone would give P = 5, which is q_1 for
-    # some random bases.
+def test_bucket_prime_from_the_count(monkeypatch):
+    # One bucket up to BUCKET_KEYS keys. Above, the least prime P >= 11 with
+    # about BUCKET_KEYS keys a bucket, raised to the least prime from
+    # 2 * WORKERS * P up while a class keeps 64 values or more: sidon-k7
+    # 11 -> 47 and prune-k7 29 -> 127 on two workers. The sqrt5 k <= 8 pair
+    # audit (40 values a class at 5,119) and the B_3 k <= 13 audit keep P.
+    monkeypatch.setattr(auditor, "WORKERS", 2)
     assert auditor.BUCKET_KEYS == 1 << 22
-    assert auditor._bucket_prime(1 << 22) == 1
-    assert auditor._bucket_prime((1 << 22) + 1) == 11
-    assert auditor._bucket_prime(comb(5_477, 2)) == 11
-    assert auditor._bucket_prime(comb(14_759, 2)) == 29
-    assert auditor._bucket_prime(comb(207_214, 2)) == 5_119
+    assert comb(2_896, 2) <= 1 << 22 < comb(2_897, 2)
+    assert auditor._bucket_prime(2_895, 2) == 1
+    assert auditor._bucket_prime(2_896, 2) == 47
+    assert auditor._bucket_prime(5_477, 2) == 47
+    assert auditor._bucket_prime(14_759, 2) == 127
+    assert auditor._bucket_prime(207_214, 2) == 5_119
+    assert auditor._bucket_prime(3_473, 3) == 1_667
+    # One worker halves the bucket; four stop where a class keeps 64 values.
+    monkeypatch.setattr(auditor, "WORKERS", 1)
+    assert auditor._bucket_prime(14_759, 2) == 59
+    monkeypatch.setattr(auditor, "WORKERS", 4)
+    assert auditor._bucket_prime(14_759, 2) == 233
+    assert auditor._bucket_prime(207_214, 2) == 5_119
 
 
-def test_skewed_classes_move_the_bucket_prime():
-    # 5,000 values give C(5000, 2) = 1.25e7 pairs, so the count alone picks
-    # P = 11; when every value is a multiple of 11 they all share one class
-    # and one bucket would hold every key (about 96 MiB at P = 11). The
-    # engine moves on to P = 13, where the largest bucket is a fraction of
-    # that.
+def test_skewed_classes_move_the_bucket_prime(monkeypatch):
+    # 5,000 values give C(5001, 2) = 1.25e7 pairs, so two workers start at
+    # P = 47; when every value is a multiple of 47 they all share one class
+    # and one bucket would hold every key (about 96 MiB a buffer). The
+    # largest bucket is compared with twice an even share at P = 47, so the
+    # engine moves on to P = 53, where it is about 1.9 MiB.
+    monkeypatch.setattr(auditor, "WORKERS", 2)
     rng = random.Random(9100)
-    vals = [11 * rng.getrandbits(100) for _ in range(5_000)]
-    assert auditor._bucket_prime(comb(len(vals), 2)) == 11
+    vals = [47 * rng.getrandbits(100) for _ in range(5_000)]
+    assert auditor._bucket_prime(len(vals), 2) == 47
+    primes = []
+    bucket_sizes = auditor._bucket_sizes
+    monkeypatch.setattr(auditor, "_bucket_sizes", lambda counts, l: (
+        primes.append(len(counts)) or bucket_sizes(counts, l)))
     tracemalloc.start()
     try:
         assert find_collisions(vals, 2) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20
+    assert primes == [47, 53]
+    assert peak < 16 << 20
+
+
+def big_values(n, rng):
+    """n values near 2^200, collision-free at every small l."""
+    return [(1 << 200) + rng.getrandbits(190) for _ in range(n)]
+
+
+def planted_over_buckets(l, p, buckets, seed):
+    """12 big values plus one planted value for each of `buckets` residues
+    t mod p: v = (l base values) - (l - 1 others), so a sum = t mod p
+    repeats."""
+    rng = random.Random(seed)
+    base = big_values(12, rng)
+    vals = list(base)
+    planted = {}
+    while len(planted) < buckets:
+        left = rng.choices(base, k=l)
+        total = sum(left)
+        if total % p in planted:
+            continue
+        rest = rng.sample([b for b in base if b not in left], l - 1)
+        planted[total % p] = total - sum(rest)
+    return vals + list(planted.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_pool_agrees_with_oracle(monkeypatch, workers, l):
+    # Eight workers with a short switch interval stress the hand-over of
+    # each buffer between a worker and the confirming thread.
+    p = 23
+    vals = planted_over_buckets(l, p, 20, seed=8800 + l)
+    expected = find_collisions_bruteforce(vals, l)
+    assert len({r.total % p for r in expected}) >= 20
+    monkeypatch.setattr(auditor, "WORKERS", workers)
+    use_prime(monkeypatch, p)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert report_keys(find_collisions(vals, l)) == report_keys(expected)
+        assert not is_bh(vals, l)
+        assert is_bh(vals[:12], l)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not is_bh_list(vals, l) and is_bh_list(vals[:12], l)
+
+
+def first_bucket_repeat(p, n, seed):
+    """n big values, then a + b = c + d with a + b = 0 mod p: the one
+    repeated pair sum lies in bucket 0."""
+    rng = random.Random(seed)
+    a, b, c = big_values(3, rng)
+    b += -(a + b) % p
+    return big_values(n, rng) + [a, b, c, a + b - c]
+
+
+def test_pool_stops_at_the_first_repeat(monkeypatch):
+    p = 53
+    vals = first_bucket_repeat(p, 120, seed=8900)
+    counts = [sum(1 for v in vals if v % p == a) for a in range(p)]
+    assert (auditor._bucket_sizes(counts, 2) > 0).sum() >= 50
+    use_prime(monkeypatch, p)
+    scanned = []
+    repeated_keys = auditor._repeated_keys
+    monkeypatch.setattr(auditor, "_repeated_keys", lambda keys: (
+        scanned.append(len(keys)) or repeated_keys(keys)))
+    for workers in (2, 4):
+        monkeypatch.setattr(auditor, "WORKERS", workers)
+        scanned.clear()
+        threads = threading.active_count()
+        assert not is_bh(vals, 2)
+        assert threading.active_count() == threads
+        assert 1 <= len(scanned) <= workers + 1
+
+
+def test_pool_surfaces_a_worker_error(monkeypatch):
+    p = 53
+    vals = big_values(120, random.Random(8901))
+    use_prime(monkeypatch, p)
+    monkeypatch.setattr(auditor, "WORKERS", 2)
+    err = RuntimeError("bucket scan failed")
+    calls = []
+    repeated_keys = auditor._repeated_keys
+
+    def failing(keys):
+        calls.append(1)
+        if len(calls) == 5:
+            raise err
+        return repeated_keys(keys)
+
+    monkeypatch.setattr(auditor, "_repeated_keys", failing)
+    threads = threading.active_count()
+    for search in (is_bh, find_collisions):
+        calls.clear()
+        with pytest.raises(RuntimeError) as info:
+            search(vals, 2)
+        assert info.value is err
+        assert threading.active_count() == threads
+        assert len(calls) <= 6  # the failed scan and one more in flight
+
+
+def test_memory_limit_counts_every_buffer(monkeypatch):
+    # MAX_KEYS fits the tails and one buffer of the largest bucket, not two:
+    # one worker runs the audit, two refuse before allocating any key.
+    p = 5
+    vals = list(range(0, 4 * 400, 4))
+    counts = [sum(1 for v in vals if v % p == a) for a in range(p)]
+    largest = int(auditor._bucket_sizes(counts, 2).max())
+    use_prime(monkeypatch, p)
+    monkeypatch.setattr(auditor, "MAX_KEYS", largest * 3 // 2 + auditor._TAIL_WORDS * len(vals))
+    monkeypatch.setattr(auditor, "WORKERS", 1)
+    assert not is_sidon(vals)
+    monkeypatch.setattr(auditor, "WORKERS", 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AuditTooLarge, match="2 buckets at once"):
+            is_sidon(vals)
+        with pytest.raises(AuditTooLarge, match="2 buckets at once"):
+            find_collisions(vals, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def report_objs(reports):
