@@ -21,9 +21,9 @@ from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
 from .encoder import (SidonElement, decode_value, digits_for_block, digits_of_prime,
                       element_for_prime, element_in_block, encode_value)
 from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,
-                     DegreeTooLarge, DigitOutOfRange, DlogSidonError, DLogUndefined,
-                     ExcludedPrime, IneligiblePair, InvalidModulus, MissingDigits,
-                     NotIrreducible, PrecisionAmbiguity, PrefixTooShort,
+                     DegreeTooLarge, DigitOutOfRange, DlogSidonError, DLogTooLarge,
+                     DLogUndefined, ExcludedPrime, IneligiblePair, InvalidModulus,
+                     MissingDigits, NotIrreducible, PrecisionAmbiguity, PrefixTooShort,
                      RatioBoundExceeded, SieveTooLarge, ValueTooLarge)
 from .generator import (ExclusionRecord, SequencePrefix, count_upto,
                         expected_finite_size, finite_dlog_sidon_set, generate_blocks)

@@ -25,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DLogUndefined, InvalidModulus, SieveTooLarge
+from .errors import DLogTooLarge, DLogUndefined, InvalidModulus, SieveTooLarge
 
 # Proven deterministic for n < 3.3 * 10^24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -36,6 +36,12 @@ _SEGMENT = 1 << 22
 # about 60 MB, beside their uint32 offsets while it is filled. The largest
 # basis window, j = 13's (2^25, 2^27], holds 1.0e8 integers.
 SIEVE_LIMIT = 1 << 27
+
+# Most baby steps one BSGS table holds, m = 2 (isqrt(N(q) - 2) + 1), so
+# norms up to 2^38 + 1. At the limit the powers and their dict hold 106 MiB
+# (123 MiB while built, by tracemalloc, for the largest prime below 2^38);
+# the largest table a basis needs, a random q_13 < 2^27, has about 23k.
+MAX_BABY_STEPS = 1 << 20
 
 # prime_count holds values up to n in int64 arrays.
 PRIME_COUNT_LIMIT = 1 << 62
@@ -236,10 +242,14 @@ class UnitGroupRing:
 
         A table serves many logs (the blocks of a generation, a finite set),
         and a log takes (N(q) - 1) / (2m) giant steps on average, so twice
-        the square root costs fewer products in all from 4 logs on.
+        the square root costs fewer products in all from 4 logs on. Raises
+        DLogTooLarge, before any power is taken, when m > MAX_BABY_STEPS.
         """
         order = self.norm(q) - 1
         m = 2 * (isqrt(order - 1) + 1)
+        if m > MAX_BABY_STEPS:
+            raise DLogTooLarge(f"discrete logs mod {q} need {m} baby steps, above the "
+                               f"limit of 2^20 = {MAX_BABY_STEPS}")
         mul = self.mul
         powers = []
         x = 1

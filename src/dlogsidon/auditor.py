@@ -19,11 +19,13 @@ that share a residue mod P share a bucket, P moves on to the next prime
 while the bucket sizes, counted from the classes mod P before any key is
 written, put more than twice an even share in one. P = 1 (one bucket, no
 pool) when everything fits, and always with a modulus: equal sums mod the
-modulus need not share a residue mod P. Above MAX_SUBSETS multisets, or
-when the buffers and the (l-1)-multiset tails would take more than MAX_KEYS
-words, the engine raises AuditTooLarge before allocating any key. Reports
-are sorted, so they depend on neither P nor WORKERS. The brute-force
-enumeration is the tests' oracle.
+modulus need not share a residue mod P. The pool runs only as many buffers
+as fit beside the (l-1)-multiset tails in MAX_KEYS words. Above MAX_SUBSETS
+multisets, or when one buffer and the tails would take more than MAX_KEYS
+words, the engine raises AuditTooLarge before allocating any key, so the
+verdict does not depend on the core count. Reports are sorted, so they
+depend on neither P nor WORKERS. The brute-force enumeration is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from .generator import SequencePrefix, count_upto
 MAX_SUBSETS = 1 << 35
 
 # Memory limit, in 8-byte words held at once (2 GiB): one buffer the size of
-# the largest bucket for each bucket in flight, plus _TAIL_WORDS for each
-# (l-1)-multiset tail, which are its sum, its smallest index and its place in
-# the sort, and one unsorted copy while they are built. With a modulus there
-# is one bucket, so this caps the multisets at about 2^28.
+# the largest bucket for each bucket in flight, as many as fit, plus
+# _TAIL_WORDS for each (l-1)-multiset tail, which are its sum, its smallest
+# index and its place in the sort, and one unsorted copy while they are built.
+# With a modulus there is one bucket, so this caps the multisets at about 2^28.
 MAX_KEYS = 1 << 28
 _TAIL_WORDS = 4
 
@@ -326,8 +328,10 @@ def _candidates(vals, l, modulus):
     take the whole class: one outer sum. At l = 2 bucket t is then the outer
     sums of the classes a < b with a + b = t mod P, and the triangle of the
     class a with 2a = t mod P. The caller has checked MAX_SUBSETS and passes
-    at least one value; raises AuditTooLarge, before allocating any key,
-    when the buffers and the tails take more than MAX_KEYS words.
+    at least one value. The buckets run on min(WORKERS, non-empty buckets)
+    buffers, fewer where that many would not fit beside the tails in
+    MAX_KEYS words; raises AuditTooLarge, before allocating any key, when
+    one buffer and the tails take more.
     """
     n = len(vals)
     n_tails = comb(n + l - 2, l - 1)
@@ -348,11 +352,11 @@ def _candidates(vals, l, modulus):
     m = _MERSENNE61 if modulus is None else modulus
     largest = int(sizes.max())
     buckets = np.flatnonzero(sizes).tolist()
-    n_bufs = min(WORKERS, len(buckets))
-    if n_bufs * largest + _TAIL_WORDS * n_tails > MAX_KEYS:
-        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket, {n_bufs} buckets at "
-                            f"once, and {n_tails} tails exceed the audit limit of "
-                            f"{MAX_KEYS} words")
+    room = MAX_KEYS - _TAIL_WORDS * n_tails
+    if largest > room:
+        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} tails "
+                            f"exceed the audit limit of {MAX_KEYS} words")
+    n_bufs = min(WORKERS, len(buckets), room // largest)
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)
 

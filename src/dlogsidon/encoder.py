@@ -34,24 +34,9 @@ class SidonElement:
         return {"p": self.p, "k": self.k, "digits": list(self.digits), "a": str(self.value)}
 
 
-def digits_for_block(p: int, k: int, basis: Basis,
-                     tables: dict[int, array] | None = None) -> tuple[int, ...]:
-    """Digits of the irreducible p given its block index k, in the windows
-    of the basis order h.
-
-    tables maps a basis index j to the ring's log table of (g_j, q_j);
-    digits of the other indices come from the ring's BSGS.
-    """
-    ring, h = basis.ring, basis.h
-    digits = []
-    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
-        r = ring.reduce(p, q)
-        if r == 0:
-            raise ExcludedPrime(p, k, j)
-        table = tables.get(j) if tables else None
-        d = table[r] if table is not None else ring.dlog(g, r, q)
-        digits.append(lift_to_window(d, n, h))
-    return tuple(digits)
+def digits_for_block(p: int, k: int, basis: Basis) -> tuple[int, ...]:
+    """The digits of element_in_block(p, k, basis)."""
+    return element_in_block(p, k, basis).digits
 
 
 def digits_of_prime(p: int, basis: Basis, params: BlockParams) -> tuple[int, ...]:
@@ -59,7 +44,8 @@ def digits_of_prime(p: int, basis: Basis, params: BlockParams) -> tuple[int, ...
 
 
 def encode_value(digits, basis: Basis) -> int:
-    """Mixed-radix value sum x_j W_j. Digits must sit inside their radix."""
+    """Mixed-radix value sum x_j W_j of any digit string, each digit checked
+    against its radix; element_in_block sums its own digits as it lifts them."""
     total = 0
     for j, x in enumerate(digits, start=1):
         if not 0 <= x < basis.radix(j):
@@ -92,8 +78,12 @@ def decode_value(a: int, basis: Basis) -> tuple[int, ...]:
 
 def element_in_block(p: int, k: int, basis: Basis,
                      tables: dict[int, array] | None = None) -> SidonElement:
-    """Element of an irreducible p of block k, checked to land between the
-    block rails W_k N_k < a < W_(k+1).
+    """Element of an irreducible p of block k, in one walk over j = 1..k:
+    the residue of p mod q_j (ExcludedPrime when it is 0), its log from
+    tables[j], the ring's log table of (g_j, q_j), or else from BSGS, lifted
+    into the window of the basis order h, and the running value and weight
+    W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
+    checked to land between the block rails W_k N_k < a < W_(k+1).
 
     Block generation passes k straight from the ring's listing between the
     integer edges floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges,
@@ -102,13 +92,22 @@ def element_in_block(p: int, k: int, basis: Basis,
     integers with 2^E itself, evaluated with the working precision past its
     integer part, and raises PrecisionAmbiguity instead of returning an edge
     within 2^-64 of 2^E; so membership needs no per-irreducible guard at any
-    size of p. tables is passed on to digits_for_block.
+    size of p.
     """
-    d = digits_for_block(p, k, basis, tables)
-    value = encode_value(d, basis)
-    if not basis.weight(k) * basis.norm(k) < value < basis.weight(k + 1):
+    ring, h, scale = basis.ring, basis.h, basis.scale
+    digits, value, weight = [], 0, 1
+    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
+        r = ring.reduce(p, q)
+        if r == 0:
+            raise ExcludedPrime(p, k, j)
+        table = tables.get(j) if tables else None
+        x = lift_to_window(table[r] if table is not None else ring.dlog(g, r, q), n, h)
+        digits.append(x)
+        value += x * weight
+        weight *= scale * n
+    if not weight // scale < value < weight:
         raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
-    return SidonElement(p=p, k=k, digits=d, value=value)
+    return SidonElement(p=p, k=k, digits=tuple(digits), value=value)
 
 
 def element_for_prime(p: int, basis: Basis, params: BlockParams) -> SidonElement:

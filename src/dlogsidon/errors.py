@@ -13,6 +13,11 @@ class DLogUndefined(DlogSidonError):
     """The residue is 0 modulo the modulus, so no power of the generator reaches it."""
 
 
+class DLogTooLarge(DlogSidonError):
+    """A baby-step giant-step table would hold more than arith.MAX_BABY_STEPS
+    powers."""
+
+
 class PrecisionAmbiguity(DlogSidonError):
     """A boundary comparison landed inside the guard band.
 

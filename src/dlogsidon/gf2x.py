@@ -56,21 +56,15 @@ def gf2_mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     return out
 
 
-def gf2_divmod(a: Gf2Poly, b: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
+def gf2_mod(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
+    """a mod b: the leading term of a cleared by a shifted b until
+    deg a < deg b."""
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = gf2_deg(b)
-    quo = 0
-    shift = gf2_deg(a) - db
-    while shift >= 0:
-        quo ^= 1 << shift
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
         a ^= b << shift
-        shift = a.bit_length() - 1 - db
-    return quo, a
-
-
-def gf2_mod(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    return gf2_divmod(a, b)[1]
+    return a
 
 
 def gf2_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:

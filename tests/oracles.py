@@ -144,6 +144,21 @@ def gf2_mod_naive(a, m):
     return a
 
 
+def gf2_divmod(a, b):
+    """(quotient, remainder) of a by b, the quotient built one term per
+    cleared leading term."""
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = b.bit_length() - 1
+    quo = 0
+    shift = a.bit_length() - 1 - db
+    while shift >= 0:
+        quo ^= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - 1 - db
+    return quo, a
+
+
 def gf2_irreducible_naive(f):
     """Trial division by every polynomial of degree 1..deg(f)//2."""
     d = f.bit_length() - 1

@@ -25,7 +25,7 @@ from dlogsidon.arith import (
     smallest_primitive_root,
 )
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
-from dlogsidon.errors import DLogUndefined, InvalidModulus, SieveTooLarge
+from dlogsidon.errors import DLogTooLarge, DLogUndefined, InvalidModulus, SieveTooLarge
 
 from oracles import (
     factorize_trial,
@@ -288,6 +288,26 @@ def test_discrete_log_roundtrip_large(seed=815):
     for g in (1, 0, q):  # 1 generates nothing but 1, 0 and q nothing at all
         with pytest.raises(ValueError):
             discrete_log(g, 2, q)
+
+
+def test_bsgs_refuses_a_table_past_the_limit():
+    # The largest prime below 2^38 needs 2^20 baby steps, the least one
+    # above it 2^20 + 2: that one refuses before any power is taken.
+    assert arith.MAX_BABY_STEPS == 1 << 20
+    below, above = 274_877_906_899, 274_877_906_951
+    assert is_prime(below) and is_prime(above)
+    assert not any(is_prime(n) for n in range(below + 1, above))
+    assert 2 * (isqrt(below - 2) + 1) == 1 << 20
+    assert 2 * (isqrt(above - 2) + 1) == (1 << 20) + 2
+    g = smallest_primitive_root(above)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DLogTooLarge, match="1048578 baby steps"):
+            discrete_log(g, 2, above)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_log_table_matches_bsgs_and_power_table():

@@ -375,28 +375,77 @@ def test_pool_surfaces_a_worker_error(monkeypatch):
         assert len(calls) <= 6  # the failed scan and one more in flight
 
 
+def count_buffers(monkeypatch):
+    """The number of key buffers handed to the pool, one entry per audit."""
+    seen = []
+    in_order = auditor._in_order
+    monkeypatch.setattr(auditor, "_in_order", lambda scan, buckets, bufs: (
+        seen.append(len(bufs)) or in_order(scan, buckets, bufs)))
+    return seen
+
+
 def test_memory_limit_counts_every_buffer(monkeypatch):
     # MAX_KEYS fits the tails and one buffer of the largest bucket, not two:
-    # one worker runs the audit, two refuse before allocating any key.
+    # one worker or two run the audit on that one buffer, inline, so both
+    # peak alike; a limit below one buffer refuses before allocating a key.
     p = 5
     vals = list(range(0, 4 * 400, 4))
     counts = [sum(1 for v in vals if v % p == a) for a in range(p)]
     largest = int(auditor._bucket_sizes(counts, 2).max())
+    tails = auditor._TAIL_WORDS * len(vals)
     use_prime(monkeypatch, p)
-    monkeypatch.setattr(auditor, "MAX_KEYS", largest * 3 // 2 + auditor._TAIL_WORDS * len(vals))
-    monkeypatch.setattr(auditor, "WORKERS", 1)
-    assert not is_sidon(vals)
-    monkeypatch.setattr(auditor, "WORKERS", 2)
+    buffers = count_buffers(monkeypatch)
+    monkeypatch.setattr(auditor, "MAX_KEYS", largest * 3 // 2 + tails)
+    peaks = []
+    for workers in (1, 1, 2):
+        monkeypatch.setattr(auditor, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            assert not is_sidon(vals)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert buffers == [1, 1, 1]
+    assert peaks[2] <= peaks[1]  # the first run also warms up
+    monkeypatch.setattr(auditor, "MAX_KEYS", largest - 1 + tails)
     tracemalloc.start()
     try:
-        with pytest.raises(AuditTooLarge, match="2 buckets at once"):
+        with pytest.raises(AuditTooLarge, match="in one bucket"):
             is_sidon(vals)
-        with pytest.raises(AuditTooLarge, match="2 buckets at once"):
+        with pytest.raises(AuditTooLarge, match="in one bucket"):
             find_collisions(vals, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert buffers == [1, 1, 1]
+
+
+def test_many_workers_run_the_buffers_that_fit(monkeypatch):
+    # 64 workers and a MAX_KEYS with room for two buffers beside the tails:
+    # the audit runs on two buffers, matches the oracle, and peaks at about
+    # two buffers, each with a reduction scratch of as many keys (below
+    # 2^16), where all seven buckets run at once with room for them.
+    p = 7
+    vals = planted_over_buckets(2, p, 5, seed=9100) + big_values(590, random.Random(9101))
+    expected = find_collisions_bruteforce(vals, 2)
+    assert len({r.total % p for r in expected}) == 5
+    counts = [sum(1 for v in vals if v % p == a) for a in range(p)]
+    largest = int(auditor._bucket_sizes(counts, 2).max())
+    assert largest < 1 << 16
+    use_prime(monkeypatch, p)
+    buffers = count_buffers(monkeypatch)
+    monkeypatch.setattr(auditor, "WORKERS", 64)
+    assert not is_sidon(vals)
+    monkeypatch.setattr(auditor, "MAX_KEYS", 5 * largest // 2 + auditor._TAIL_WORDS * len(vals))
+    tracemalloc.start()
+    try:
+        assert report_keys(find_collisions(vals, 2)) == report_keys(expected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buffers == [7, 2]
+    assert 2 * 8 * largest < peak < 2 * 16 * largest + (256 << 10)
 
 
 def report_objs(reports):

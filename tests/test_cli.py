@@ -36,6 +36,18 @@ def test_finite_prime_modulus(capsys):
     run_usage_error(capsys, ["finite", "--q", "23", "--g", "0"])
 
 
+def test_finite_past_the_baby_step_limit_is_an_error(capsys):
+    # The least prime above 2^38 needs 2^20 + 2 baby steps, and degree 39
+    # over GF(2) 1,482,912: both refuse at once, before any table is built.
+    for argv in (["finite", "--q", "274877906951"],
+                 ["gf2", "finite", "--n", "39", "--q", "8000000011"]):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "baby steps" in err
+
+
 def test_generate_small_prefix(capsys):
     rc, out, err = run_cli(capsys, ["generate", "--kmax", "4"])
     assert rc == 0

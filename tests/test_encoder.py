@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from dlogsidon import encoder
 from dlogsidon.basis import Basis, build_basis
+from dlogsidon.bh import bh_params
+from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.encoder import (
     decode_value,
     digits_for_block,
@@ -11,6 +14,8 @@ from dlogsidon.encoder import (
     encode_value,
 )
 from dlogsidon.errors import DigitOutOfRange, ExcludedPrime, ValueTooLarge
+from dlogsidon.generator import generate_blocks
+from dlogsidon.gf2x import gf2_generate_blocks
 
 from oracles import lift_naive, power_table
 
@@ -98,3 +103,45 @@ def test_element_rails(default_basis, sqrt5_params):
         k = e.k
         assert default_basis.weight(k) * default_basis.q(k) < e.value
         assert e.value < default_basis.weight(k + 1)
+
+
+def _walk_prefix(law, seed):
+    """The generated prefix of a law: sqrt5 and sqrt2 to k = 7 over a basis
+    of scale 4, B_3 to k = 9 over scale 9, GF(2) to k = 6."""
+    if law == "gf2":
+        return gf2_generate_blocks(6, sidon_params(offset=0))
+    if law == "bh3":
+        params, scale, k_max = bh_params(3), 9, 9
+    else:
+        c = {"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[law]()
+        params, scale, k_max = sidon_params(c=c), 4, 7
+    mode = "deterministic" if seed is None else "random"
+    return generate_blocks(k_max, params, build_basis(mode, scale, k_max, seed=seed))
+
+
+@pytest.mark.parametrize("law,seed", [("sqrt5", None), ("sqrt5", 1207), ("sqrt2", None),
+                                      ("sqrt2", 1207), ("bh3", None), ("bh3", 1207),
+                                      ("gf2", None)])
+def test_walk_values_match_the_encoder(law, seed):
+    # The one walk of element_in_block sums the digits as it lifts them;
+    # encode_value, which checks each digit against its radix, is its oracle,
+    # and the rails come from the basis's own weights.
+    prefix = _walk_prefix(law, seed)
+    basis = prefix.basis
+    assert prefix.elements
+    for e in prefix.elements:
+        assert len(e.digits) == e.k
+        assert e.value == encode_value(e.digits, basis), e.p
+        assert basis.weight(e.k) * basis.norm(e.k) < e.value < basis.weight(e.k + 1), e.p
+
+
+def test_generation_never_encodes(monkeypatch, sqrt5_prefix_k7):
+    def refuse(digits, basis):
+        raise AssertionError("generation called encode_value")
+
+    gf2_params = sidon_params(offset=0)
+    gf2_elements = gf2_generate_blocks(6, gf2_params).elements
+    monkeypatch.setattr(encoder, "encode_value", refuse)
+    prefix = generate_blocks(7, sqrt5_prefix_k7.params, build_basis("deterministic", 4, 7))
+    assert prefix.elements == sqrt5_prefix_k7.elements
+    assert gf2_generate_blocks(6, gf2_params).elements == gf2_elements

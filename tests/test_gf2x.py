@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -8,7 +9,8 @@ from dlogsidon import gf2x
 from dlogsidon.basis import Basis
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, const_window, sidon_params
 from dlogsidon.encoder import element_in_block
-from dlogsidon.errors import DegreeTooLarge, DLogUndefined, ExcludedPrime, NotIrreducible
+from dlogsidon.errors import (DegreeTooLarge, DLogTooLarge, DLogUndefined, ExcludedPrime,
+                              NotIrreducible)
 from dlogsidon.generator import SequencePrefix
 from dlogsidon.gf2x import (
     GF2,
@@ -16,7 +18,6 @@ from dlogsidon.gf2x import (
     degrees_in_block,
     gf2_deg,
     gf2_discrete_log,
-    gf2_divmod,
     gf2_finite_sidon,
     gf2_gcd,
     gf2_generate_blocks,
@@ -34,6 +35,7 @@ from dlogsidon.gf2x import (
 
 from oracles import (
     cyclic_sidon,
+    gf2_divmod,
     gf2_irreducible_naive,
     gf2_irreducibles_naive,
     gf2_irreducibles_rabin,
@@ -73,7 +75,7 @@ def test_divmod_and_mod():
         assert gf2_deg(rem) < gf2_deg(b) or rem == 0
         assert rem == gf2_mod_naive(a, b) == gf2_mod(a, b)
     with pytest.raises(ZeroDivisionError):
-        gf2_divmod(5, 0)
+        gf2_mod(5, 0)
 
 
 def test_gcd():
@@ -240,6 +242,22 @@ def test_finite_sidon_sets():
         gf2_finite_sidon(7, q=0x13)  # degree mismatch
     with pytest.raises(NotIrreducible):
         gf2_finite_sidon(4, q=0x15)  # (X^2+X+1)^2
+
+
+def test_dlog_refuses_a_table_past_the_limit():
+    # Degree 38 needs 2^20 baby steps; the irreducible X^39 + X^4 + 1 needs
+    # 1,482,912 and refuses before any power is taken.
+    assert 2 * (isqrt((1 << 38) - 2) + 1) == 1 << 20
+    q = (1 << 39) | (1 << 4) | 1
+    assert is_irreducible(q)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DLogTooLarge, match="1482912 baby steps"):
+            GF2.dlog(2, 3, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_log_table_against_bsgs_and_power_tables():
