@@ -15,9 +15,8 @@ from .auditor import (CollisionReport, check_collision_structure, find_collision
 from .basis import Basis, build_basis
 from .bh import (BhPruneResult, bh_generate, bh_params, bh_prune, montecarlo_bad_ratio,
                  negative_taper_blocks, prune_repeated_sums)
-from .blocks import (BlockParams, Constant, block_of_prime, const_decimal,
-                     const_sqrt2, const_sqrt5, const_window, primes_in_block,
-                     sidon_params, tapered_params)
+from .blocks import (BlockParams, block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
+                     const_window, primes_in_block, sidon_params, tapered_params)
 from .encoder import (SidonElement, decode_value, digits_for_block, digits_of_prime,
                       element_for_prime, element_in_block, encode_value)
 from .errors import (ArityOutOfRange, AuditTooLarge, BasisGap, ConsistencyError,

@@ -52,13 +52,13 @@ from .generator import SequencePrefix, count_upto
 # has 2.15e10 of them, about 2^34.3.
 MAX_SUBSETS = 1 << 35
 
-# Memory limit, in 8-byte words held at once (2 GiB): one buffer the size of
-# the largest bucket for each bucket in flight, as many as fit, plus
-# _TAIL_WORDS for each (l-1)-multiset tail, which are its sum, its smallest
-# index and its place in the sort, and one unsorted copy while they are built.
-# With a modulus there is one bucket, so this caps the multisets at about 2^28.
+# Memory limit, in 8-byte words held at once (2 GiB): a buffer the size of
+# the largest bucket and its reduction scratch (up to _CHUNK words) for each
+# bucket in flight, as many as fit, plus _TAIL_WORDS for each (l-1)-multiset
+# tail: its sum, its rank, and an unsorted copy of the sums while they are
+# built. With a modulus there is one bucket: at most about 2^28 multisets.
 MAX_KEYS = 1 << 28
-_TAIL_WORDS = 4
+_TAIL_WORDS = 3
 
 # P is first chosen so that a bucket holds about this many keys (32 MiB),
 # then raised so that the WORKERS buffers hold about half as many together,
@@ -322,16 +322,16 @@ def _candidates(vals, l, modulus):
 
     The elements are put in class order (v mod P), and a multiset is a head
     index i plus a tail, an (l-1)-multiset whose smallest index is at least
-    i. The tails are sorted by (class sum mod P, smallest index), so the
-    tails matching head i in bucket t are one contiguous slice, and the
-    heads of one class that lie at or below every index of a tail class
-    take the whole class: one outer sum. At l = 2 bucket t is then the outer
-    sums of the classes a < b with a + b = t mod P, and the triangle of the
-    class a with 2a = t mod P. The caller has checked MAX_SUBSETS and passes
-    at least one value. The buckets run on min(WORKERS, non-empty buckets)
-    buffers, fewer where that many would not fit beside the tails in
-    MAX_KEYS words; raises AuditTooLarge, before allocating any key, when
-    one buffer and the tails take more.
+    i. A tail is held as its residue sum and its lexicographic rank; the
+    tails of smallest index i take the ranks from below[i] on. Sorted by
+    (class sum mod P, rank), the tails matching head i in bucket t are one
+    contiguous slice, and the heads of one class that lie at or below every
+    index of a tail class take the whole class: one outer sum. At l = 2
+    bucket t is then the outer sums of the classes a < b with a + b = t mod
+    P, and the triangle of the class a with 2a = t mod P. Callers check
+    MAX_SUBSETS and pass a value. Buckets run on min(WORKERS, non-empty
+    buckets) buffers, as many as fit with their scratch beside the tails in
+    MAX_KEYS words; if none fits, raises AuditTooLarge before any key exists.
     """
     n = len(vals)
     n_tails = comb(n + l - 2, l - 1)
@@ -353,10 +353,10 @@ def _candidates(vals, l, modulus):
     largest = int(sizes.max())
     buckets = np.flatnonzero(sizes).tolist()
     room = MAX_KEYS - _TAIL_WORDS * n_tails
-    if largest > room:
+    if largest + min(largest, _CHUNK) > room:
         raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} tails "
                             f"exceed the audit limit of {MAX_KEYS} words")
-    n_bufs = min(WORKERS, len(buckets), room // largest)
+    n_bufs = min(WORKERS, len(buckets), room // (largest + min(largest, _CHUNK)))
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)
 
@@ -365,9 +365,9 @@ def _candidates(vals, l, modulus):
     ts = np.searchsorted(tail_cls, np.arange(p + 1), sorter=perm).tolist()
     del tail_cls
     tails = _subset_sums(res, l - 1, m)[perm]
-    tail_min = np.repeat(np.arange(n), [comb(n - i + l - 3, l - 2) for i in range(n)])[perm]
-    first = tail_min[np.minimum(ts[:-1], len(tail_min) - 1)].tolist()
-    last = tail_min[np.maximum(np.array(ts[1:]) - 1, 0)].tolist()
+    below = np.cumsum([0] + [comb(n - i + l - 3, l - 2) for i in range(n)], dtype=np.int64)
+    ends = np.take(perm, [ts[:-1], np.subtract(ts[1:], 1)], mode="clip")
+    first, last = (np.searchsorted(below, ends, "right") - 1).tolist()
 
     def rects(t):
         """(h0, h1, lo, hi): heads h0..h1-1 with the tails at lo..hi-1."""
@@ -380,7 +380,7 @@ def _candidates(vals, l, modulus):
             if first[c] >= h1 - 1:
                 yield h0, h1, t0, t1
             elif last[c] >= h0:
-                los = np.searchsorted(tail_min[t0:t1], np.arange(h0, h1))
+                los = np.searchsorted(perm[t0:t1], below[h0:h1])
                 for h, lo in zip(range(h0, h1), (los + t0).tolist()):
                     if lo < t1:
                         yield h, h + 1, lo, t1
@@ -531,7 +531,7 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     facts["congruence_chain"] = chain_ok
 
     with mpmath.workprec(PRECISION):
-        c = params.c.value
+        c = params.c
         ratio = c / (1 - c)
         k1 = ks[0]
         kl = ks[-1]
@@ -581,6 +581,6 @@ def growth_bracket_check(prefix: SequencePrefix) -> list[dict]:
             "count_ok": lower <= count <= upper,
             "elements_ok": all(rail_lo < e.value < rail_hi for e in elems),
             "log2_ratio_approx": (math.log2(count) / math.log2(x)) if count > 0 else None,
-            "c_target_approx": float(params.c.value),
+            "c_target_approx": float(params.c),
         })
     return out

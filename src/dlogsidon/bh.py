@@ -29,7 +29,7 @@ def bh_params(h: int) -> BlockParams:
         raise ValueError(f"this path is for h >= 3, got {h}")
     params = tapered_params(h)
     with mpmath.workprec(PRECISION):
-        c = params.c.value
+        c = params.c
         residue = -1 + 2 * c * (h - 1) / (1 - c) - c
         if abs(residue) > mpmath.mpf(2) ** (32 - PRECISION):
             raise ConsistencyError(f"window constant identity off by {residue}")

@@ -23,48 +23,42 @@ from ._precision import PRECISION, cmp_log2, pow2_floor
 from .arith import INTEGERS
 
 
-@dataclass(frozen=True)
-class Constant:
-    """A named constant in (0, 1/2), an mpf at the working precision."""
-
-    name: str
-    value: mpmath.mpf
-
-    def __post_init__(self):
-        if not 0 < self.value < mpmath.mpf(1) / 2:
-            raise ValueError(f"constant {self.name} = {self.value} outside (0, 1/2)")
+def _checked(c: mpmath.mpf) -> mpmath.mpf:
+    if not 0 < c < mpmath.mpf(1) / 2:
+        raise ValueError(f"constant {c} outside (0, 1/2)")
+    return c
 
 
-def const_sqrt5() -> Constant:
+def const_sqrt5() -> mpmath.mpf:
     """(3 - sqrt 5)/2, the exact-Sidon exponent constant."""
     with mpmath.workprec(PRECISION):
-        return Constant("sqrt5", (3 - mpmath.sqrt(5)) / 2)
+        return _checked((3 - mpmath.sqrt(5)) / 2)
 
 
-def const_sqrt2() -> Constant:
+def const_sqrt2() -> mpmath.mpf:
     """sqrt 2 - 1, the densest pruned-Sidon exponent constant."""
     with mpmath.workprec(PRECISION):
-        return Constant("sqrt2", mpmath.sqrt(2) - 1)
+        return _checked(mpmath.sqrt(2) - 1)
 
 
-def const_window(h: int) -> Constant:
+def const_window(h: int) -> mpmath.mpf:
     """sqrt((h-1)^2 + 1) - (h - 1), the h-fold-sum exponent constant."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     with mpmath.workprec(PRECISION):
-        return Constant(f"window{h}", mpmath.sqrt((h - 1) ** 2 + 1) - (h - 1))
+        return _checked(mpmath.sqrt((h - 1) ** 2 + 1) - (h - 1))
 
 
-def const_decimal(text: str) -> Constant:
+def const_decimal(text: str) -> mpmath.mpf:
     with mpmath.workprec(PRECISION):
-        return Constant(text, mpmath.mpf(text))
+        return _checked(mpmath.mpf(text))
 
 
 @dataclass(frozen=True)
 class BlockParams:
-    """Exponent law: constant, offset, optional taper."""
+    """Exponent law: constant c (an mpf in (0, 1/2)), offset, optional taper."""
 
-    c: Constant
+    c: mpmath.mpf
     offset: int = -3
     taper: bool = False
 
@@ -83,7 +77,7 @@ class BlockParams:
     def exponent(self, k: int):
         """E(k), an mpf at the working precision."""
         with mpmath.workprec(PRECISION):
-            e = self.c.value * k * k
+            e = self.c * k * k
             if self.taper:
                 e *= self.taper_factor(k)
             return e + self.offset
@@ -93,7 +87,7 @@ class BlockParams:
         return pow2_floor(self.exponent(k))
 
 
-def sidon_params(c: Constant | None = None, offset: int = -3) -> BlockParams:
+def sidon_params(c: mpmath.mpf | None = None, offset: int = -3) -> BlockParams:
     """Plain exponent law E(k) = c k^2 + offset starting at block 2."""
     return BlockParams(c=c or const_sqrt5(), offset=offset)
 

@@ -22,7 +22,7 @@ from . import gf2x
 from .arith import is_prime, is_primitive_root, smallest_primitive_root
 from .auditor import find_collisions, growth_bracket_check, is_sidon
 from .basis import Basis, build_basis
-from .blocks import Constant, const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
+from .blocks import const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
 from .generator import count_upto, finite_dlog_sidon_set, generate_blocks
 from .pruner import pruned_generate
@@ -39,7 +39,7 @@ class _ExactParser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
 
-def parse_constant(text: str) -> Constant:
+def parse_constant(text: str):
     """sqrt5 | sqrt2 | bh:<h> | decimal string in (0, 1/2)."""
     try:
         if text == "sqrt5":

@@ -180,9 +180,11 @@ def irreducible_count(d: int) -> int:
 
 def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
     """GF2.finite_sidon(q), {dlog(p) : p irreducible, deg p < n/2} in
-    Z_(2^n - 1), for q of degree n >= 3, by default the least irreducible."""
+    Z_(2^n - 1), for q of degree 3 <= n <= 24, by default the least
+    irreducible; DegreeTooLarge past 24, whether or not q is given."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    _check_degree(n)
     if q is None:
         q = least_irreducible(n)
     if gf2_deg(q) != n:

@@ -67,7 +67,7 @@ class BadPrimeRecord:
 
 def _is_eligible(k2: int, k1: int, params: BlockParams) -> bool:
     with mpmath.workprec(PRECISION):
-        c = params.c.value
+        c = params.c
         return cmp_int(k2 * k2, c / (1 - c) * k1 * k1) < 0
 
 
@@ -182,7 +182,6 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
 @dataclass
 class PruneResult:
     pruned: SequencePrefix
-    unpruned: SequencePrefix
     records: list[BadPrimeRecord]
     reports: list[dict]
 
@@ -196,7 +195,7 @@ def pruned_generate(prefix: SequencePrefix) -> PruneResult:
     longer have the intended density.
     """
     params, basis = prefix.params, prefix.basis
-    if not params.c.value > const_sqrt5().value:
+    if not params.c > const_sqrt5():
         raise ValueError("pruning needs c above (3 - sqrt 5)/2; below that "
                          "no pair collision exists to prune")
     records: list[BadPrimeRecord] = []
@@ -213,5 +212,5 @@ def pruned_generate(prefix: SequencePrefix) -> PruneResult:
         reports.append({"k": k, "block_size": size, "bad_count": len(recs),
                         "ratio": ratio})
     survivors = [e for e in prefix.elements if e.p not in bad_by_block.get(e.k, ())]
-    return PruneResult(pruned=replace(prefix, elements=survivors), unpruned=prefix,
-                       records=records, reports=reports)
+    return PruneResult(pruned=replace(prefix, elements=survivors), records=records,
+                       reports=reports)

@@ -384,10 +384,73 @@ def count_buffers(monkeypatch):
     return seen
 
 
+def buffer_words(largest):
+    """A buffer of the largest bucket and its reduction scratch."""
+    return largest + min(largest, auditor._CHUNK)
+
+
+def first_bucket_only(monkeypatch):
+    """Scan only the first bucket; returns the words of each key buffer
+    handed to the pool, with its reduction scratch."""
+    words = []
+    in_order = auditor._in_order
+
+    def first(scan, buckets, bufs):
+        words.extend(buffer_words(len(buf)) for buf in bufs)
+        return in_order(scan, buckets[:1], bufs)
+
+    monkeypatch.setattr(auditor, "_in_order", first)
+    return words
+
+
+def test_tails_take_three_words(monkeypatch):
+    # An l = 3 audit of 300 values has C(301, 2) = 45,150 tails. Small
+    # buckets (P = 557) keep one buffer and its scratch below one word a
+    # tail, so the peak shows the tails' words: sum, rank and the unsorted
+    # sums while they are built. A fourth word a tail (361 KB) breaks it.
+    rng = random.Random(9160)
+    vals = big_values(300, rng)
+    n_tails = comb(len(vals) + 1, 2)
+    monkeypatch.setattr(auditor, "WORKERS", 1)
+    monkeypatch.setattr(auditor, "BUCKET_KEYS", 1 << 13)
+    assert auditor._bucket_prime(len(vals), 3) == 557
+    words = first_bucket_only(monkeypatch)
+    assert is_bh(vals, 3)  # warms up numpy's first calls
+    tracemalloc.start()
+    try:
+        assert is_bh(vals, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 2 and words[1] < n_tails
+    assert peak < 8 * (3 * n_tails + words[1]) + (64 << 10)
+
+
+@pytest.mark.slow
+def test_b4_shape_tails_take_three_words(monkeypatch):
+    # The shape of a B_4 audit at k <= 14: 642 values of 252 bits, l = 4,
+    # C(644, 3) = 4.43e7 tails and P = 1,709. The setup and one bucket hold
+    # 3 words a tail plus the buffers (about 1.1 GB); 4 words a tail would
+    # add 338 MiB.
+    rng = random.Random(14)
+    vals = [(1 << 251) | rng.getrandbits(251) for _ in range(642)]
+    n_tails = comb(644, 3)
+    assert auditor._bucket_prime(len(vals), 4) == 1_709
+    words = first_bucket_only(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert is_bh(vals, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n_tails + 8 * sum(words) + (64 << 20)
+
+
 def test_memory_limit_counts_every_buffer(monkeypatch):
-    # MAX_KEYS fits the tails and one buffer of the largest bucket, not two:
-    # one worker or two run the audit on that one buffer, inline, so both
-    # peak alike; a limit below one buffer refuses before allocating a key.
+    # MAX_KEYS fits the tails and one buffer of the largest bucket with its
+    # scratch, not two: one worker or two run the audit on that one buffer,
+    # inline, so both peak alike; a limit with room for the buffer but not
+    # its scratch refuses before allocating a key.
     p = 5
     vals = list(range(0, 4 * 400, 4))
     counts = [sum(1 for v in vals if v % p == a) for a in range(p)]
@@ -395,7 +458,7 @@ def test_memory_limit_counts_every_buffer(monkeypatch):
     tails = auditor._TAIL_WORDS * len(vals)
     use_prime(monkeypatch, p)
     buffers = count_buffers(monkeypatch)
-    monkeypatch.setattr(auditor, "MAX_KEYS", largest * 3 // 2 + tails)
+    monkeypatch.setattr(auditor, "MAX_KEYS", buffer_words(largest) * 3 // 2 + tails)
     peaks = []
     for workers in (1, 1, 2):
         monkeypatch.setattr(auditor, "WORKERS", workers)
@@ -407,7 +470,8 @@ def test_memory_limit_counts_every_buffer(monkeypatch):
             tracemalloc.stop()
     assert buffers == [1, 1, 1]
     assert peaks[2] <= peaks[1]  # the first run also warms up
-    monkeypatch.setattr(auditor, "MAX_KEYS", largest - 1 + tails)
+    assert buffer_words(largest) - 1 >= largest
+    monkeypatch.setattr(auditor, "MAX_KEYS", buffer_words(largest) - 1 + tails)
     tracemalloc.start()
     try:
         with pytest.raises(AuditTooLarge, match="in one bucket"):
@@ -422,10 +486,11 @@ def test_memory_limit_counts_every_buffer(monkeypatch):
 
 
 def test_many_workers_run_the_buffers_that_fit(monkeypatch):
-    # 64 workers and a MAX_KEYS with room for two buffers beside the tails:
-    # the audit runs on two buffers, matches the oracle, and peaks at about
-    # two buffers, each with a reduction scratch of as many keys (below
-    # 2^16), where all seven buckets run at once with room for them.
+    # 64 workers and a MAX_KEYS with room for two buffers and their scratch
+    # beside the tails: the audit runs on two buffers, matches the oracle,
+    # and peaks at about two buffers, each with a reduction scratch of as
+    # many keys (below 2^16), where all seven buckets run at once with room
+    # for them.
     p = 7
     vals = planted_over_buckets(2, p, 5, seed=9100) + big_values(590, random.Random(9101))
     expected = find_collisions_bruteforce(vals, 2)
@@ -437,7 +502,8 @@ def test_many_workers_run_the_buffers_that_fit(monkeypatch):
     buffers = count_buffers(monkeypatch)
     monkeypatch.setattr(auditor, "WORKERS", 64)
     assert not is_sidon(vals)
-    monkeypatch.setattr(auditor, "MAX_KEYS", 5 * largest // 2 + auditor._TAIL_WORDS * len(vals))
+    monkeypatch.setattr(auditor, "MAX_KEYS",
+                        5 * buffer_words(largest) // 2 + auditor._TAIL_WORDS * len(vals))
     tracemalloc.start()
     try:
         assert report_keys(find_collisions(vals, 2)) == report_keys(expected)

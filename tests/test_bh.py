@@ -30,7 +30,7 @@ def test_bh_params_identity_and_scale():
 def test_window_constant_h3_value():
     import mpmath
     with mpmath.workprec(192):
-        c = const_window(3).value
+        c = const_window(3)
         assert mpmath.almosteq(c, mpmath.sqrt(5) - 2)
 
 

@@ -23,11 +23,11 @@ from oracles import primes_upto_trial
 
 def test_constant_values_at_high_precision():
     with mpmath.workprec(PRECISION):
-        assert mpmath.almosteq(const_sqrt5().value, (3 - mpmath.sqrt(5)) / 2)
-        assert mpmath.almosteq(const_sqrt2().value, mpmath.sqrt(2) - 1)
+        assert mpmath.almosteq(const_sqrt5(), (3 - mpmath.sqrt(5)) / 2)
+        assert mpmath.almosteq(const_sqrt2(), mpmath.sqrt(2) - 1)
         # h = 3: sqrt(5) - 2
-        assert mpmath.almosteq(const_window(3).value, mpmath.sqrt(5) - 2)
-        assert mpmath.almosteq(const_decimal("0.25").value, mpmath.mpf(1) / 4)
+        assert mpmath.almosteq(const_window(3), mpmath.sqrt(5) - 2)
+        assert mpmath.almosteq(const_decimal("0.25"), mpmath.mpf(1) / 4)
 
 
 def test_constant_range_check():

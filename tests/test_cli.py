@@ -37,15 +37,26 @@ def test_finite_prime_modulus(capsys):
 
 
 def test_finite_past_the_baby_step_limit_is_an_error(capsys):
-    # The least prime above 2^38 needs 2^20 + 2 baby steps, and degree 39
-    # over GF(2) 1,482,912: both refuse at once, before any table is built.
-    for argv in (["finite", "--q", "274877906951"],
-                 ["gf2", "finite", "--n", "39", "--q", "8000000011"]):
+    # The least prime above 2^38 needs 2^20 + 2 baby steps: it refuses at
+    # once, before any table is built. Degree 39 over GF(2) refuses on its
+    # degree first (its 1,482,912 baby steps are pinned in test_gf2x).
+    for argv, reason in ((["finite", "--q", "274877906951"], "baby steps"),
+                         (["gf2", "finite", "--n", "39", "--q", "8000000011"], "degree 39")):
         start = time.perf_counter()
         rc, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1
         assert rc == 1 and out == ""
-        assert err.startswith("error:") and "baby steps" in err
+        assert err.startswith("error:") and reason in err
+
+
+def test_gf2_finite_with_a_modulus_keeps_the_degree_bound(capsys):
+    # X^30 + X + 1 is irreducible, but degree 30 is past the bound of 24,
+    # given --q or not: about 2,500 BSGS logs would run for minutes.
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["gf2", "finite", "--n", "30", "--q", "40000003"])
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "degree 30" in err
 
 
 def test_generate_small_prefix(capsys):
