@@ -235,10 +235,19 @@ class UnitGroupRing:
         return next(g for g in range(1, order + 1)
                     if all(self.pow(g, order // r, q) != 1 for r in radicals))
 
+    def baby_steps(self, q: int) -> int:
+        """m = 2 ceil(sqrt(N(q) - 1)), the baby steps of a BSGS table mod q;
+        DLogTooLarge when m > MAX_BABY_STEPS."""
+        m = 2 * (isqrt(self.norm(q) - 2) + 1)
+        if m > MAX_BABY_STEPS:
+            raise DLogTooLarge(f"discrete logs mod {q} need {m} baby steps, above the "
+                               f"limit of 2^20 = {MAX_BABY_STEPS}")
+        return m
+
     @lru_cache(maxsize=128)
     def _bsgs_table(self, g: int, q: int):
-        """Baby steps {g^j: j} for j < m = 2 ceil(sqrt(N(q) - 1)), g^-m, and
-        the group order.
+        """Baby steps {g^j: j} for j < m = baby_steps(q), g^-m, and the
+        group order.
 
         A table serves many logs (the blocks of a generation, a finite set),
         and a log takes (N(q) - 1) / (2m) giant steps on average, so twice
@@ -246,10 +255,7 @@ class UnitGroupRing:
         DLogTooLarge, before any power is taken, when m > MAX_BABY_STEPS.
         """
         order = self.norm(q) - 1
-        m = 2 * (isqrt(order - 1) + 1)
-        if m > MAX_BABY_STEPS:
-            raise DLogTooLarge(f"discrete logs mod {q} need {m} baby steps, above the "
-                               f"limit of 2^20 = {MAX_BABY_STEPS}")
+        m = self.baby_steps(q)
         mul = self.mul
         powers = []
         x = 1

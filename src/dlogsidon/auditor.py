@@ -145,25 +145,6 @@ def _distinct_values(items):
     return vals
 
 
-def _brute_groups(vals, l, modulus):
-    """Sum -> index tuples by direct enumeration and sorting; the slow oracle."""
-    entries = []
-    for t in combinations_with_replacement(range(len(vals)), l):
-        s = sum(vals[i] for i in t)
-        if modulus is not None:
-            s %= modulus
-        entries.append((s, t))
-    entries.sort()
-    groups = {}
-    run_start = 0
-    for i in range(1, len(entries) + 1):
-        if i == len(entries) or entries[i][0] != entries[run_start][0]:
-            if i - run_start > 1:
-                groups[entries[run_start][0]] = [t for _, t in entries[run_start:i]]
-            run_start = i
-    return groups
-
-
 def _reduce(keys, m):
     """keys mod m in place, for keys below 2m."""
     if keys.dtype == object:
@@ -222,14 +203,23 @@ def _unrank(rank, n, l):
     return tuple(out)
 
 
-def _check_report_pairs(pairs, l):
-    if pairs > MAX_REPORT_PAIRS:
-        raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-multisets "
-                            f"share a sum (the report limit)")
-
-
-def _reports_from_groups(items, vals, groups, l):
-    _check_report_pairs(sum(comb(len(tuples), 2) for tuples in groups.values()), l)
+def _reports(items, vals, multisets, l, modulus):
+    """The element-disjoint pairs among the index multisets that share a sum
+    (mod `modulus`), as sorted reports. Groups the multisets by exact sum as
+    they come, and raises AuditTooLarge, before building any report, once
+    more than MAX_REPORT_PAIRS pairs of them share a sum."""
+    if len(vals) < 2:
+        return []  # no two element-disjoint l-multisets
+    groups: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    pairs = 0
+    for t in multisets:
+        s = sum(vals[i] for i in t)
+        group = groups[s if modulus is None else s % modulus]
+        pairs += len(group)
+        if pairs > MAX_REPORT_PAIRS:
+            raise AuditTooLarge(f"more than {MAX_REPORT_PAIRS} pairs of {l}-multisets "
+                                f"share a sum (the report limit)")
+        group.append(t)
     reports = []
     for key, tuples in groups.items():
         for ta, tb in combinations(tuples, 2):
@@ -317,6 +307,24 @@ def _in_order(scan, buckets, bufs):
         pool.shutdown(cancel_futures=True)
 
 
+def _buffers_that_fit(largest, n_tails, l):
+    """How many buffers of `largest` keys, each with its _reduce scratch,
+    fit beside n_tails tails in MAX_KEYS words; AuditTooLarge if none does."""
+    words = largest + min(largest, _CHUNK)
+    room = MAX_KEYS - _TAIL_WORDS * n_tails
+    if words > room:
+        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} tails "
+                            f"exceed the audit limit of {MAX_KEYS} words")
+    return room // words
+
+
+def check_one_bucket(n: int) -> None:
+    """Raise AuditTooLarge when a pair audit of n values mod a modulus, which
+    keeps all C(n + 1, 2) keys in one bucket, cannot fit in MAX_KEYS words:
+    the check the engine makes, made before the values exist."""
+    _buffers_that_fit(comb(n + 1, 2), n, 2)
+
+
 def _candidates(vals, l, modulus):
     """Index tuples of the l-multisets of vals whose key repeats in a bucket.
 
@@ -352,11 +360,7 @@ def _candidates(vals, l, modulus):
     m = _MERSENNE61 if modulus is None else modulus
     largest = int(sizes.max())
     buckets = np.flatnonzero(sizes).tolist()
-    room = MAX_KEYS - _TAIL_WORDS * n_tails
-    if largest + min(largest, _CHUNK) > room:
-        raise AuditTooLarge(f"{largest} {l}-multiset keys in one bucket and {n_tails} tails "
-                            f"exceed the audit limit of {MAX_KEYS} words")
-    n_bufs = min(WORKERS, len(buckets), room // (largest + min(largest, _CHUNK)))
+    n_bufs = min(WORKERS, len(buckets), _buffers_that_fit(largest, n_tails, l))
     order = order.tolist()
     res = _residues([vals[i] for i in order], m)
 
@@ -449,25 +453,16 @@ def find_collisions(elements, l: int, modulus: int | None = None) -> list[Collis
     items = _prepare(elements, l, modulus)
     _check_work(comb(len(items) + l - 1, l), l)
     vals = _distinct_values(items)
-    if len(vals) < 2:
-        return []  # no two element-disjoint l-multisets
-    exact: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    pairs = 0
-    for t in _candidates(vals, l, modulus):
-        s = sum(vals[i] for i in t)
-        group = exact[s if modulus is None else s % modulus]
-        pairs += len(group)
-        _check_report_pairs(pairs, l)
-        group.append(t)
-    groups = {key: ts for key, ts in exact.items() if len(ts) > 1}
-    return _reports_from_groups(items, vals, groups, l)
+    return _reports(items, vals, _candidates(vals, l, modulus), l, modulus)
 
 
 def find_collisions_bruteforce(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
-    """Reference implementation: direct enumeration, sort, scan."""
+    """Reference implementation: every l-multiset, enumerated directly,
+    through find_collisions' report builder."""
     items = _prepare(elements, l, modulus)
+    _check_work(comb(len(items) + l - 1, l), l)
     vals = _distinct_values(items)
-    return _reports_from_groups(items, vals, _brute_groups(vals, l, modulus), l)
+    return _reports(items, vals, combinations_with_replacement(range(len(vals)), l), l, modulus)
 
 
 def check_collision_structure(report: CollisionReport, basis: Basis,

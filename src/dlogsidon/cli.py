@@ -19,8 +19,8 @@ from math import isqrt
 
 from . import bh as bh_mod
 from . import gf2x
-from .arith import is_prime, is_primitive_root, smallest_primitive_root
-from .auditor import find_collisions, growth_bracket_check, is_sidon
+from .arith import INTEGERS, is_prime, is_primitive_root, smallest_primitive_root
+from .auditor import check_one_bucket, find_collisions, growth_bracket_check, is_sidon
 from .basis import Basis, build_basis
 from .blocks import const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
@@ -80,8 +80,7 @@ def _bh_law(ns: argparse.Namespace):
     return _checked_law(bh_mod.bh_params(ns.h), ns.k_max)
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -124,6 +123,13 @@ def _sidon_prefix(ns: argparse.Namespace):
     """The plain-law prefix over a scale-4 basis that generate, prune and count share."""
     params = _checked_law(sidon_params(c=parse_constant(ns.c)), ns.k_max)
     return generate_blocks(ns.k_max, params, _make_basis(ns, 4, ns.k_max))
+
+
+def _check_finite(ring, q) -> None:
+    """Refuse, before the first log, a finite set mod q whose logs need too
+    large a BSGS table or whose pair audit mod N(q) - 1 cannot fit."""
+    ring.baby_steps(q)
+    check_one_bucket(len(ring.irreducibles_below(q)))
 
 
 def _cmd_basis(ns: argparse.Namespace) -> int:
@@ -220,6 +226,7 @@ def _cmd_finite(ns: argparse.Namespace) -> int:
     g = smallest_primitive_root(q) if ns.g is None else ns.g
     if not is_primitive_root(g, q):
         raise UsageError(f"--g {g} is not a primitive root mod {q}")
+    _check_finite(INTEGERS, q)
     residues = sorted(finite_dlog_sidon_set(q, g))
     sidon = is_sidon(residues, q - 1)
     _write_doc(ns.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
@@ -240,6 +247,8 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
             raise UsageError(f"--q {ns.q!r} is not a hex bit pattern") from None
         if q < 0 or gf2x.gf2_deg(q) != n or not gf2x.is_irreducible(q):
             raise UsageError(f"--q {ns.q} is not an irreducible polynomial of degree {n}")
+        gf2x.check_degree(n)  # as least_irreducible does, before the count below
+    _check_finite(gf2x.GF2, q)
     residues = sorted(gf2x.gf2_finite_sidon(n, q))
     modulus = (1 << n) - 1
     sidon = is_sidon(residues, modulus)
@@ -262,20 +271,6 @@ def _cmd_gf2_generate(ns: argparse.Namespace) -> int:
                      for r in prefix.excluded],
     })
     return 0
-
-
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "generate": _cmd_generate,
-    "prune": _cmd_prune,
-    "bh generate": _cmd_bh_generate,
-    "bh montecarlo": _cmd_bh_montecarlo,
-    "audit": _cmd_audit,
-    "count": _cmd_count,
-    "finite": _cmd_finite,
-    "gf2 finite": _cmd_gf2_finite,
-    "gf2 generate": _cmd_gf2_generate,
-}
 
 
 def _add_c_flag(p, default):
@@ -310,18 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="emit a basis document as JSON")
+    p.set_defaults(run=_cmd_basis)
     p.add_argument("--scale", type=_square_scale, default=4, help="radix scale h^2 (default 4)")
     p.add_argument("--count", type=_positive_int, required=True, help="number of entries")
     _add_basis_flags(p)
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")
 
     p = sub.add_parser("generate", help="generate all elements of blocks up to kmax")
+    p.set_defaults(run=_cmd_generate)
     _add_c_flag(p, "sqrt5")
     _add_kmax_flag(p)
     _add_basis_flags(p)
     _add_out_flags(p)
 
     p = sub.add_parser("prune", help="generate and remove range-bound bad primes")
+    p.set_defaults(run=_cmd_prune)
     _add_c_flag(p, "sqrt2")
     _add_kmax_flag(p)
     p.add_argument("--bad-out", dest="bad_out", help="bad-prime records JSONL path")
@@ -332,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     bhsub = bhp.add_subparsers(dest="sub", required=True)
 
     p = bhsub.add_parser("generate", help="tapered-block generation plus greedy pruning")
+    p.set_defaults(run=_cmd_bh_generate)
     p.add_argument("--h", type=int, default=3, help="sum order (default 3)")
     p.add_argument("--kmax", dest="k_max", type=int, required=True)
     p.add_argument("--raw", action="store_true", help="skip the repeated-sum pruning")
@@ -339,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p)
 
     p = bhsub.add_parser("montecarlo", help="removed-fraction survey over random bases")
+    p.set_defaults(run=_cmd_bh_montecarlo)
     p.add_argument("--h", type=int, default=3)
     p.add_argument("--kmax", dest="k_max", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
@@ -346,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p, summary=False)
 
     p = sub.add_parser("audit", help="exhaustive l-fold sum collision search")
+    p.set_defaults(run=_cmd_audit)
     p.add_argument("--input", required=True, help="element JSONL path, - for stdin")
     p.add_argument("--l", type=int, default=2, help="sum arity, sides l-multisets (default 2)")
     p.add_argument("--modulus", type=_positive_int, help="compare sums modulo this")
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="collision report JSONL path")
 
     p = sub.add_parser("count", help="counting function A(x) against a prefix")
+    p.set_defaults(run=_cmd_count)
     p.add_argument("--x", type=int, required=True, help="count elements <= x")
     _add_c_flag(p, "sqrt5")
     _add_kmax_flag(p)
@@ -363,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p, summary=False)
 
     p = sub.add_parser("finite", help="finite discrete-log Sidon set mod a prime")
+    p.set_defaults(run=_cmd_finite)
     p.add_argument("--q", type=int, required=True, help="prime modulus")
     p.add_argument("--g", type=int, help="primitive root (default: smallest)")
     p.add_argument("--out", default="-")
@@ -371,11 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     gf2sub = gf2p.add_subparsers(dest="sub", required=True)
 
     p = gf2sub.add_parser("finite", help="finite Sidon set in Z_(2^n - 1)")
+    p.set_defaults(run=_cmd_gf2_finite)
     p.add_argument("--n", type=int, required=True, help="modulus degree, >= 3")
     p.add_argument("--q", help="irreducible modulus as hex bits (default: least)")
     p.add_argument("--out", default="-")
 
     p = gf2sub.add_parser("generate", help="blocks of irreducibles by degree")
+    p.set_defaults(run=_cmd_gf2_generate)
     _add_c_flag(p, "sqrt5")
     _add_kmax_flag(p)
     _add_out_flags(p)
@@ -386,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    command = f"{ns.command} {ns.sub}" if getattr(ns, "sub", None) else ns.command
     try:
-        return _HANDLERS[command](ns)
+        return ns.run(ns)
     except UsageError as e:
         parser.error(str(e))
     except (DlogSidonError, ValueError, OSError) as e:

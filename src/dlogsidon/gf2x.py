@@ -100,20 +100,13 @@ def is_irreducible(f: Gf2Poly) -> bool:
         return False
     x = 2
     for r in factorize(d):
-        t = gf2_powmod_tower(x, d // r, f)
-        if gf2_gcd(t ^ x, f) != 1:
+        if gf2_gcd(gf2_powmod(x, 1 << (d // r), f) ^ x, f) != 1:
             return False
-    return gf2_powmod_tower(x, d, f) == x
+    return gf2_powmod(x, 1 << d, f) == x
 
 
-def gf2_powmod_tower(a: Gf2Poly, e: int, m: Gf2Poly) -> Gf2Poly:
-    """a^(2^e) mod m by e squarings."""
-    for _ in range(e):
-        a = gf2_mulmod(a, a, m)
-    return a
-
-
-def _check_degree(d: int) -> None:
+def check_degree(d: int) -> None:
+    """ValueError below degree 1, DegreeTooLarge past the bound of 24."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if d > _MAX_DEGREE:
@@ -132,7 +125,7 @@ def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
     _COFACTORS at a time. A reducible polynomial has an irreducible factor
     of degree <= d/2, so np.flatnonzero reads out exactly the irreducibles.
     """
-    _check_degree(d)
+    check_degree(d)
     flags = np.ones(1 << d, dtype=bool)
     for e in range(1, d // 2 + 1):
         m = d - e
@@ -159,7 +152,7 @@ def irreducibles_of_degree(d: int) -> tuple[Gf2Poly, ...]:
 def least_irreducible(d: int) -> Gf2Poly:
     """The least irreducible of degree d by bit pattern, by a scan that
     stops at the first one."""
-    _check_degree(d)
+    check_degree(d)
     return next(f for f in range(1 << d, 1 << (d + 1)) if is_irreducible(f))
 
 
@@ -184,7 +177,7 @@ def gf2_finite_sidon(n: int, q: Gf2Poly | None = None) -> set[int]:
     irreducible; DegreeTooLarge past 24, whether or not q is given."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _check_degree(n)
+    check_degree(n)
     if q is None:
         q = least_irreducible(n)
     if gf2_deg(q) != n:
@@ -236,7 +229,7 @@ class Gf2Ring(UnitGroupRing):
         """Raise DegreeTooLarge if (lo, hi] holds a norm 2^d past the degree bound."""
         degrees = _degrees(lo, hi)
         if degrees:
-            _check_degree(degrees[-1])
+            check_degree(degrees[-1])
 
     def basis_entry(self, j: int) -> tuple[Gf2Poly, Gf2Poly]:
         q = least_irreducible(2 * j - 1)

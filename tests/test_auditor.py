@@ -14,6 +14,7 @@ from dlogsidon.auditor import (
     MAX_SUBSETS,
     CollisionReport,
     check_collision_structure,
+    check_one_bucket,
     find_collisions,
     find_collisions_bruteforce,
     growth_bracket_check,
@@ -695,6 +696,26 @@ def test_sidon_mod_limit_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_one_bucket_check_agrees_with_the_audit(monkeypatch):
+    # At MAX_KEYS = 4096 a modulus audit of 62 values fits: one bucket of
+    # C(63, 2) = 1,953 keys, its scratch of as many and 3 words for each of
+    # the 62 tails take 4,092 words. 63 values take 4,221. The check and the
+    # audit agree on both sides of that boundary, and at the real limit it
+    # lies at 23,164 values.
+    assert 2 * comb(63, 2) + 3 * 62 <= 4096 < 2 * comb(64, 2) + 3 * 63
+    monkeypatch.setattr(auditor, "MAX_KEYS", 4096)
+    check_one_bucket(62)
+    assert not is_sidon(range(62), 10_006)
+    with pytest.raises(AuditTooLarge, match="in one bucket"):
+        check_one_bucket(63)
+    with pytest.raises(AuditTooLarge, match="in one bucket"):
+        is_sidon(range(63), 10_006)
+    monkeypatch.undo()
+    check_one_bucket(23_164)
+    with pytest.raises(AuditTooLarge, match="in one bucket"):
+        check_one_bucket(23_165)
 
 
 def test_report_limit_bounds_the_output(monkeypatch):

@@ -49,6 +49,32 @@ def test_finite_past_the_baby_step_limit_is_an_error(capsys):
         assert err.startswith("error:") and reason in err
 
 
+def test_finite_past_the_audit_limit_refuses_before_any_log(capsys):
+    # The largest prime below 2^38 passes the baby-step limit, but its 43,390
+    # residues would take C(43391, 2) = 9.4e8 keys in the one bucket of their
+    # audit mod q - 1: it refuses before the first of 43,390 logs.
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["finite", "--q", "274877906899"])
+    assert time.perf_counter() - start < 2
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "in one bucket" in err and "audit limit" in err
+
+
+@pytest.mark.parametrize("argv", [["basis"], ["generate"], ["prune"], ["bh", "generate"],
+                                  ["bh", "montecarlo"], ["audit"], ["count"], ["finite"],
+                                  ["gf2", "finite"], ["gf2", "generate"]])
+def test_every_subcommand_has_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dlogsidon {' '.join(argv)} ")
+
+
+def test_a_subcommand_is_required(capsys):
+    assert "required: command" in run_usage_error(capsys, [])
+    assert "required: sub" in run_usage_error(capsys, ["gf2"])
+
+
 def test_gf2_finite_with_a_modulus_keeps_the_degree_bound(capsys):
     # X^30 + X + 1 is irreducible, but degree 30 is past the bound of 24,
     # given --q or not: about 2,500 BSGS logs would run for minutes.

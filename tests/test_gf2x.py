@@ -26,7 +26,6 @@ from dlogsidon.gf2x import (
     gf2_mul,
     gf2_mulmod,
     gf2_powmod,
-    gf2_powmod_tower,
     irreducible_count,
     is_irreducible,
     irreducibles_of_degree,
@@ -105,8 +104,6 @@ def test_powmod_and_tower():
             acc = gf2_mulmod(acc, base, m)
         assert gf2_powmod(a, e, m) == acc
     assert gf2_powmod(7, 0, 0b1011) == 1
-    a, m = 6, 0b100101
-    assert gf2_powmod_tower(a, 5, m) == gf2_powmod(a, 1 << 5, m)
 
 
 def test_irreducibility_matches_trial_division():
