@@ -311,9 +311,10 @@ class UnitGroupRing:
         their own residues mod q: distinct pairs give distinct products, and
         the logs form a Sidon set in Z_(N(q) - 1).
         """
-        self.check_modulus(q)
         if g is None:
-            g = self.generator(q)
+            g = self.generator(q)  # which tests q
+        else:
+            self.check_modulus(q)
         return {self.dlog(g, p, q) for p in self.irreducibles_below(q)}
 
     def irreducibles_below(self, q: int) -> list[int]:

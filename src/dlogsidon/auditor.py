@@ -131,18 +131,21 @@ class CollisionReport:
 
 
 def _prepare(elements, l, modulus):
+    """(items, vals), the elements and their values, once the arity, the
+    modulus, the MAX_SUBSETS work limit and distinct values pass, in turn."""
     if l < 2:
         raise ArityOutOfRange(f"collision arity must be >= 2, got {l}")
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return list(elements)
-
-
-def _distinct_values(items):
+    items = list(elements)
+    subsets = comb(len(items) + l - 1, l)
+    if subsets > MAX_SUBSETS:
+        raise AuditTooLarge(f"{subsets} {l}-multisets exceed the audit limit of "
+                            f"{MAX_SUBSETS}")
     vals = [_value_of(e) for e in items]
     if len(set(vals)) != len(vals):
         raise ValueError("elements must be pairwise distinct")
-    return vals
+    return items, vals
 
 
 def _reduce(keys, m):
@@ -208,8 +211,6 @@ def _reports(items, vals, multisets, l, modulus):
     (mod `modulus`), as sorted reports. Groups the multisets by exact sum as
     they come, and raises AuditTooLarge, before building any report, once
     more than MAX_REPORT_PAIRS pairs of them share a sum."""
-    if len(vals) < 2:
-        return []  # no two element-disjoint l-multisets
     groups: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     pairs = 0
     for t in multisets:
@@ -234,12 +235,6 @@ def _reports(items, vals, multisets, l, modulus):
             reports.append(CollisionReport(l=l, total=key, left=left, right=right))
     reports.sort(key=CollisionReport.key)
     return reports
-
-
-def _check_work(subsets, l):
-    if subsets > MAX_SUBSETS:
-        raise AuditTooLarge(f"{subsets} {l}-multisets exceed the audit limit of "
-                            f"{MAX_SUBSETS}")
 
 
 def _residues(vals, m):
@@ -342,6 +337,8 @@ def _candidates(vals, l, modulus):
     MAX_KEYS words; if none fits, raises AuditTooLarge before any key exists.
     """
     n = len(vals)
+    if n < 2:
+        return  # no key repeats, and no values means no bucket for a pool
     n_tails = comb(n + l - 2, l - 1)
     if _TAIL_WORDS * n_tails > MAX_KEYS:  # whatever the bucket prime
         raise AuditTooLarge(f"{n_tails} {l - 1}-multiset tails exceed the audit limit of "
@@ -420,11 +417,7 @@ def is_bh(values, h: int, modulus: int | None = None) -> bool:
     sides of a repeat among (h-1)-multisets makes a repeat among
     h-multisets. Raises AuditTooLarge as find_collisions does.
     """
-    items = _prepare(values, h, modulus)
-    _check_work(comb(len(items) + h - 1, h), h)
-    vals = _distinct_values(items)
-    if len(vals) < 2:
-        return True
+    _, vals = _prepare(values, h, modulus)
     seen = set()
     for t in _candidates(vals, h, modulus):
         s = sum(vals[i] for i in t)
@@ -450,18 +443,14 @@ def find_collisions(elements, l: int, modulus: int | None = None) -> list[Collis
     or MAX_KEYS words, and before building any report when more than
     MAX_REPORT_PAIRS pairs of multisets share a sum.
     """
-    items = _prepare(elements, l, modulus)
-    _check_work(comb(len(items) + l - 1, l), l)
-    vals = _distinct_values(items)
+    items, vals = _prepare(elements, l, modulus)
     return _reports(items, vals, _candidates(vals, l, modulus), l, modulus)
 
 
 def find_collisions_bruteforce(elements, l: int, modulus: int | None = None) -> list[CollisionReport]:
     """Reference implementation: every l-multiset, enumerated directly,
     through find_collisions' report builder."""
-    items = _prepare(elements, l, modulus)
-    _check_work(comb(len(items) + l - 1, l), l)
-    vals = _distinct_values(items)
+    items, vals = _prepare(elements, l, modulus)
     return _reports(items, vals, combinations_with_replacement(range(len(vals)), l), l, modulus)
 
 

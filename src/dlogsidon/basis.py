@@ -108,13 +108,16 @@ class Basis:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entry(self, j: int) -> tuple[int, int]:
-        """(q_j, g_j), 1-based, extending on demand."""
+    def _row(self, j: int) -> tuple[int, int, int]:
+        """(q_j, g_j, N_j), 1-based, extending on demand."""
         if j < 1:
             raise ValueError(f"basis index must be >= 1, got {j}")
-        if j > len(self._entries):
-            self.ensure(j)
-        return self._entries[j - 1][:2]
+        self.ensure(j)
+        return self._entries[j - 1]
+
+    def entry(self, j: int) -> tuple[int, int]:
+        """(q_j, g_j), 1-based, extending on demand."""
+        return self._row(j)[:2]
 
     def q(self, j: int) -> int:
         return self.entry(j)[0]
@@ -124,11 +127,7 @@ class Basis:
 
     def norm(self, j: int) -> int:
         """N_j, the size of the residue ring mod q_j (q_j itself over Z)."""
-        if j < 1:
-            raise ValueError(f"basis index must be >= 1, got {j}")
-        if j > len(self._entries):
-            self.ensure(j)
-        return self._entries[j - 1][2]
+        return self._row(j)[2]
 
     def moduli(self, k: int) -> list[tuple[int, int, int]]:
         """(q_j, g_j, N_j) for j = 1..k, extending on demand."""
@@ -163,10 +162,22 @@ class Basis:
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "Basis":
-        rows = sorted(doc["entries"], key=lambda row: row["j"])
-        if [row["j"] for row in rows] != list(range(1, len(rows) + 1)):
+        """The fixed basis of a to_json_doc document; a missing or ill-typed
+        field raises ValueError naming it."""
+        def field(obj, key, kind, path):
+            value = obj.get(key) if isinstance(obj, dict) else None
+            if type(value) is not kind:
+                what = "an integer" if kind is int else "a list"
+                raise ValueError(f"basis document: {path} is missing or not {what}")
+            return value
+
+        scale = field(doc, "scale", int, "scale")
+        rows = sorted(tuple(field(row, key, int, f"entries[{i}].{key}")
+                            for key in ("j", "q", "g"))
+                      for i, row in enumerate(field(doc, "entries", list, "entries")))
+        if [j for j, _, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError("basis entries must cover j = 1..n without gaps")
-        return cls(doc["scale"], [(row["q"], row["g"]) for row in rows], mode="fixed")
+        return cls(scale, [(q, g) for _, q, g in rows], mode="fixed")
 
 
 def build_basis(mode: str, scale: int, count: int, seed: int | None = None) -> Basis:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import isqrt
 
@@ -119,9 +120,10 @@ def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
     return build_basis(ns.basis_mode, scale, count, seed=ns.seed)
 
 
-def _sidon_prefix(ns: argparse.Namespace):
-    """The plain-law prefix over a scale-4 basis that generate, prune and count share."""
-    params = _checked_law(sidon_params(c=parse_constant(ns.c)), ns.k_max)
+def _sidon_prefix(ns: argparse.Namespace, c):
+    """The plain-law prefix at constant c over a scale-4 basis that generate,
+    prune and count share."""
+    params = _checked_law(sidon_params(c=c), ns.k_max)
     return generate_blocks(ns.k_max, params, _make_basis(ns, 4, ns.k_max))
 
 
@@ -138,8 +140,24 @@ def _cmd_basis(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _audit_value(line: str, where: str) -> int:
+    """A JSON integer, a string of a decimal integer, or an object whose "a"
+    is one of those; anything else raises ValueError naming the line."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        obj = None
+    value = obj.get("a") if isinstance(obj, dict) else obj
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    if type(value) is not int:  # bool is an int subclass; floats are inexact
+        raise ValueError(f"{where}: {line.strip()!r} is not an integer, a decimal string "
+                         f"or an object whose \"a\" is one")
+    return value
+
+
 def _cmd_generate(ns: argparse.Namespace) -> int:
-    prefix = _sidon_prefix(ns)
+    prefix = _sidon_prefix(ns, parse_constant(ns.c))
     _write_lines(ns.out, (e.to_json_obj() for e in prefix.elements))
     _write_doc(ns.summary, {
         "c": ns.c,
@@ -152,7 +170,10 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_prune(ns: argparse.Namespace) -> int:
-    result = pruned_generate(_sidon_prefix(ns))
+    c = parse_constant(ns.c)
+    if not c > const_sqrt5():  # pruned_generate's own check, before any block
+        raise UsageError(f"--c {ns.c!r}: pruning needs c above (3 - sqrt 5)/2")
+    result = pruned_generate(_sidon_prefix(ns, c))
     _write_lines(ns.out, (e.to_json_obj() for e in result.pruned.elements))
     if ns.bad_out:
         _write_lines(ns.bad_out, (r.to_json_obj() for r in result.records))
@@ -195,12 +216,8 @@ def _cmd_audit(ns: argparse.Namespace) -> int:
     l = ns.l
     if l < 2:
         raise UsageError("--l must be >= 2")
-    values = []
-    for line in _read_lines(ns.input):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        values.append(int(obj["a"]) if isinstance(obj, dict) else int(obj))
+    values = [_audit_value(line, f"--input line {i}")
+              for i, line in enumerate(_read_lines(ns.input), start=1) if line.strip()]
     reports = find_collisions(values, l, modulus=ns.modulus)
     _write_lines(ns.out, (r.to_json_obj() for r in reports))
     if reports and not ns.allow_collisions:
@@ -211,7 +228,7 @@ def _cmd_audit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    prefix = _sidon_prefix(ns)
+    prefix = _sidon_prefix(ns, parse_constant(ns.c))
     doc = {"x": str(ns.x), "count": count_upto(ns.x, prefix), "k_max": ns.k_max}
     if ns.brackets:
         doc["brackets"] = growth_bracket_check(prefix)
@@ -224,7 +241,7 @@ def _cmd_finite(ns: argparse.Namespace) -> int:
     if not is_prime(q):
         raise UsageError(f"--q {q} is not prime")
     g = smallest_primitive_root(q) if ns.g is None else ns.g
-    if not is_primitive_root(g, q):
+    if ns.g is not None and not is_primitive_root(g, q):
         raise UsageError(f"--g {g} is not a primitive root mod {q}")
     _check_finite(INTEGERS, q)
     residues = sorted(finite_dlog_sidon_set(q, g))

@@ -84,12 +84,10 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
     """Every element of blocks k_min..k_max over the basis ring, with digits
     in the windows of the basis order h, plus the block irreducibles equal
     to a basis modulus as exclusions."""
-    if k_max < params.k_min:
-        raise ValueError(f"k_max = {k_max} below the first block {params.k_min}")
     ring = basis.ring
     # Blocks widen with k, so a last block past the ring's listing limit
     # (sieve width over Z, degree over GF(2)[X]) fails here, before any block
-    # is listed; so does a basis too short for k_max.
+    # is listed; so do a k_max below k_min and a basis too short for k_max.
     ring.check_listing(*block_edges(k_max, params))
     basis.ensure(k_max)
     tables: dict[int, array] = {}

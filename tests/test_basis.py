@@ -45,6 +45,8 @@ def test_weight_recurrence(default_basis):
             default_basis.weight(j) * default_basis.radix(j))
     with pytest.raises(ValueError):
         default_basis.weight(0)
+    with pytest.raises(ValueError):
+        default_basis.norm(0)
 
 
 def test_prime_product(default_basis):

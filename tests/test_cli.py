@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from dlogsidon import cli
+from dlogsidon.arith import INTEGERS, is_primitive_root
 from dlogsidon.cli import main
 
 
@@ -34,6 +36,17 @@ def test_finite_prime_modulus(capsys):
     err = run_usage_error(capsys, ["finite", "--q", "23", "--g", "2"])
     assert "not a primitive root" in err
     run_usage_error(capsys, ["finite", "--q", "23", "--g", "0"])
+
+
+def test_finite_tests_only_a_given_generator(capsys, monkeypatch):
+    # The least generator needs no second test; a --g does.
+    calls = []
+    monkeypatch.setattr(cli, "is_primitive_root",
+                        lambda g, q: calls.append((g, q)) or is_primitive_root(g, q))
+    assert run_cli(capsys, ["finite", "--q", "101"])[0] == 0
+    assert calls == []
+    assert run_cli(capsys, ["finite", "--q", "101", "--g", "3"])[0] == 0
+    assert calls == [(3, 101)]
 
 
 def test_finite_past_the_baby_step_limit_is_an_error(capsys):
@@ -185,6 +198,28 @@ def test_audit_methods_and_modulus(capsys, tmp_path):
     assert rc == 1 and err.startswith("error:")
 
 
+def test_audit_reads_integers_and_decimal_strings(capsys, tmp_path):
+    values = tmp_path / "values.jsonl"
+    values.write_text('3\n"1"\n{"a": 0}\n\n{"a": "2", "k": 2}\n"-7"\n')
+    rc, out, err = run_cli(capsys, ["audit", "--input", str(values), "--allow-collisions"])
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) == 3  # the planted 0..3 collisions; -7 adds none
+
+
+# A float is inexact (and big ones are already rounded by the JSON reader),
+# a boolean is not a number, and the rest hold no value at all.
+@pytest.mark.parametrize("line", [
+    "2.7", "true", '{"a": 12345678901234567891.0}', '{"p": 3}', "[1, 2]", "null",
+    '"1_000"', '{"a": true}', "{", '" 12"',
+])
+def test_audit_refuses_a_line_without_an_exact_integer(capsys, tmp_path, line):
+    values = tmp_path / "values.jsonl"
+    values.write_text(f"1\n{line}\n3\n")
+    rc, out, err = run_cli(capsys, ["audit", "--input", str(values)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: --input line 2:") and "Traceback" not in err
+
+
 def test_audit_modulus_below_one_is_a_usage_error(capsys, tmp_path):
     values = tmp_path / "values.jsonl"
     values.write_text("1\n2\n")
@@ -265,6 +300,23 @@ def test_basis_document_and_reuse(capsys, tmp_path):
     # scale 4 document cannot drive an h = 3 run
     run_usage_error(capsys, ["bh", "generate", "--kmax", "5",
                              "--basis-file", str(doc)])
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"scale": 4}, "entries"),
+    ({"scale": 4, "entries": [{"j": 1, "q": 3}]}, "entries[0].g"),
+    ([{"j": 1, "q": 3, "g": 2}], "scale"),
+    ({"scale": 4, "entries": [{"j": 1, "q": "3", "g": 2}]}, "entries[0].q"),
+    ({"scale": 4, "entries": {"j": 1, "q": 3, "g": 2}}, "entries"),
+    ({"scale": 4, "entries": [[1, 3, 2]]}, "entries[0].j"),
+    ({"scale": 4.0, "entries": []}, "scale"),
+])
+def test_malformed_basis_document_is_an_error(capsys, tmp_path, doc, field):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, ["generate", "--kmax", "2", "--basis-file", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and f"{field} is missing" in err and "Traceback" not in err
 
 
 def test_basis_random_seeded(capsys):
@@ -352,8 +404,15 @@ def test_counts_below_one_are_usage_errors(capsys, argv):
      "--h must be >= 3"),
     (["basis", "--scale", "5", "--count", "2"], "must be the square of an integer >= 2"),
     (["basis", "--scale", "1", "--count", "2"], "must be the square of an integer >= 2"),
+    # Checked before generation: pruned_generate would refuse it only after
+    # listing every block of the k <= 8 prefix.
+    (["prune", "--c", "sqrt5", "--kmax", "8"], "pruning needs c above (3 - sqrt 5)/2"),
 ])
-def test_bad_law_values_are_usage_errors(capsys, argv, message):
+def test_bad_law_values_are_usage_errors(capsys, monkeypatch, argv, message):
+    def no_listing(lo, hi):
+        raise AssertionError(f"a usage error listed the block ({lo}, {hi}]")
+
+    monkeypatch.setattr(INTEGERS, "irreducibles", no_listing)
     assert message in run_usage_error(capsys, argv)
 
 

@@ -4,14 +4,15 @@ from collections import Counter
 import pytest
 
 from dlogsidon import auditor
-from dlogsidon.arith import PrimeField, primes_upto, smallest_primitive_root
+from dlogsidon.arith import INTEGERS, PrimeField, primes_upto, smallest_primitive_root
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
 from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
                               primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
-from dlogsidon.errors import BasisGap, ExcludedPrime, PrefixTooShort, SieveTooLarge
+from dlogsidon.errors import (BasisGap, ExcludedPrime, InvalidModulus, PrefixTooShort,
+                              SieveTooLarge)
 from dlogsidon.generator import (
     count_upto,
     expected_finite_size,
@@ -137,7 +138,7 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
 
 
 def test_generate_rejects_k_max_below_first_block(default_basis, sqrt5_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block index 1 below k_min = 2"):
         generate_blocks(1, sqrt5_params, default_basis)
 
 
@@ -232,3 +233,15 @@ def test_finite_set_is_sidon_in_cyclic_group():
 def test_finite_set_respects_supplied_generator():
     g = smallest_primitive_root(101)
     assert finite_dlog_sidon_set(101, g) == finite_dlog_sidon_set(101)
+
+
+def test_finite_set_tests_its_modulus_once(monkeypatch):
+    calls = []
+    check = INTEGERS.check_modulus
+    monkeypatch.setattr(INTEGERS, "check_modulus", lambda q: calls.append(q) or check(q))
+    for g in (None, 2):
+        calls.clear()
+        assert finite_dlog_sidon_set(101, g) == {1, 9, 24, 69}
+        assert calls == [101], g
+        with pytest.raises(InvalidModulus):
+            finite_dlog_sidon_set(100, g)

@@ -281,6 +281,8 @@ def test_basis_entries_and_weights():
     with pytest.raises(ValueError):
         basis.entry(0)
     with pytest.raises(ValueError):
+        basis.norm(0)
+    with pytest.raises(ValueError):
         Basis(4, ring=GF2, mode="random", seed=1)  # the window pools are integer primes
 
 
