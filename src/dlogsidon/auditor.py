@@ -108,7 +108,6 @@ class CollisionReport:
     total: int
     left: tuple
     right: tuple
-    structure: dict | None = None
 
     def left_values(self) -> tuple[int, ...]:
         return tuple(_value_of(e) for e in self.left)
@@ -123,11 +122,8 @@ class CollisionReport:
         def side(items):
             return [e.to_json_obj() if hasattr(e, "to_json_obj") else str(_value_of(e))
                     for e in items]
-        obj = {"l": self.l, "sum": str(self.total),
-               "left": side(self.left), "right": side(self.right)}
-        if self.structure is not None:
-            obj["structure"] = self.structure
-        return obj
+        return {"l": self.l, "sum": str(self.total),
+                "left": side(self.left), "right": side(self.right)}
 
 
 def _prepare(elements, l, modulus):
@@ -316,8 +312,10 @@ def _buffers_that_fit(largest, n_tails, l):
 def check_one_bucket(n: int) -> None:
     """Raise AuditTooLarge when a pair audit of n values mod a modulus, which
     keeps all C(n + 1, 2) keys in one bucket, cannot fit in MAX_KEYS words:
-    the check the engine makes, made before the values exist."""
-    _buffers_that_fit(comb(n + 1, 2), n, 2)
+    the check the engine makes, made before the values exist. Fewer than
+    two values make no bucket, as in _candidates."""
+    if n >= 2:
+        _buffers_that_fit(comb(n + 1, 2), n, 2)
 
 
 def _candidates(vals, l, modulus):
@@ -532,8 +530,6 @@ def check_collision_structure(report: CollisionReport, basis: Basis,
     for i in range(1, l + 1):
         d *= partial(left, i) - partial(right, i)
     facts["product_divisibility"] = d % q_product == 0
-
-    report.structure = facts
     return facts
 
 

@@ -66,7 +66,6 @@ class Basis:
         self.scale = scale
         self.h = root
         self.mode = mode
-        self.seed = seed
         self._rng = random.Random(seed) if mode == "random" else None
         self._entries: list[tuple[int, int, int]] = []
         self._weights: list[int] = [1]  # _weights[j-1] = W_j = prod_{i<j} scale*N_i

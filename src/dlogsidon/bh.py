@@ -10,6 +10,7 @@ h itself is the basis's: a B_h prefix is cut over a basis of scale h^2.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -73,7 +74,6 @@ def prune_repeated_sums(values, h: int) -> tuple[list[int], list[int]]:
 class BhPruneResult:
     pruned: SequencePrefix
     removed: list[SidonElement]
-    removed_by_block: dict[int, int]
 
 
 def bh_prune(prefix: SequencePrefix) -> BhPruneResult:
@@ -83,11 +83,7 @@ def bh_prune(prefix: SequencePrefix) -> BhPruneResult:
     removed_set = set(removed_values)
     removed = [e for e in prefix.elements if e.value in removed_set]
     kept = [e for e in prefix.elements if e.value not in removed_set]
-    by_block: dict[int, int] = {}
-    for e in removed:
-        by_block[e.k] = by_block.get(e.k, 0) + 1
-    return BhPruneResult(pruned=replace(prefix, elements=kept), removed=removed,
-                         removed_by_block=by_block)
+    return BhPruneResult(pruned=replace(prefix, elements=kept), removed=removed)
 
 
 def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int) -> dict:
@@ -109,11 +105,11 @@ def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int) -> dict:
     for t, tseed in enumerate(trial_seeds):
         basis = build_basis("random", h * h, k_max, seed=tseed)
         prefix = bh_generate(k_max, params, basis)
-        result = bh_prune(prefix)
+        removed_by_block = Counter(e.k for e in bh_prune(prefix).removed)
         ratios = []
         for k in ks:
             size = prefix.block_sizes.get(k, 0)
-            bad = result.removed_by_block.get(k, 0)
+            bad = removed_by_block[k]
             ratio = bad / size if size else 0.0
             ratios.append({"k": k, "block_size": size, "removed": bad, "ratio": ratio})
             sums[k] += ratio

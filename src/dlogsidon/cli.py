@@ -25,7 +25,7 @@ from .auditor import check_one_bucket, find_collisions, growth_bracket_check, is
 from .basis import Basis, build_basis
 from .blocks import const_decimal, const_sqrt2, const_sqrt5, const_window, sidon_params
 from .errors import DlogSidonError
-from .generator import count_upto, finite_dlog_sidon_set, generate_blocks
+from .generator import count_upto, generate_blocks
 from .pruner import pruned_generate
 
 
@@ -125,13 +125,6 @@ def _sidon_prefix(ns: argparse.Namespace, c):
     prune and count share."""
     params = _checked_law(sidon_params(c=c), ns.k_max)
     return generate_blocks(ns.k_max, params, _make_basis(ns, 4, ns.k_max))
-
-
-def _check_finite(ring, q) -> None:
-    """Refuse, before the first log, a finite set mod q whose logs need too
-    large a BSGS table or whose pair audit mod N(q) - 1 cannot fit."""
-    ring.baby_steps(q)
-    check_one_bucket(len(ring.irreducibles_below(q)))
 
 
 def _cmd_basis(ns: argparse.Namespace) -> int:
@@ -236,6 +229,20 @@ def _cmd_count(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _finite(ns: argparse.Namespace, ring, q, g, head: dict) -> int:
+    """The finite Sidon set mod q over the ring, written after `head`.
+    Refuses, before the first log, a set whose logs need too large a BSGS
+    table or whose pair audit mod N(q) - 1 cannot fit."""
+    ring.baby_steps(q)
+    check_one_bucket(len(ring.irreducibles_below(q)))
+    residues = sorted(ring.finite_sidon(q, g))
+    modulus = ring.norm(q) - 1
+    sidon = is_sidon(residues, modulus)
+    _write_doc(ns.out, dict(head, modulus=modulus, size=len(residues),
+                            residues=residues, sidon=sidon))
+    return 0 if sidon else 1
+
+
 def _cmd_finite(ns: argparse.Namespace) -> int:
     q = ns.q
     if not is_prime(q):
@@ -243,12 +250,7 @@ def _cmd_finite(ns: argparse.Namespace) -> int:
     g = smallest_primitive_root(q) if ns.g is None else ns.g
     if ns.g is not None and not is_primitive_root(g, q):
         raise UsageError(f"--g {g} is not a primitive root mod {q}")
-    _check_finite(INTEGERS, q)
-    residues = sorted(finite_dlog_sidon_set(q, g))
-    sidon = is_sidon(residues, q - 1)
-    _write_doc(ns.out, {"q": q, "g": g, "modulus": q - 1, "size": len(residues),
-                         "residues": residues, "sidon": sidon})
-    return 0 if sidon else 1
+    return _finite(ns, INTEGERS, q, g, {"q": q, "g": g})
 
 
 def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
@@ -264,14 +266,8 @@ def _cmd_gf2_finite(ns: argparse.Namespace) -> int:
             raise UsageError(f"--q {ns.q!r} is not a hex bit pattern") from None
         if q < 0 or gf2x.gf2_deg(q) != n or not gf2x.is_irreducible(q):
             raise UsageError(f"--q {ns.q} is not an irreducible polynomial of degree {n}")
-        gf2x.check_degree(n)  # as least_irreducible does, before the count below
-    _check_finite(gf2x.GF2, q)
-    residues = sorted(gf2x.gf2_finite_sidon(n, q))
-    modulus = (1 << n) - 1
-    sidon = is_sidon(residues, modulus)
-    _write_doc(ns.out, {"n": n, "q": format(q, "x"), "modulus": modulus,
-                         "size": len(residues), "residues": residues, "sidon": sidon})
-    return 0 if sidon else 1
+        gf2x.check_degree(n)  # as least_irreducible does, before _finite counts residues
+    return _finite(ns, gf2x.GF2, q, None, {"n": n, "q": format(q, "x")})
 
 
 def _cmd_gf2_generate(ns: argparse.Namespace) -> int:

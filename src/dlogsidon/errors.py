@@ -58,7 +58,7 @@ class IneligiblePair(DlogSidonError):
 
 
 class ArityOutOfRange(DlogSidonError):
-    """Collision arity below 2 (or above the audited order) was requested."""
+    """Collision arity below 2 was requested."""
 
 
 class AuditTooLarge(DlogSidonError):

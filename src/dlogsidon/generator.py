@@ -85,17 +85,21 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
     in the windows of the basis order h, plus the block irreducibles equal
     to a basis modulus as exclusions."""
     ring = basis.ring
-    # Blocks widen with k, so a last block past the ring's listing limit
-    # (sieve width over Z, degree over GF(2)[X]) fails here, before any block
-    # is listed; so do a k_max below k_min and a basis too short for k_max.
-    ring.check_listing(*block_edges(k_max, params))
+    # The first block past the ring's listing limit (sieve width over Z,
+    # degree over GF(2)[X]) fails here, before any block is listed and before
+    # the wider edges after it are worked out; so do a k_max below k_min and
+    # a basis too short for k_max.
+    edges = {}
+    for k in range(min(k_max, params.k_min), k_max + 1):
+        edges[k] = block_edges(k, params)
+        ring.check_listing(*edges[k])
     basis.ensure(k_max)
     tables: dict[int, array] = {}
     elements: list[SidonElement] = []
     excluded: list[ExclusionRecord] = []
     block_sizes: dict[int, int] = {}
     for k in range(params.k_min, k_max + 1):
-        ps = ring.irreducibles(*block_edges(k, params))
+        ps = ring.irreducibles(*edges[k])
         block_sizes[k] = len(ps)
         for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
             if j not in tables and len(ps) >= isqrt(n):

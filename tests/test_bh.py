@@ -60,7 +60,6 @@ def test_bh_prune_keeps_everything_when_clean(bh3):
     _, _, prefix = bh3
     result = bh_prune(prefix)
     assert result.removed == []
-    assert result.removed_by_block == {}
     assert result.pruned.values() == prefix.values()
 
 
@@ -109,7 +108,6 @@ def test_bh_prune_on_synthetic_collision(fake_basis):
     result = bh_prune(prefix)
     assert len(result.removed) > 0
     assert is_bh_list(result.pruned.values(), 3)
-    assert sum(result.removed_by_block.values()) == len(result.removed)
     # removed elements are real prefix members
     values = set(prefix.values())
     assert all(e.value in values for e in result.removed)

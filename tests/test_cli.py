@@ -6,6 +6,7 @@ import pytest
 
 from dlogsidon import cli
 from dlogsidon.arith import INTEGERS, is_primitive_root
+from dlogsidon.blocks import const_window
 from dlogsidon.cli import main
 
 
@@ -36,6 +37,15 @@ def test_finite_prime_modulus(capsys):
     err = run_usage_error(capsys, ["finite", "--q", "23", "--g", "2"])
     assert "not a primitive root" in err
     run_usage_error(capsys, ["finite", "--q", "23", "--g", "0"])
+
+
+@pytest.mark.parametrize("q, doc", [
+    ("2", '{"g":1,"modulus":1,"q":2,"residues":[],"sidon":true,"size":0}\n'),
+    ("3", '{"g":2,"modulus":2,"q":3,"residues":[],"sidon":true,"size":0}\n'),
+])
+def test_finite_smallest_moduli_give_empty_sets(capsys, q, doc):
+    # No prime p has p^2 < 2 or p^2 < 3: the set is empty, and Sidon.
+    assert run_cli(capsys, ["finite", "--q", q]) == (0, doc, "")
 
 
 def test_finite_tests_only_a_given_generator(capsys, monkeypatch):
@@ -124,6 +134,12 @@ def test_generate_to_files(capsys, tmp_path):
     assert rc == 0 and out == ""
     assert len(elems.read_text().splitlines()) == 3
     assert json.loads(summary.read_text())["k_max"] == 4
+
+
+def test_window_constant_flag(capsys):
+    assert cli.parse_constant("bh:3") == const_window(3)
+    assert "need h >= 2" in run_usage_error(capsys, ["generate", "--kmax", "4", "--c", "bh:1"])
+    assert "'bh:x'" in run_usage_error(capsys, ["generate", "--kmax", "4", "--c", "bh:x"])
 
 
 def test_generate_flag_validation(capsys):
@@ -302,6 +318,17 @@ def test_basis_document_and_reuse(capsys, tmp_path):
                              "--basis-file", str(doc)])
 
 
+def test_scale_9_basis_document_drives_a_b3_run(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, ["basis", "--scale", "9", "--count", "5"])
+    assert rc == 0 and json.loads(out)["scale"] == 9
+    doc = tmp_path / "basis.json"
+    doc.write_text(out)
+    plain = run_cli(capsys, ["bh", "generate", "--h", "3", "--kmax", "5"])
+    reused = run_cli(capsys, ["bh", "generate", "--h", "3", "--kmax", "5",
+                              "--basis-file", str(doc)])
+    assert reused == plain and plain[0] == 0
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"scale": 4}, "entries"),
     ({"scale": 4, "entries": [{"j": 1, "q": 3}]}, "entries[0].g"),
@@ -368,6 +395,16 @@ def test_block_past_the_sieve_limit_is_an_error(capsys, argv):
     rc, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - t0 < 1.0
     assert rc == 1 and out == "" and err.startswith("error:") and "2^27" in err
+
+
+def test_gf2_generation_refuses_at_the_first_block_past_the_degree_bound(capsys):
+    # Block 9 of the sqrt5 law at offset 0 reaches degree 30; the edges of
+    # the blocks after it, up to about 3.4e6 bits wide at k = 3000, are never
+    # worked out.
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["gf2", "generate", "--kmax", "3000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == "" and err.startswith("error:") and "degree 30" in err
 
 
 def test_bh_montecarlo_deterministic(capsys):

@@ -1,3 +1,5 @@
+import re
+import time
 import tracemalloc
 from collections import Counter
 
@@ -8,8 +10,8 @@ from dlogsidon.arith import INTEGERS, PrimeField, primes_upto, smallest_primitiv
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
-from dlogsidon.blocks import (block_of_prime, const_decimal, const_sqrt2, const_sqrt5,
-                              primes_in_block, sidon_params)
+from dlogsidon.blocks import (block_edges, block_of_prime, const_decimal, const_sqrt2,
+                              const_sqrt5, primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
 from dlogsidon.errors import (BasisGap, ExcludedPrime, InvalidModulus, PrefixTooShort,
                               SieveTooLarge)
@@ -186,20 +188,26 @@ def test_short_basis_fails_before_any_block_is_listed(monkeypatch, fake_basis):
         generate_blocks(5, sidon_params(), fake_basis((3, 11, 37), 4))
 
 
-@pytest.mark.parametrize("c, k_max", [(const_sqrt5, 9), (const_sqrt5, 10), (const_sqrt2, 9)])
+# Block 9 is the first too wide for both constants. The edges of the blocks
+# after it, thousands of digits long at k = 200, are never worked out.
+@pytest.mark.parametrize("c, k_max", [(const_sqrt5, 9), (const_sqrt5, 10), (const_sqrt2, 9),
+                                      (const_sqrt5, 200), (const_sqrt5, 3000)])
 def test_block_past_the_sieve_limit_fails_before_any_block_is_listed(monkeypatch, c, k_max):
     def refuse(ring, lo, hi):
         raise AssertionError(f"block ({lo}, {hi}] listed before the sieve limit was checked")
 
     monkeypatch.setattr(PrimeField, "irreducibles", refuse)
     basis = build_basis("deterministic", 4, 2)
+    block9 = block_edges(9, sidon_params(c=c()))
+    t0 = time.perf_counter()
     tracemalloc.start()
     try:
-        with pytest.raises(SieveTooLarge):
+        with pytest.raises(SieveTooLarge, match=re.escape(f"sieving ({block9[0]}, {block9[1]}]")):
             generate_blocks(k_max, sidon_params(c=c()), basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
     assert peak < 1 << 20
     assert len(basis) == 2  # nor was the basis extended
 

@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 
 from dlogsidon import pruner
@@ -18,7 +19,6 @@ from oracles import bad_primes_naive
 
 
 def test_eligible_k2s_matches_inequality(sqrt2_params):
-    import mpmath
     with mpmath.workprec(PRECISION):
         c = sqrt2_params.c
         ratio = c / (1 - c)
@@ -152,6 +152,20 @@ def test_bad_prime_records_are_verifiable(fake_basis):
         assert rec.q1_product == b.q1_product and rec.q2_product == b.q2_product
         obj = rec.to_json_obj()
         assert obj["p1"] == rec.p1 and int(obj["s"]) == rec.s
+
+
+def test_bad_primes_check_the_size_bound(fake_basis):
+    # At k1 = 5 the only plan, k2 = 2, lies in the regime
+    # 2 E(k1 - 1) > E(k1) + E(k2) + 1, where a witness is below the square of
+    # block 5's floor: no witness may have a second block-5 prime factor, and
+    # bad_primes checks each of the 589 against every other prime of block 5.
+    params = sidon_params(c=const_decimal("0.45"), offset=1)
+    basis = fake_basis((11, 13, 3, 5, 7, 17), 4)
+    with mpmath.workprec(PRECISION):
+        assert 2 * params.exponent(4) > params.exponent(5) + params.exponent(2) + 1
+    recs = bad_primes(5, params, basis)
+    assert len(recs) == 589
+    assert {r.k2 for r in recs} == {2}
 
 
 def test_pruned_equals_unpruned_on_default_basis(default_basis):
