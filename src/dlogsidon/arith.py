@@ -18,7 +18,6 @@ log_table are its methods.
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -42,6 +41,10 @@ SIEVE_LIMIT = 1 << 27
 # (123 MiB while built, by tracemalloc, for the largest prime below 2^38);
 # the largest table a basis needs, a random q_13 < 2^27, has about 23k.
 MAX_BABY_STEPS = 1 << 20
+
+# Exponents one log-table chunk writes: its base powers and the chunk's
+# powers are int64 columns of this length, 512 KiB each.
+_LOG_CHUNK = 1 << 16
 
 # prime_count holds values up to n in int64 arrays.
 PRIME_COUNT_LIMIT = 1 << 62
@@ -214,7 +217,9 @@ class UnitGroupRing:
 
     A subclass supplies check_modulus(q), which raises unless q is
     irreducible, reduce(a, q), the norm N(q) = |R/q|, mul(a, b, q) and
-    pow(a, e, q) in R/q, irreducibles(lo, hi), the irreducibles p with
+    pow(a, e, q) in R/q, reduce_column(col, q) and mul_column(col, b, q),
+    the same over an int64 array of elements (residues, for mul_column),
+    irreducibles(lo, hi), the irreducibles p with
     lo < N(p) <= hi, check_listing(lo, hi), which raises the ring's limit
     error before that listing allocates, and basis_entry(j).
     """
@@ -283,23 +288,35 @@ class UnitGroupRing:
             y = mul(y, giant, q)
         raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a generator?")
 
-    def log_table(self, g: int, q: int) -> array:
+    def log_table(self, g: int, q: int) -> np.ndarray:
         """Full table t with t[g^x mod q] = x for x in [0, N(q) - 2]; t[0] = -1.
 
-        Built in N(q) - 1 products, as 4-byte ints: every basis norm is
-        below 2^31. A g that does not reach every nonzero residue raises the
-        same ValueError as dlog.
+        An int32 array (every basis norm is below 2^31), filled a chunk of
+        up to _LOG_CHUNK exponents at a time: the chunk from cC on is the
+        column of base powers g^0..g^(C-1) times g^(cC), one mul_column,
+        written at those residues. The base powers come from log2 C
+        doublings of the same product. A g that does not reach every
+        nonzero residue raises the same ValueError as dlog.
         """
         order = self.norm(q) - 1
-        mul = self.mul
-        table = array("i", [-1]) * (order + 1)
-        x = 1
-        for e in range(order):
-            table[x] = e
-            x = mul(x, g, q)
-        # g^order = 1 for any unit g, and table[1] keeps the largest exponent
-        # below order that maps to 1: 0 exactly when g has full order.
-        if x != 1 or table[1] != 0:
+        g = self.reduce(g, q)
+        width = min(order, _LOG_CHUNK)
+        base = np.ones(width, dtype=np.int64)
+        done = 1
+        while done < width:
+            step = min(done, width - done)
+            base[done:done + step] = self.mul_column(base[:step], self.pow(g, done, q), q)
+            done += step
+        table = np.full(order + 1, -1, dtype=np.int32)
+        exponents = np.arange(width, dtype=np.int32)
+        lead, stride = 1, self.pow(g, width, q)
+        for start in range(0, order, width):
+            size = min(width, order - start)
+            table[self.mul_column(base[:size], lead, q)] = exponents[:size] + start
+            lead = self.mul(lead, stride, q)
+        # Only a g of full order writes every nonzero residue; a g = 0 mod q
+        # (which also wrote t[0]) has no power equal to 1 at all.
+        if self.pow(g, order, q) != 1 or table[1:].min() < 0:
             raise ValueError(f"powers of {g} mod {q} miss residues; is g a generator?")
         return table
 
@@ -342,6 +359,15 @@ class PrimeField(UnitGroupRing):
     @staticmethod
     def mul(a: int, b: int, q: int) -> int:
         return a * b % q
+
+    @staticmethod
+    def reduce_column(col: np.ndarray, q: int) -> np.ndarray:
+        return col % q
+
+    @staticmethod
+    def mul_column(col: np.ndarray, b: int, q: int) -> np.ndarray:
+        """col * b mod q; residues below q < 2^31 keep the products in int64."""
+        return col * b % q
 
     @staticmethod
     def irreducibles(lo: int, hi: int) -> list[int]:

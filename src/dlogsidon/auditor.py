@@ -178,13 +178,16 @@ def _subset_sums(res, l, m):
 def _repeated_keys(keys):
     """Sorted distinct keys that occur more than once. Sorts keys in place
     and compares neighbours a chunk at a time, so no comparison mask spans
-    the whole array."""
+    the whole array. The neighbour matches come out ascending, a key once
+    per extra occurrence; keeping the first of each run leaves each key
+    once, as np.unique would, without np.unique's import of numpy.ma."""
     keys.sort()
     found = [keys[:0]]
     for lo in range(0, len(keys), _CHUNK):
         run = keys[lo:lo + _CHUNK + 1]
         found.append(run[1:][run[1:] == run[:-1]])
-    return np.unique(np.concatenate(found))
+    found = np.concatenate(found)
+    return np.concatenate((found[:1], found[1:][found[1:] != found[:-1]]))
 
 
 def _unrank(rank, n, l):

@@ -15,7 +15,7 @@ raises PrecisionAmbiguity instead of misassigning an irreducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 
@@ -61,6 +61,10 @@ class BlockParams:
     c: mpmath.mpf
     offset: int = -3
     taper: bool = False
+    # upper_edge(k) by k: a generation works out each edge twice, and a
+    # Monte-Carlo survey once per trial.
+    _edges: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     @property
     def k_min(self) -> int:
@@ -84,7 +88,9 @@ class BlockParams:
 
     def upper_edge(self, k: int) -> int:
         """floor(2^E(k)): the largest integer allowed into block k."""
-        return pow2_floor(self.exponent(k))
+        if k not in self._edges:
+            self._edges[k] = pow2_floor(self.exponent(k))
+        return self._edges[k]
 
 
 def sidon_params(c: mpmath.mpf | None = None, offset: int = -3) -> BlockParams:

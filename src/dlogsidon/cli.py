@@ -107,7 +107,9 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _make_basis(ns: argparse.Namespace, scale: int, count: int) -> Basis:
+def _make_basis(ns: argparse.Namespace, scale: int, count: int = 0) -> Basis:
+    """The basis of the basis flags, its first `count` entries built; a
+    generation builds the rest once it has checked its blocks."""
     path = ns.basis_file
     if path:
         with open(path) as fh:
@@ -124,7 +126,7 @@ def _sidon_prefix(ns: argparse.Namespace, c):
     """The plain-law prefix at constant c over a scale-4 basis that generate,
     prune and count share."""
     params = _checked_law(sidon_params(c=c), ns.k_max)
-    return generate_blocks(ns.k_max, params, _make_basis(ns, 4, ns.k_max))
+    return generate_blocks(ns.k_max, params, _make_basis(ns, 4))
 
 
 def _cmd_basis(ns: argparse.Namespace) -> int:
@@ -182,7 +184,7 @@ def _cmd_prune(ns: argparse.Namespace) -> int:
 
 def _cmd_bh_generate(ns: argparse.Namespace) -> int:
     params = _bh_law(ns)
-    prefix = bh_mod.bh_generate(ns.k_max, params, _make_basis(ns, ns.h * ns.h, ns.k_max))
+    prefix = bh_mod.bh_generate(ns.k_max, params, _make_basis(ns, ns.h * ns.h))
     if ns.raw:
         kept, removed = prefix.elements, []
     else:

@@ -11,7 +11,6 @@ which is what makes collision structure readable off the digits.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .arith import lift_to_window
@@ -76,18 +75,17 @@ def decode_value(a: int, basis: Basis) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def element_in_block(p: int, k: int, basis: Basis,
-                     tables: dict[int, array] | None = None) -> SidonElement:
+def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
     """Element of an irreducible p of block k, in one walk over j = 1..k:
-    the residue of p mod q_j (ExcludedPrime when it is 0), its log from
-    tables[j], the ring's log table of (g_j, q_j), or else from BSGS, lifted
-    into the window of the basis order h, and the running value and weight
-    W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
+    the residue of p mod q_j (ExcludedPrime when it is 0), its log by BSGS,
+    lifted into the window of the basis order h, and the running value and
+    weight W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
     checked to land between the block rails W_k N_k < a < W_(k+1).
 
-    Block generation passes k straight from the ring's listing between the
-    integer edges floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges,
-    which decide membership exactly in both rings: an integer norm is at most
+    generator.generate_blocks makes the same elements a column at a time,
+    with k straight from the ring's listing between the integer edges
+    floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges, which
+    decide membership exactly in both rings: an integer norm is at most
     2^E iff it is at most floor(2^E). pow2_floor fixes each edge by comparing
     integers with 2^E itself, evaluated with the working precision past its
     integer part, and raises PrecisionAmbiguity instead of returning an edge
@@ -100,8 +98,7 @@ def element_in_block(p: int, k: int, basis: Basis,
         r = ring.reduce(p, q)
         if r == 0:
             raise ExcludedPrime(p, k, j)
-        table = tables.get(j) if tables else None
-        x = lift_to_window(table[r] if table is not None else ring.dlog(g, r, q), n, h)
+        x = lift_to_window(ring.dlog(g, r, q), n, h)
         digits.append(x)
         value += x * weight
         weight *= scale * n

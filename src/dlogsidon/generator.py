@@ -7,25 +7,35 @@ between them over Z, the irreducibles of the degrees d with 2^d between
 them over GF(2)[X]). Irreducibles equal to a basis modulus carry no digit
 vector; they are recorded as exclusions, not elements.
 
-Digits come from a full log table of (g_j, q_j) once some block has at
+A block is encoded a basis index j at a time, as numpy columns over its
+irreducibles (_ROWS of them at a time): residues mod q_j, their discrete
+logs, their window lifts.
+The logs come from a full log table of (g_j, q_j) once some block has at
 least isqrt(N_j) irreducibles (N_j the norm of q_j), the point where
 N_j - 1 table steps cost no more than that many BSGS searches of up to
 sqrt(N_j) steps each. Smaller blocks keep BSGS, so a sparse prefix over a
-large basis builds no big tables.
+large basis builds no big tables. encoder.element_in_block is the same
+element for one irreducible, and the tests' per-irreducible oracle.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import attrgetter, mul
+
+import numpy as np
 
 from .arith import INTEGERS, prime_count
 from .basis import Basis
 from .blocks import BlockParams, block_edges
-from .encoder import SidonElement, element_in_block
-from .errors import ExcludedPrime, PrefixTooShort
+from .encoder import SidonElement
+from .errors import ConsistencyError, PrefixTooShort
+
+# Irreducibles encoded together: their digit columns, as int64 arrays and
+# then as lists, are all the generator holds beside the elements it built.
+_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
         edges[k] = block_edges(k, params)
         ring.check_listing(*edges[k])
     basis.ensure(k_max)
-    tables: dict[int, array] = {}
+    tables: dict[int, np.ndarray] = {}
     elements: list[SidonElement] = []
     excluded: list[ExclusionRecord] = []
     block_sizes: dict[int, int] = {}
@@ -104,14 +114,55 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
         for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
             if j not in tables and len(ps) >= isqrt(n):
                 tables[j] = ring.log_table(g, q)
-        for p in ps:
-            try:
-                elements.append(element_in_block(p, k, basis, tables))
-            except ExcludedPrime as e:
-                excluded.append(ExclusionRecord(p=e.p, k=e.k, basis_index=e.index))
-    elements.sort(key=lambda e: (e.k, e.value))
+        block = []
+        for lo in range(0, len(ps), _ROWS):
+            encoded, dropped = _encode_rows(ps[lo:lo + _ROWS], k, basis, tables)
+            block += encoded
+            excluded += dropped
+        block.sort(key=attrgetter("value"))
+        elements += block
     return SequencePrefix(k_max=k_max, elements=elements, excluded=excluded,
                           block_sizes=block_sizes, basis=basis, params=params)
+
+
+def _encode_rows(ps: list[int], k: int, basis: Basis, tables: dict[int, np.ndarray]
+                 ) -> tuple[list[SidonElement], list[ExclusionRecord]]:
+    """The elements and exclusions of irreducibles ps of block k, ascending:
+    element_in_block for each of them, worked a basis index at a time.
+    Column j is their residues mod q_j as one int64 column, the logs of
+    those by one gather from tables[j] (or by BSGS, one residue at a time,
+    where the block sizes built no table), and one window lift. A zero
+    residue at j drops that irreducible from the later columns and makes
+    it an exclusion of index j, the first j at which element_in_block would
+    raise. The value of each digit row is summed with Python ints and
+    checked against the rails W_k N_k < a < W_(k+1)."""
+    ring, h = basis.ring, basis.h
+    col = np.array(ps, dtype=np.int64)
+    columns, dropped = [], []
+    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
+        residues = ring.reduce_column(col, q)
+        zero = residues == 0
+        if zero.any():
+            dropped += [(p, j) for p in col[zero].tolist()]
+            keep = ~zero
+            col, residues = col[keep], residues[keep]
+            columns = [x[keep] for x in columns]
+        if j in tables:
+            logs = tables[j][residues].astype(np.int64)
+        else:
+            logs = np.array([ring.dlog(g, r, q) for r in residues.tolist()], dtype=np.int64)
+        lo = (h - 1) * n + 1
+        columns.append(lo + (logs - lo) % (n - 1))  # lift_to_window, column-wide
+    weights = [basis.weight(j) for j in range(1, k + 1)]
+    upper = basis.weight(k + 1)
+    lower = upper // basis.scale
+    elements = []
+    for p, digits in zip(col.tolist(), zip(*[x.tolist() for x in columns])):
+        value = sum(map(mul, digits, weights))
+        if not lower < value < upper:
+            raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
+        elements.append(SidonElement(p=p, k=k, digits=digits, value=value))
+    return elements, [ExclusionRecord(p=p, k=k, basis_index=j) for p, j in sorted(dropped)]
 
 
 def count_upto(x: int, prefix: SequencePrefix) -> int:

@@ -1,7 +1,8 @@
 """GF(2)[X] arithmetic and its ring: carry-less arithmetic on bit patterns,
 irreducibles in place of primes, and GF2, the ring the shared basis,
 encoder and generator run over. GF2 supplies only reduction, products and
-powers mod q, the norm, the irreducible test and its irreducibles by norm;
+powers mod q (reduction and products also over int64 columns), the norm,
+the irreducible test and its irreducibles by norm;
 the generator search, discrete logs, log tables and finite Sidon set are
 arith.UnitGroupRing's, and gf2_generator and gf2_discrete_log are GF2's
 methods. An irreducible of degree d has norm 2^d, so a block's degrees come
@@ -219,6 +220,28 @@ class Gf2Ring(UnitGroupRing):
     @staticmethod
     def norm(q: Gf2Poly) -> int:
         return 1 << gf2_deg(q)
+
+    @staticmethod
+    def reduce_column(col: np.ndarray, q: Gf2Poly) -> np.ndarray:
+        """gf2_mod over an int64 array: from the top degree present down to
+        deg q, the rows with that coefficient set take q shifted under it."""
+        out = col.copy()
+        n = gf2_deg(q)
+        top = int(col.max()).bit_length() - 1 if len(col) else -1
+        for s in range(top, n - 1, -1):
+            out ^= (out >> s & 1) * (q << (s - n))
+        return out
+
+    @staticmethod
+    def mul_column(col: np.ndarray, b: Gf2Poly, q: Gf2Poly) -> np.ndarray:
+        """col * b mod q for residues col: one XOR of a shifted copy of col
+        per set bit of b, then reduce_column. Products of degree below
+        2 deg q stay in int64 up to deg q = 32."""
+        product = np.zeros_like(col)
+        for s in range(b.bit_length()):
+            if b >> s & 1:
+                product ^= col << s
+        return Gf2Ring.reduce_column(product, q)
 
     @staticmethod
     def irreducibles(lo: int, hi: int) -> list[Gf2Poly]:

@@ -3,7 +3,10 @@
 Everything here favors obviousness over speed: trial division, full power
 tables, exhaustive enumeration. Nothing here imports from dlogsidon except
 gf2_irreducibles_rabin, which runs the package's Rabin test (itself checked
-against trial division) on every polynomial of a degree.
+against trial division) on every polynomial of a degree, and
+per_irreducible_blocks, which runs the package's one-irreducible encoder
+on every irreducible of a block. log_table_loop takes its ring as an
+argument.
 """
 
 from collections import defaultdict
@@ -101,6 +104,43 @@ def power_table(q, g):
         table[x] = e
         x = x * g % q
     return table
+
+
+def log_table_loop(ring, g, q):
+    """The log table of (g, q) in the ring as a list, one product at a time:
+    t[g^x] = x for x in [0, N(q) - 2] and t[0] = -1; ValueError when the
+    powers of g miss a nonzero residue."""
+    order = ring.norm(q) - 1
+    table = [-1] * (order + 1)
+    x = 1
+    for e in range(order):
+        table[x] = e
+        x = ring.mul(x, g, q)
+    # g^order = 1 for any unit g, and table[1] keeps the largest exponent
+    # below order that maps to 1: 0 exactly when g has full order.
+    if x != 1 or table[1] != 0:
+        raise ValueError(f"powers of {g} mod {q} miss residues; is g a generator?")
+    return table
+
+
+def per_irreducible_blocks(k_max, params, basis):
+    """(elements, exclusions) of blocks k_min..k_max, one irreducible at a
+    time through encoder.element_in_block (BSGS logs): elements sorted by
+    (block, value), and (p, k, basis_index) exclusions sorted by block,
+    then by p within a block."""
+    from dlogsidon.blocks import block_edges
+    from dlogsidon.encoder import element_in_block
+    from dlogsidon.errors import ExcludedPrime
+
+    elements, exclusions = [], []
+    for k in range(params.k_min, k_max + 1):
+        for p in basis.ring.irreducibles(*block_edges(k, params)):
+            try:
+                elements.append(element_in_block(p, k, basis))
+            except ExcludedPrime as e:
+                exclusions.append((e.p, e.k, e.index))
+    elements.sort(key=lambda e: (e.k, e.value))
+    return elements, exclusions
 
 
 def primitive_root_naive(q):

@@ -26,11 +26,13 @@ from dlogsidon.arith import (
 )
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.errors import DLogTooLarge, DLogUndefined, InvalidModulus, SieveTooLarge
+from dlogsidon.gf2x import GF2, least_irreducible
 
 from oracles import (
     factorize_trial,
     is_prime_trial,
     lift_naive,
+    log_table_loop,
     power_table,
     prime_count_lucy,
     prime_count_sieve,
@@ -321,11 +323,42 @@ def test_log_table_matches_bsgs_and_power_table():
                 assert table[a] == discrete_log(g, a, q) == want[a], (q, g, a)
 
 
+# Nine moduli per ring. Over Z, orders 1 to 131,100: 65537 fills exactly one
+# 2^16-exponent chunk, 65539 and 131101 spill into a second and a third.
+# Over GF(2)[X], the least irreducible of each degree: degree 17 (order
+# 131,071) takes two chunks.
+_TABLE_MODULI = ([(INTEGERS, q) for q in (2, 3, 5, 11, 101, 2053, 65537, 65539, 131101)]
+                 + [(GF2, least_irreducible(d)) for d in (1, 2, 3, 4, 5, 7, 11, 16, 17)])
+
+
+@pytest.mark.parametrize("ring, q", _TABLE_MODULI,
+                         ids=[f"{type(r).__name__}-{q:#x}" for r, q in _TABLE_MODULI])
+def test_log_table_matches_the_loop_oracle(ring, q):
+    g = ring.generator(q)
+    table = ring.log_table(g, q)
+    assert table.dtype == np.int32
+    assert table.tolist() == log_table_loop(ring, g, q)
+
+
+_X16 = least_irreducible(16)
+_NON_GENERATORS = [
+    # 4 is a square mod 11 (order 5), 1 and 0 generate nothing, 2 has order 3
+    # mod 7, and 9 = 3^2 has order 2^15 mod 65537, past one chunk.
+    (INTEGERS, 4, 11), (INTEGERS, 1, 11), (INTEGERS, 0, 11), (INTEGERS, 11, 11),
+    (INTEGERS, 2, 7), (INTEGERS, 0, 2), (INTEGERS, 9, 65537),
+    # X^3 has order 5 of 15 mod X^4 + X + 1; q itself is 0 mod q; the cube
+    # of a generator mod a degree-16 q has order 21,845 of 65,535.
+    (GF2, 0b1000, 0x13), (GF2, 0, 0x13), (GF2, 1, 0x13), (GF2, 0x13, 0x13),
+    (GF2, GF2.pow(GF2.generator(_X16), 3, _X16), _X16),
+]
+
+
 def test_log_table_rejects_non_generators():
-    # 4 is a square mod 11 (order 5), 1 and 0 generate nothing, 2 has order 3 mod 7.
-    for g, q in ((4, 11), (1, 11), (0, 11), (11, 11), (2, 7), (0, 2)):
+    for ring, g, q in _NON_GENERATORS:
         with pytest.raises(ValueError):
-            log_table(g, q)
+            ring.log_table(g, q)
+        with pytest.raises(ValueError):
+            log_table_loop(ring, g, q)
 
 
 def test_lift_to_window_matches_scan(seed=916):

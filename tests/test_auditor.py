@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dlogsidon import auditor
@@ -374,6 +378,43 @@ def test_pool_surfaces_a_worker_error(monkeypatch):
         assert info.value is err
         assert threading.active_count() == threads
         assert len(calls) <= 6  # the failed scan and one more in flight
+
+
+def test_repeated_keys_match_np_unique():
+    # Planted copies make pairs, triples and longer runs, some of them across
+    # a chunk boundary once sorted; np.unique with counts is the oracle.
+    c = auditor._CHUNK
+    rng = np.random.default_rng(4321)
+    for dtype in (np.uint64, np.int64):
+        for n in (0, 1, 2, 7, c, c + 2, 3 * c + 5):
+            keys = rng.permutation(n).astype(dtype) * 7
+            if n > 2:
+                keys[rng.integers(0, n, n // 3)] = keys[rng.integers(0, n, n // 3)]
+            values, counts = np.unique(keys, return_counts=True)
+            got = auditor._repeated_keys(keys.copy())
+            assert got.dtype == keys.dtype
+            assert np.array_equal(got, values[counts > 1]), (dtype, n)
+
+
+def test_an_audit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 13 ms of a cold
+    # CLI audit; the audit must not need it.
+    src = str(Path(auditor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(code):
+        out = subprocess.run([sys.executable, "-c", "import sys\n" + code
+                              + "\nprint('numpy.ma' in sys.modules)"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.split()[-1]
+
+    if run("import numpy") == "True":
+        pytest.skip("import numpy already loads numpy.ma (numpy 1.x)")
+    audit = ("from dlogsidon.auditor import find_collisions\n"
+             "assert len(find_collisions([1, 2, 3, 4, 10, 20, 40], 2)) == 3")
+    assert run(audit) == "False"
 
 
 def count_buffers(monkeypatch):

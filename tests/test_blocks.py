@@ -4,7 +4,9 @@ import random
 import mpmath
 import pytest
 
+from dlogsidon import blocks
 from dlogsidon._precision import PRECISION
+from dlogsidon.bh import montecarlo_bad_ratio
 from dlogsidon.blocks import (
     block_of_prime,
     const_decimal,
@@ -65,6 +67,26 @@ def test_upper_edges_sqrt5(sqrt5_params):
 def test_upper_edges_sqrt2(sqrt2_params):
     assert [sqrt2_params.upper_edge(k) for k in range(1, 8)] == [
         0, 0, 1, 12, 163, 3852, 160973]
+
+
+def test_each_upper_edge_is_worked_out_once(monkeypatch):
+    # A generation asks for every edge twice, and a Monte-Carlo survey once
+    # per trial; the law works each one out once.
+    calls = []
+    floor = blocks.pow2_floor
+    monkeypatch.setattr(blocks, "pow2_floor", lambda e: calls.append(e) or floor(e))
+    params = sidon_params(c=const_sqrt2())
+    edges = [params.upper_edge(k) for k in range(1, 8)]
+    assert [params.upper_edge(k) for k in range(1, 8)] == edges
+    assert len(calls) == 7
+    assert params == sidon_params(c=const_sqrt2())
+    assert hash(params) == hash(sidon_params(c=const_sqrt2()))
+    per_run = []
+    for trials in (1, 4):
+        calls.clear()
+        montecarlo_bad_ratio(3, 7, trials, seed=5)
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] > 0
 
 
 def test_block_of_prime_consistent_with_edges(sqrt5_params):

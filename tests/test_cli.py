@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 import time
 
 import pytest
 
+from dlogsidon import basis as basis_mod
 from dlogsidon import cli
 from dlogsidon.arith import INTEGERS, is_primitive_root
 from dlogsidon.blocks import const_window
@@ -383,6 +385,23 @@ def test_bh_generate_through_max_index(capsys, tmp_path):
     assert n == 3473 == sum(b["block_size"] - b["excluded"] for b in blocks)
 
 
+@pytest.mark.slow
+def test_random_basis_b3_k13_elements_are_pinned(tmp_path):
+    # 3,473 elements over a random basis up to q_13 < 2^27: most digits by
+    # BSGS, eleven log tables of 6.8e6 entries in all (the largest mod
+    # 5,825,503), and the j = 13 window pool sieved from 1.0e8 integers.
+    # About 3 s on a 2-core VM.
+    out = tmp_path / "elements.jsonl"
+    t0 = time.perf_counter()
+    rc = main(["bh", "generate", "--h", "3", "--kmax", "13", "--raw", "--basis", "random",
+               "--seed", "3", "--out", str(out), "--summary", str(tmp_path / "summary.json")])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "d47a4f48f561b66a932f18f13d68548b06c6f5b7e07c105e660ddb9ccce16080")
+    assert elapsed < 15.0, elapsed
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--c", "sqrt5", "--kmax", "9"],
     ["generate", "--c", "sqrt5", "--kmax", "10"],
@@ -395,6 +414,24 @@ def test_block_past_the_sieve_limit_is_an_error(capsys, argv):
     rc, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - t0 < 1.0
     assert rc == 1 and out == "" and err.startswith("error:") and "2^27" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kmax", "13", "--basis", "random", "--seed", "1"],
+    ["generate", "--kmax", "14", "--basis", "random", "--seed", "1"],
+    ["count", "--x", "1000", "--kmax", "13", "--basis", "random", "--seed", "1"],
+])
+def test_random_basis_refuses_at_block_9_before_drawing_an_entry(capsys, monkeypatch, argv):
+    # Drawing entries 1..13 first would sieve every window pool, j = 13's
+    # 1.0e8 integers among them, and entry 14 is past MAX_INDEX; the block
+    # check comes first and names sqrt5 block 9's interval.
+    def refuse(j):
+        raise AssertionError(f"window pool {j} sieved before the blocks were checked")
+
+    monkeypatch.setattr(basis_mod, "_window_pool", refuse)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: sieving (2856515, 257366120]") and "2^27" in err
 
 
 def test_gf2_generation_refuses_at_the_first_block_past_the_degree_bound(capsys):

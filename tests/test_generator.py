@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dlogsidon import auditor
+from dlogsidon import auditor, generator
 from dlogsidon.arith import INTEGERS, PrimeField, primes_upto, smallest_primitive_root
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
@@ -22,7 +22,7 @@ from dlogsidon.generator import (
     generate_blocks,
 )
 
-from oracles import is_sidon_list, power_table, primes_upto_trial
+from oracles import is_sidon_list, per_irreducible_blocks, power_table, primes_upto_trial
 
 
 def test_prefix_shape_sqrt5_k7(sqrt5_prefix_k7):
@@ -137,6 +137,46 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
         else:
             assert elements[p] == element_for_prime(p, basis, params), p
             assert elements[p].k == k
+
+
+# Random bases over the three Z laws. Each of these seeds puts two or three
+# basis primes in sqrt5 and sqrt2 block 5 (seed 6 also two in B_3 block 9);
+# the B_3 blocks are small enough that most of their columns get logs by
+# BSGS alone.
+@pytest.mark.parametrize("law, seed", [(law, seed) for law in ("sqrt5", "sqrt2", "bh3")
+                                       for seed in (1, 5, 6)])
+def test_column_generation_matches_per_irreducible_walk(law, seed, monkeypatch):
+    params, h, _ = _law(law)
+    k_max = 9 if law == "bh3" else 5
+    basis = build_basis("random", h * h, k_max, seed=seed)
+    tables = []
+    log_table = PrimeField.log_table
+    monkeypatch.setattr(PrimeField, "log_table",
+                        lambda self, g, q: tables.append(q) or log_table(self, g, q))
+    prefix = generate_blocks(k_max, params, basis)
+    monkeypatch.undo()
+    if law == "bh3":
+        assert 0 < len(tables) < k_max  # the other columns are BSGS-only
+    else:
+        assert len(tables) >= 3
+
+    elements, exclusions = per_irreducible_blocks(k_max, params, basis)
+    # Blocks cut into runs of 5 irreducibles give the same prefix.
+    monkeypatch.setattr(generator, "_ROWS", 5)
+    for gen in (prefix, generate_blocks(k_max, params, basis)):
+        assert gen.elements == elements
+        assert [(r.p, r.k, r.basis_index) for r in gen.excluded] == exclusions
+
+
+def test_exclusions_follow_the_block_order_not_the_basis_order(fake_basis, sqrt5_params):
+    # q_1 = 43 and q_2 = 23 both lie in block 5: the per-irreducible walk
+    # meets 23 first, so its exclusion comes first although its index is 2.
+    basis = fake_basis([43, 23, 97, 101, 103], 4)
+    prefix = generate_blocks(5, sqrt5_params, basis)
+    elements, exclusions = per_irreducible_blocks(5, sqrt5_params, basis)
+    assert exclusions == [(23, 5, 2), (43, 5, 1)]
+    assert [(r.p, r.k, r.basis_index) for r in prefix.excluded] == exclusions
+    assert prefix.elements == elements
 
 
 def test_generate_rejects_k_max_below_first_block(default_basis, sqrt5_params):

@@ -8,9 +8,7 @@ import pytest
 from dlogsidon import gf2x
 from dlogsidon.basis import Basis
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, const_window, sidon_params
-from dlogsidon.encoder import element_in_block
-from dlogsidon.errors import (DegreeTooLarge, DLogTooLarge, DLogUndefined, ExcludedPrime,
-                              NotIrreducible)
+from dlogsidon.errors import DegreeTooLarge, DLogTooLarge, DLogUndefined, NotIrreducible
 from dlogsidon.generator import SequencePrefix
 from dlogsidon.gf2x import (
     GF2,
@@ -43,6 +41,7 @@ from oracles import (
     gf2_power_table,
     is_sidon_list,
     mobius_naive,
+    per_irreducible_blocks,
 )
 
 
@@ -355,8 +354,10 @@ def test_generation_past_the_degree_bound_fails_before_listing(monkeypatch):
 
 
 def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
-    # The shared generator reads most GF(2) digits off log tables; rebuilding
-    # every element with BSGS alone (no tables) must give the same element.
+    # The shared generator reads most GF(2) digits off log tables, a column
+    # at a time; rebuilding every element one irreducible at a time with BSGS
+    # alone (no tables) must give the same elements and exclusions, in the
+    # same order. A k <= 5 prefix builds its tables at other blocks.
     params = sidon_params(offset=0)
     calls = Counter()
 
@@ -379,9 +380,10 @@ def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
             == sum(prefix.block_sizes.values())
             == sum(irreducible_count(d) for d in range(1, top + 1)))
     for e in prefix.elements:
-        assert e == element_in_block(e.p, e.k, prefix.basis), hex(e.p)
         assert e.k == block_of_degree(gf2_deg(e.p), params)
     for r in prefix.excluded:
         assert r.p == prefix.basis.q(r.basis_index)
-        with pytest.raises(ExcludedPrime):
-            element_in_block(r.p, r.k, prefix.basis)
+    for k_max, gen in ((6, prefix), (5, gf2_generate_blocks(5, params))):
+        elements, exclusions = per_irreducible_blocks(k_max, params, gen.basis)
+        assert gen.elements == elements, k_max
+        assert [(r.p, r.k, r.basis_index) for r in gen.excluded] == exclusions, k_max
