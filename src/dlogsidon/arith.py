@@ -360,14 +360,10 @@ class PrimeField(UnitGroupRing):
     def mul(a: int, b: int, q: int) -> int:
         return a * b % q
 
-    @staticmethod
-    def reduce_column(col: np.ndarray, q: int) -> np.ndarray:
-        return col % q
-
-    @staticmethod
-    def mul_column(col: np.ndarray, b: int, q: int) -> np.ndarray:
-        """col * b mod q; residues below q < 2^31 keep the products in int64."""
-        return col * b % q
+    # The same expressions serve an int64 column; its residues below
+    # q < 2^31 keep the products of mul_column in int64.
+    reduce_column = reduce
+    mul_column = mul
 
     @staticmethod
     def irreducibles(lo: int, hi: int) -> list[int]:

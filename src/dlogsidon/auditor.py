@@ -41,7 +41,7 @@ import mpmath
 import numpy as np
 
 from ._precision import PRECISION, cmp_int
-from .arith import is_prime, prime_count
+from .arith import INTEGERS, is_prime, prime_count
 from .basis import Basis
 from .blocks import BlockParams
 from .encoder import SidonElement
@@ -368,7 +368,7 @@ def _candidates(vals, l, modulus):
     del tail_cls
     tails = _subset_sums(res, l - 1, m)[perm]
     below = np.cumsum([0] + [comb(n - i + l - 3, l - 2) for i in range(n)], dtype=np.int64)
-    ends = np.take(perm, [ts[:-1], np.subtract(ts[1:], 1)], mode="clip")
+    ends = perm[np.clip([ts[:-1], np.subtract(ts[1:], 1)], 0, len(perm) - 1)]
     first, last = (np.searchsorted(below, ends, "right") - 1).tolist()
 
     def rects(t):
@@ -542,9 +542,12 @@ def growth_bracket_check(prefix: SequencePrefix) -> list[dict]:
     At x = W_(k+1) the count must sit between pi(edge(k)) minus exclusions
     and pi(edge(k+2)), and every block-k element must lie strictly between
     W_k q_k and W_(k+1). The log2 ratio column is a labeled float diagnostic,
-    never asserted.
+    never asserted. The brackets count primes, so a basis over another ring
+    than Z raises ValueError.
     """
     basis, params = prefix.basis, prefix.params
+    if basis.ring is not INTEGERS:
+        raise ValueError(f"growth brackets need a basis over Z, not {type(basis.ring).__name__}")
     out = []
     for k in range(params.k_min, prefix.k_max + 1):
         x = basis.weight(k + 1)

@@ -1,9 +1,10 @@
 """Radix basis over a ring: an irreducible q_j and a generator g_j per index.
 
 The j-th radix is scale * N_j, where N_j is the norm of q_j: q_j itself
-over Z, 2^deg(q_j) over GF(2)[X]. Entries extend on demand, so callers
-never size the basis up front. A basis parsed back from JSON is frozen at
-its stored length.
+over Z, 2^deg(q_j) over GF(2)[X]. Random and deterministic bases extend
+on demand, so callers never size the basis up front; a basis of given
+entries is frozen at its length. No basis of any kind holds more than
+MAX_INDEX entries.
 
 The ring (arith.INTEGERS, the default, or gf2x.GF2) holds all that differs
 between the two constructions, and its basis_entry(j) gives the
@@ -11,7 +12,10 @@ deterministic entries. Over Z, q_j is a prime from (2^(2j-1), 2^(2j+1)]:
 the deterministic basis takes the least one by a primality scan, random
 bases draw from a per-interval pool, an int64 array from arith.prime_array
 that is sieved once per process. Random.choice indexes the array as it
-would a tuple, so a seed draws the same q_j either way.
+would a tuple, so a seed draws the same q_j either way. Given entries need
+only be distinct primes with generators; the dyadic windows are checked
+where documents come in, in Basis.from_json_doc, so synthetic bases of any
+primes serve the tests.
 """
 
 from __future__ import annotations
@@ -45,39 +49,36 @@ class Basis:
 
     scale = h^2 fixes the window order h of every digit cut over this basis.
 
-    mode is one of "deterministic" (the ring's basis_entry), "random"
-    (uniform prime per interval, explicit seed; Z only) or "fixed" (entries
-    supplied, never extended; Z only). Readers always see a consistent
-    prefix: entries are appended one at a time and never mutated.
+    Given (q_j, g_j) entries make a fixed basis that never extends; a seed
+    makes a random one (a uniform prime per window); neither gives the
+    ring's deterministic basis_entry(j) basis. Fixed and random bases are
+    Z only. Readers always see a consistent prefix: entries are appended
+    one at a time and never mutated.
     """
 
-    def __init__(self, scale: int, entries=(), *, mode: str = "deterministic",
-                 seed: int | None = None, require_dyadic: bool = True, ring=INTEGERS):
+    def __init__(self, scale: int, entries=None, *, seed: int | None = None, ring=INTEGERS):
         root = isqrt(scale)
         if root < 2 or root * root != scale:
             raise ValueError(f"scale must be a perfect square of an integer >= 2, got {scale}")
-        if mode not in ("deterministic", "random", "fixed"):
-            raise ValueError(f"unknown basis mode {mode!r}")
-        if mode == "random" and seed is None:
-            raise ValueError("random basis needs an explicit seed")
-        if ring is not INTEGERS and (mode != "deterministic" or entries):
-            raise ValueError("only the integer ring takes random or fixed bases")
+        if (entries is not None) + (seed is not None) + (ring is not INTEGERS) > 1:
+            raise ValueError("a basis takes given entries, a seed or a ring other than Z, "
+                             "at most one of them")
+        if entries is not None and len(entries) > MAX_INDEX:
+            raise BasisGap(f"entry {MAX_INDEX + 1} beyond the materialization bound {MAX_INDEX}")
         self.ring = ring
         self.scale = scale
         self.h = root
-        self.mode = mode
-        self._rng = random.Random(seed) if mode == "random" else None
+        self._rng = None if seed is None else random.Random(seed)
+        self._fixed = entries is not None
         self._entries: list[tuple[int, int, int]] = []
         self._weights: list[int] = [1]  # _weights[j-1] = W_j = prod_{i<j} scale*N_i
-        for j, (q, g) in enumerate(entries, start=1):
-            self._check_entry(j, q, g, require_dyadic)
+        for j, (q, g) in enumerate(entries or (), start=1):
+            self._check_entry(j, q, g)
             self._append(q, g)
 
-    def _check_entry(self, j, q, g, require_dyadic):
+    def _check_entry(self, j, q, g):
         if not is_prime(q):
             raise ValueError(f"basis entry q_{j} = {q} is not prime")
-        if require_dyadic and q not in dyadic_interval(j):
-            raise ValueError(f"q_{j} = {q} outside {dyadic_interval(j)}")
         if not self.ring.is_generator(g, q):
             raise ValueError(f"g_{j} = {g} is not a primitive root mod {q}")
         if any(q == q_i for q_i, _, _ in self._entries):
@@ -90,11 +91,11 @@ class Basis:
 
     def _extend(self):
         j = len(self._entries) + 1
-        if self.mode == "fixed":
+        if self._fixed:
             raise BasisGap(f"fixed basis has {len(self._entries)} entries, no entry {j}")
         if j > MAX_INDEX:
             raise BasisGap(f"entry {j} beyond the materialization bound {MAX_INDEX}")
-        if self.mode == "deterministic":
+        if self._rng is None:
             self._append(*self.ring.basis_entry(j))
         else:
             q = int(self._rng.choice(_window_pool(j)))
@@ -114,15 +115,8 @@ class Basis:
         self.ensure(j)
         return self._entries[j - 1]
 
-    def entry(self, j: int) -> tuple[int, int]:
-        """(q_j, g_j), 1-based, extending on demand."""
-        return self._row(j)[:2]
-
     def q(self, j: int) -> int:
-        return self.entry(j)[0]
-
-    def g(self, j: int) -> int:
-        return self.entry(j)[1]
+        return self._row(j)[0]
 
     def norm(self, j: int) -> int:
         """N_j, the size of the residue ring mod q_j (q_j itself over Z)."""
@@ -162,7 +156,8 @@ class Basis:
     @classmethod
     def from_json_doc(cls, doc: dict) -> "Basis":
         """The fixed basis of a to_json_doc document; a missing or ill-typed
-        field raises ValueError naming it."""
+        field, or a q_j outside dyadic_interval(j), raises ValueError naming
+        it."""
         def field(obj, key, kind, path):
             value = obj.get(key) if isinstance(obj, dict) else None
             if type(value) is not kind:
@@ -176,11 +171,15 @@ class Basis:
                       for i, row in enumerate(field(doc, "entries", list, "entries")))
         if [j for j, _, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError("basis entries must cover j = 1..n without gaps")
-        return cls(scale, [(q, g) for _, q, g in rows], mode="fixed")
+        for j, q, _ in rows:
+            if q not in dyadic_interval(j):
+                raise ValueError(f"q_{j} = {q} outside {dyadic_interval(j)}")
+        return cls(scale, [(q, g) for _, q, g in rows])
 
 
-def build_basis(mode: str, scale: int, count: int, seed: int | None = None) -> Basis:
-    """Basis with `count` entries materialized up front."""
-    b = Basis(scale, mode=mode, seed=seed)
+def build_basis(scale: int, count: int, seed: int | None = None) -> Basis:
+    """Basis with `count` entries materialized up front: a random one for a
+    seed, else the deterministic one."""
+    b = Basis(scale, seed=seed)
     b.ensure(count)
     return b

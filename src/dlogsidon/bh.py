@@ -103,7 +103,7 @@ def montecarlo_bad_ratio(h: int, k_max: int, trials: int, seed: int) -> dict:
     ks = list(range(params.k_min, k_max + 1))
     trial_rows = []
     for t, tseed in enumerate(trial_seeds):
-        basis = build_basis("random", h * h, k_max, seed=tseed)
+        basis = build_basis(h * h, k_max, seed=tseed)
         prefix = bh_generate(k_max, params, basis)
         removed_by_block = Counter(e.k for e in bh_prune(prefix).removed)
         ratios = []

@@ -117,9 +117,9 @@ def _make_basis(ns: argparse.Namespace, scale: int, count: int = 0) -> Basis:
         if b.scale != scale:
             raise UsageError(f"--basis-file scale {b.scale} does not match h^2 = {scale}")
         return b
-    if ns.basis_mode == "random" and ns.seed is None:
+    if ns.basis == "random" and ns.seed is None:
         raise UsageError("--basis random needs --seed")
-    return build_basis(ns.basis_mode, scale, count, seed=ns.seed)
+    return build_basis(scale, count, seed=ns.seed if ns.basis == "random" else None)
 
 
 def _sidon_prefix(ns: argparse.Namespace, c):
@@ -301,7 +301,7 @@ def _add_kmax_flag(p):
 
 
 def _add_basis_flags(p):
-    p.add_argument("--basis", dest="basis_mode", default="deterministic",
+    p.add_argument("--basis", default="deterministic",
                    choices=("deterministic", "random"),
                    help="least prime per interval, or seeded uniform choice")
     p.add_argument("--basis-file", dest="basis_file",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import mpmath
 
 from ._precision import PRECISION, cmp_int, pow2_ratio_floor
+from .arith import INTEGERS
 from .basis import Basis
 from .blocks import BlockParams, const_sqrt5, primes_in_block
 from .errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
@@ -137,8 +138,11 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
     -s1_max, except when p1 is one of q_1..q_k2 (then every s1 qualifies
     and it runs 1, -1, 2, -2, ...). When the size bound guarantees a
     witness cannot be divisible by two block-k1 primes, that is verified
-    and a violation raises ConsistencyError.
+    and a violation raises ConsistencyError. The witnesses are integers,
+    so a basis over another ring than Z raises ValueError.
     """
+    if basis.ring is not INTEGERS:
+        raise ValueError(f"bad primes need a basis over Z, not {type(basis.ring).__name__}")
     plans = []
     for k2 in eligible_k2s(k1, params):
         b = s_bounds(k2, k1, params, basis)

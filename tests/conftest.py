@@ -1,10 +1,11 @@
 import pytest
 
-from dlogsidon.arith import smallest_primitive_root
-from dlogsidon.basis import Basis, build_basis
+from dlogsidon.arith import INTEGERS, smallest_primitive_root
+from dlogsidon.basis import MAX_INDEX, Basis, build_basis
 from dlogsidon.bh import bh_generate, bh_params
 from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.generator import generate_blocks
+from dlogsidon.gf2x import GF2
 
 
 def pytest_addoption(parser):
@@ -25,9 +26,22 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+@pytest.fixture(autouse=True)
+def rings_keep_no_instance_attributes():
+    """Fail a test that leaves an attribute on the INTEGERS or GF2 object.
+
+    Undoing a monkeypatch of a ring instance leaves the original function
+    behind as an instance attribute, which silently shadows every later
+    patch of that name on the ring's class; patch the class instead.
+    """
+    yield
+    for ring in (INTEGERS, GF2):
+        assert not vars(ring), f"{type(ring).__name__} instance keeps {sorted(vars(ring))}"
+
+
 @pytest.fixture(scope="session")
 def default_basis():
-    return build_basis("deterministic", 4, 8)
+    return build_basis(4, 8)
 
 
 @pytest.fixture(scope="session")
@@ -53,17 +67,28 @@ def sqrt2_prefix_k7(default_basis, sqrt2_params):
 @pytest.fixture(scope="session")
 def bh3():
     params = bh_params(3)
-    basis = build_basis("deterministic", 9, 9)
+    basis = build_basis(9, 9)
     prefix = bh_generate(9, params, basis)
     return params, basis, prefix
 
 
+@pytest.fixture(scope="session")
+def document_past_max_index():
+    """A scale-9 basis document of the deterministic entries j = 1..MAX_INDEX
+    and the least prime of the next dyadic window."""
+    doc = build_basis(9, MAX_INDEX).to_json_doc()
+    q, g = INTEGERS.basis_entry(MAX_INDEX + 1)
+    doc["entries"].append({"j": MAX_INDEX + 1, "q": q, "g": g})
+    return doc
+
+
 @pytest.fixture
 def fake_basis():
-    """Factory for non-dyadic fixed bases used by synthetic fixtures."""
+    """Factory for fixed bases of any distinct primes (dyadic or not) used by
+    synthetic fixtures."""
 
     def make(qs, scale):
         entries = [(q, smallest_primitive_root(q)) for q in qs]
-        return Basis(scale, entries, mode="fixed", require_dyadic=False)
+        return Basis(scale, entries)
 
     return make

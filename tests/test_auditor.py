@@ -29,6 +29,7 @@ from dlogsidon.blocks import const_decimal, sidon_params
 from dlogsidon.encoder import SidonElement
 from dlogsidon.errors import ArityOutOfRange, AuditTooLarge, DigitOutOfRange, MissingDigits
 from dlogsidon.generator import generate_blocks
+from dlogsidon.gf2x import gf2_generate_blocks
 
 from oracles import (cyclic_sidon, disjoint_report_keys, double_equals_pair_sum, is_bh_list,
                      is_sidon_list)
@@ -790,7 +791,7 @@ def test_report_limit_bounds_the_output(monkeypatch):
 def dense_fixture(request):
     from dlogsidon.basis import Basis
     entries = [(11, 2), (13, 2), (3, 2), (5, 2)]
-    basis = Basis(4, entries, mode="fixed", require_dyadic=False)
+    basis = Basis(4, entries)
     params = sidon_params(c=const_decimal("0.45"), offset=1)
     prefix = generate_blocks(4, params, basis)
     return basis, params, prefix
@@ -849,6 +850,12 @@ def test_structure_rejects_window_violation(dense_fixture):
                            left=(broken, report.left[1]), right=report.right)
     with pytest.raises(DigitOutOfRange):
         check_collision_structure(fake, basis, params)
+
+
+def test_growth_brackets_refuse_a_gf2_basis():
+    # The brackets count primes of Z.
+    with pytest.raises(ValueError, match="Gf2Ring"):
+        growth_bracket_check(gf2_generate_blocks(5, sidon_params(offset=0)))
 
 
 def test_growth_brackets_default_prefix(sqrt5_params, default_basis):

@@ -364,6 +364,29 @@ def test_malformed_basis_document_is_an_error(capsys, tmp_path, doc, field):
     assert err.startswith("error:") and f"{field} is missing" in err and "Traceback" not in err
 
 
+def test_basis_document_past_max_index_is_refused_at_once(capsys, tmp_path,
+                                                          document_past_max_index):
+    # Entries 14 and 15 would need log tables of 0.54 and 2.1 GB.
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(document_past_max_index))
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["bh", "generate", "--h", "3", "--kmax", "14", "--raw",
+                                    "--basis-file", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and f"bound {basis_mod.MAX_INDEX}" in err
+
+
+def test_non_dyadic_basis_document_is_refused(capsys, tmp_path):
+    # 7 is prime with generator 3, but outside entry 2's window (8, 32].
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"scale": 4, "entries": [{"j": 1, "q": 5, "g": 2},
+                                                        {"j": 2, "q": 7, "g": 3}]}))
+    rc, out, err = run_cli(capsys, ["generate", "--kmax", "2", "--basis-file", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "q_2 = 7 outside" in err
+
+
 def test_basis_random_seeded(capsys):
     run_usage_error(capsys, ["basis", "--count", "3", "--basis", "random"])
     a = run_cli(capsys, ["basis", "--count", "3", "--basis", "random", "--seed", "9"])[1]

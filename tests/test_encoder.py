@@ -41,15 +41,14 @@ def test_digits_against_power_tables(default_basis, sqrt5_params):
     # Every digit is the table dlog lifted into the h-window by linear scan.
     for p in (13, 17, 19, 23, 29):
         d = digits_of_prime(p, default_basis, sqrt5_params)
-        for j, x in enumerate(d, start=1):
-            q, g = default_basis.entry(j)
+        for j, (x, (q, g, _)) in enumerate(zip(d, default_basis.moduli(len(d))), start=1):
             e = power_table(q, g)[p % q]
             assert x == lift_naive(e, q + 1, 2 * q - 1, q - 1), (p, j)
 
 
 def test_windows_shift_with_h(default_basis):
     # The window order is the basis's: scale 9 gives h = 3 on the same primes.
-    basis9 = build_basis("deterministic", 9, 4)
+    basis9 = build_basis(9, 4)
     assert (default_basis.h, basis9.h) == (2, 3)
     d2 = digits_for_block(13, 4, default_basis)
     d3 = digits_for_block(13, 4, basis9)
@@ -91,7 +90,7 @@ def test_encode_rejects_digit_at_radix(default_basis):
 def test_decode_rejects_negative_and_giant(default_basis):
     with pytest.raises(ValueError):
         decode_value(-1, default_basis)
-    fixed = Basis(4, [(3, 2)], mode="fixed")
+    fixed = Basis(4, [(3, 2)])
     with pytest.raises(ValueTooLarge):
         decode_value(12**3, fixed)
 
@@ -115,8 +114,7 @@ def _walk_prefix(law, seed):
     else:
         c = {"sqrt5": const_sqrt5, "sqrt2": const_sqrt2}[law]()
         params, scale, k_max = sidon_params(c=c), 4, 7
-    mode = "deterministic" if seed is None else "random"
-    return generate_blocks(k_max, params, build_basis(mode, scale, k_max, seed=seed))
+    return generate_blocks(k_max, params, build_basis(scale, k_max, seed=seed))
 
 
 @pytest.mark.parametrize("law,seed", [("sqrt5", None), ("sqrt5", 1207), ("sqrt2", None),
@@ -142,6 +140,6 @@ def test_generation_never_encodes(monkeypatch, sqrt5_prefix_k7):
     gf2_params = sidon_params(offset=0)
     gf2_elements = gf2_generate_blocks(6, gf2_params).elements
     monkeypatch.setattr(encoder, "encode_value", refuse)
-    prefix = generate_blocks(7, sqrt5_prefix_k7.params, build_basis("deterministic", 4, 7))
+    prefix = generate_blocks(7, sqrt5_prefix_k7.params, build_basis(4, 7))
     assert prefix.elements == sqrt5_prefix_k7.elements
     assert gf2_generate_blocks(6, gf2_params).elements == gf2_elements

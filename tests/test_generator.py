@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from dlogsidon import auditor, generator
-from dlogsidon.arith import INTEGERS, PrimeField, primes_upto, smallest_primitive_root
+from dlogsidon.arith import PrimeField, primes_upto, smallest_primitive_root
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
@@ -105,7 +105,7 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
     # Blocks from integer edges and digits from log tables must agree with
     # block_of_prime and BSGS, the per-prime route, on every prime in range.
     params, h, k_max = _law(law)
-    basis = build_basis("deterministic" if seed is None else "random", h * h, k_max, seed=seed)
+    basis = build_basis(h * h, k_max, seed=seed)
     calls = Counter()
 
     def counted(fn):
@@ -148,7 +148,7 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
 def test_column_generation_matches_per_irreducible_walk(law, seed, monkeypatch):
     params, h, _ = _law(law)
     k_max = 9 if law == "bh3" else 5
-    basis = build_basis("random", h * h, k_max, seed=seed)
+    basis = build_basis(h * h, k_max, seed=seed)
     tables = []
     log_table = PrimeField.log_table
     monkeypatch.setattr(PrimeField, "log_table",
@@ -189,7 +189,7 @@ def test_exclusions_follow_the_block_order_not_the_basis_order(fake_basis, sqrt5
 def test_a_composite_in_a_block_listing_raises(law, k, j, cofactor, error, message,
                                               monkeypatch):
     params, h, _ = _law(law)
-    basis = build_basis("deterministic", h * h, k)
+    basis = build_basis(h * h, k)
     composite = cofactor * basis.q(j)
     listing = PrimeField.irreducibles
 
@@ -260,7 +260,7 @@ def test_block_past_the_sieve_limit_fails_before_any_block_is_listed(monkeypatch
         raise AssertionError(f"block ({lo}, {hi}] listed before the sieve limit was checked")
 
     monkeypatch.setattr(PrimeField, "irreducibles", refuse)
-    basis = build_basis("deterministic", 4, 2)
+    basis = build_basis(4, 2)
     block9 = block_edges(9, sidon_params(c=c()))
     t0 = time.perf_counter()
     tracemalloc.start()
@@ -308,8 +308,9 @@ def test_finite_set_respects_supplied_generator():
 
 def test_finite_set_tests_its_modulus_once(monkeypatch):
     calls = []
-    check = INTEGERS.check_modulus
-    monkeypatch.setattr(INTEGERS, "check_modulus", lambda q: calls.append(q) or check(q))
+    check = PrimeField.check_modulus
+    monkeypatch.setattr(PrimeField, "check_modulus",
+                        staticmethod(lambda q: calls.append(q) or check(q)))
     for g in (None, 2):
         calls.clear()
         assert finite_dlog_sidon_set(101, g) == {1, 9, 24, 69}

@@ -258,8 +258,7 @@ def test_dlog_refuses_a_table_past_the_limit():
 
 def test_log_table_against_bsgs_and_power_tables():
     basis = Basis(4, ring=GF2)
-    for j in range(1, 7):
-        q, g = basis.entry(j)
+    for j, (q, g, _) in enumerate(basis.moduli(6), start=1):
         table = GF2.log_table(g, q)
         powers = gf2_power_table(q, g)
         assert len(table) == basis.norm(j) == 1 << gf2_deg(q) and table[0] == -1
@@ -272,17 +271,19 @@ def test_log_table_against_bsgs_and_power_tables():
 
 def test_basis_entries_and_weights():
     basis = Basis(4, ring=GF2)
-    assert [basis.entry(j) for j in (1, 2, 3, 4)] == [
+    assert [(q, g) for q, g, _ in basis.moduli(4)] == [
         (0x2, 1), (0xb, 2), (0x25, 2), (0x83, 2)]
     assert len(basis) == 4
     assert [basis.norm(j) for j in (1, 2, 3, 4)] == [2, 8, 32, 128]
     assert [basis.weight(j) for j in (1, 2, 3, 4)] == [1, 8, 256, 32768]
     with pytest.raises(ValueError):
-        basis.entry(0)
+        basis.q(0)
     with pytest.raises(ValueError):
         basis.norm(0)
     with pytest.raises(ValueError):
-        Basis(4, ring=GF2, mode="random", seed=1)  # the window pools are integer primes
+        Basis(4, ring=GF2, seed=1)  # the window pools are integer primes
+    with pytest.raises(ValueError):
+        Basis(4, [(0x7, 2)], ring=GF2)  # given entries are integer primes
 
 
 def test_block_partition_of_degrees():

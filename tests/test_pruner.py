@@ -6,6 +6,7 @@ from dlogsidon._precision import PRECISION
 from dlogsidon.blocks import const_decimal, const_sqrt2, const_sqrt5, primes_in_block, sidon_params
 from dlogsidon.errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
 from dlogsidon.generator import generate_blocks
+from dlogsidon.gf2x import gf2_generate_blocks
 from dlogsidon.pruner import (
     SRangeBounds,
     _witness,
@@ -16,6 +17,16 @@ from dlogsidon.pruner import (
 )
 
 from oracles import bad_primes_naive
+
+
+def test_pruning_refuses_a_gf2_basis():
+    # Witnesses and bad primes are integers: a GF(2)[X] prefix has neither.
+    params = sidon_params(c=const_sqrt2(), offset=0)
+    prefix = gf2_generate_blocks(5, params)
+    with pytest.raises(ValueError, match="Gf2Ring"):
+        bad_primes(5, params, prefix.basis)
+    with pytest.raises(ValueError, match="Gf2Ring"):
+        pruned_generate(prefix)
 
 
 def test_eligible_k2s_matches_inequality(sqrt2_params):
@@ -49,7 +60,7 @@ def test_first_nonempty_s_range_on_default_basis(monkeypatch, sqrt2_params):
     # rather than raise PrecisionAmbiguity.
     from dlogsidon import basis as basis_module
     monkeypatch.setattr(basis_module, "MAX_INDEX", 14)
-    b14 = basis_module.build_basis("deterministic", 4, 14)
+    b14 = basis_module.build_basis(4, 14)
     bounds = [s_bounds(k2, k1, sqrt2_params, b14)
               for k1 in range(3, 15) for k2 in eligible_k2s(k1, sqrt2_params)]
     first = next(b for b in bounds if not b.is_empty())
