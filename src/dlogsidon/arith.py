@@ -322,7 +322,8 @@ class UnitGroupRing:
 
     def finite_sidon(self, q: int, g: int | None = None) -> set[int]:
         """{dlog_g(p) : p irreducible, N(p)^2 < N(q)} in Z_(N(q) - 1); g
-        defaults to the least generator.
+        defaults to the least generator, and a given g that does not generate
+        the unit group raises ValueError.
 
         Products of two such irreducibles have norm below N(q), so they are
         their own residues mod q: distinct pairs give distinct products, and
@@ -330,8 +331,8 @@ class UnitGroupRing:
         """
         if g is None:
             g = self.generator(q)  # which tests q
-        else:
-            self.check_modulus(q)
+        elif not self.is_generator(g, q):  # which tests q too
+            raise ValueError(f"{g} does not generate the unit group mod {q}")
         return {self.dlog(g, p, q) for p in self.irreducibles_below(q)}
 
     def irreducibles_below(self, q: int) -> list[int]:

@@ -109,17 +109,21 @@ def _read_lines(path: str) -> list[str]:
 
 def _make_basis(ns: argparse.Namespace, scale: int, count: int = 0) -> Basis:
     """The basis of the basis flags, its first `count` entries built; a
-    generation builds the rest once it has checked its blocks."""
-    path = ns.basis_file
+    generation builds the rest once it has checked its blocks. The flags
+    name one basis: --seed comes with --basis random and only with it, and
+    --basis-file takes neither."""
+    if (ns.seed is None) == (ns.basis == "random"):
+        raise UsageError("--basis random needs --seed, and --seed needs --basis random")
+    path = getattr(ns, "basis_file", None)
     if path:
+        if ns.basis is not None:
+            raise UsageError("--basis-file takes no --basis or --seed")
         with open(path) as fh:
             b = Basis.from_json_doc(json.load(fh))
         if b.scale != scale:
             raise UsageError(f"--basis-file scale {b.scale} does not match h^2 = {scale}")
         return b
-    if ns.basis == "random" and ns.seed is None:
-        raise UsageError("--basis random needs --seed")
-    return build_basis(scale, count, seed=ns.seed if ns.basis == "random" else None)
+    return build_basis(scale, count, seed=ns.seed)
 
 
 def _sidon_prefix(ns: argparse.Namespace, c):
@@ -300,13 +304,13 @@ def _add_kmax_flag(p):
                    help="last block index to generate")
 
 
-def _add_basis_flags(p):
-    p.add_argument("--basis", default="deterministic",
-                   choices=("deterministic", "random"),
-                   help="least prime per interval, or seeded uniform choice")
-    p.add_argument("--basis-file", dest="basis_file",
-                   help="JSON basis document to use instead of building one")
-    p.add_argument("--seed", type=int, help="RNG seed (required with --basis random)")
+def _add_basis_flags(p, file=True):
+    p.add_argument("--basis", choices=("deterministic", "random"),
+                   help="least prime per interval (the default), or seeded uniform choice")
+    if file:
+        p.add_argument("--basis-file", dest="basis_file",
+                       help="JSON basis document to use instead of building one")
+    p.add_argument("--seed", type=int, help="RNG seed (with --basis random, and only there)")
 
 
 def _add_out_flags(p, summary=True):
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_basis)
     p.add_argument("--scale", type=_square_scale, default=4, help="radix scale h^2 (default 4)")
     p.add_argument("--count", type=_positive_int, required=True, help="number of entries")
-    _add_basis_flags(p)
+    _add_basis_flags(p, file=False)
     p.add_argument("--out", default="-", help="output path, - for stdout (default)")
 
     p = sub.add_parser("generate", help="generate all elements of blocks up to kmax")

@@ -7,11 +7,20 @@ of q_j (q_j itself over Z, 2^deg(q_j) over GF(2)[X]). Its element is the
 mixed-radix value sum x_j * W_j. Windows keep every digit nonzero and
 h-fold digit sums carry-free, and the leading digit pins down the block,
 which is what makes collision structure readable off the digits.
+
+encode_rows is the one encoder, for a block's listing and for one
+irreducible alike. It works a basis index j at a time, as numpy columns:
+residues mod q_j, their discrete logs, their window lifts. The logs come
+from a full log table of (g_j, q_j) where the caller built one, else from
+BSGS one residue at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+
+import numpy as np
 
 from .arith import lift_to_window
 from .basis import Basis
@@ -44,7 +53,7 @@ def digits_of_prime(p: int, basis: Basis, params: BlockParams) -> tuple[int, ...
 
 def encode_value(digits, basis: Basis) -> int:
     """Mixed-radix value sum x_j W_j of any digit string, each digit checked
-    against its radix; element_in_block sums its own digits as it lifts them."""
+    against its radix; encode_rows sums its own digits as it lifts them."""
     total = 0
     for j, x in enumerate(digits, start=1):
         if not 0 <= x < basis.radix(j):
@@ -75,36 +84,47 @@ def decode_value(a: int, basis: Basis) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
-    """Element of an irreducible p of block k, in one walk over j = 1..k:
-    the residue of p mod q_j (ExcludedPrime when it is 0), its log by BSGS,
-    lifted into the window of the basis order h, and the running value and
-    weight W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
-    checked to land between the block rails W_k N_k < a < W_(k+1).
-
-    generator.generate_blocks makes the same elements a column at a time,
-    with k straight from the ring's listing between the integer edges
-    floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges, which
-    decide membership exactly in both rings: an integer norm is at most
-    2^E iff it is at most floor(2^E). pow2_floor fixes each edge by comparing
-    integers with 2^E itself, evaluated with the working precision past its
-    integer part, and raises PrecisionAmbiguity instead of returning an edge
-    within 2^-64 of 2^E; so membership needs no per-irreducible guard at any
-    size of p.
-    """
-    ring, h, scale = basis.ring, basis.h, basis.scale
-    digits, value, weight = [], 0, 1
+def encode_rows(ps: list, k: int, basis: Basis, tables: dict[int, np.ndarray]
+                ) -> list[SidonElement]:
+    """The elements of irreducibles ps of block k, none of them a basis
+    modulus, worked a basis index at a time. Column j is their residues mod
+    q_j as one column (int64, or Python ints once some p reaches 2^63), the
+    logs of those by one gather from tables[j] (or by BSGS, one residue at a
+    time, where no table was built), and their window lifts by one
+    lift_to_window. A zero residue, which only a non-irreducible can give,
+    raises: the table's -1 fails the lift's range check, BSGS raises
+    DLogUndefined. The value of each digit row is summed with Python ints
+    and checked against the rails W_k N_k < a < W_(k+1)."""
+    ring, h = basis.ring, basis.h
+    col = np.array(ps, dtype=np.int64 if max(ps) < 1 << 63 else object)
+    columns = []
     for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
-        r = ring.reduce(p, q)
-        if r == 0:
+        residues = ring.reduce_column(col, q)
+        if j in tables:
+            logs = tables[j][residues].astype(np.int64)
+        else:
+            logs = np.array([ring.dlog(g, r, q) for r in residues.tolist()], dtype=np.int64)
+        columns.append(lift_to_window(logs, n, h))
+    weights = [basis.weight(j) for j in range(1, k + 1)]
+    upper = basis.weight(k + 1)
+    lower = upper // basis.scale
+    elements = []
+    for p, digits in zip(col.tolist(), zip(*[x.tolist() for x in columns])):
+        value = sum(map(mul, digits, weights))
+        if not lower < value < upper:
+            raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
+        elements.append(SidonElement(p=p, k=k, digits=digits, value=value))
+    return elements
+
+
+def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
+    """Element of an irreducible p of block k: ExcludedPrime at the first
+    j <= k with p = 0 mod q_j, else encode_rows of p alone, its logs by
+    BSGS."""
+    for j, (q, _, _) in enumerate(basis.moduli(k), start=1):
+        if basis.ring.reduce(p, q) == 0:
             raise ExcludedPrime(p, k, j)
-        x = lift_to_window(ring.dlog(g, r, q), n, h)
-        digits.append(x)
-        value += x * weight
-        weight *= scale * n
-    if not weight // scale < value < weight:
-        raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
-    return SidonElement(p=p, k=k, digits=tuple(digits), value=value)
+    return encode_rows([p], k, basis, {})[0]
 
 
 def element_for_prime(p: int, basis: Basis, params: BlockParams) -> SidonElement:

@@ -8,15 +8,12 @@ them over GF(2)[X]). Block k's exclusions are its basis moduli: the q_j,
 j <= k, that it lists carry no digit vector and are recorded, in block
 order, instead of encoded.
 
-The block's other irreducibles are encoded a basis index j at a time, as
-numpy columns (_ROWS of them at a time): residues mod q_j, their discrete
-logs, their window lifts.
-The logs come from a full log table of (g_j, q_j) once some block has at
-least isqrt(N_j) irreducibles (N_j the norm of q_j), the point where
-N_j - 1 table steps cost no more than that many BSGS searches of up to
-sqrt(N_j) steps each. Smaller blocks keep BSGS, so a sparse prefix over a
-large basis builds no big tables. encoder.element_in_block is the same
-element for one irreducible, and the tests' per-irreducible oracle.
+The block's other irreducibles go to encoder.encode_rows, _ROWS of them at
+a time. The logs of column j come from a full log table of (g_j, q_j) once
+some block has at least isqrt(N_j) irreducibles (N_j the norm of q_j), the
+point where N_j - 1 table steps cost no more than that many BSGS searches
+of up to sqrt(N_j) steps each. Smaller blocks keep BSGS, so a sparse
+prefix over a large basis builds no big tables.
 """
 
 from __future__ import annotations
@@ -24,15 +21,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
-from operator import attrgetter, mul
+from operator import attrgetter
 
 import numpy as np
 
-from .arith import INTEGERS, lift_to_window, prime_count
+from .arith import INTEGERS, prime_count
 from .basis import Basis
 from .blocks import BlockParams, block_edges
-from .encoder import SidonElement
-from .errors import ConsistencyError, PrefixTooShort
+from .encoder import SidonElement, encode_rows
+from .errors import PrefixTooShort
 
 # Irreducibles encoded together: their digit columns, as int64 arrays and
 # then as lists, are all the generator holds beside the elements it built.
@@ -94,7 +91,16 @@ class SequencePrefix:
 def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePrefix:
     """Every element of blocks k_min..k_max over the basis ring, with digits
     in the windows of the basis order h, plus each block's basis moduli
-    q_j (j <= k) as exclusions."""
+    q_j (j <= k) as exclusions.
+
+    Block k is the ring's listing between the integer edges
+    floor(2^E(k-1)) < N(p) <= floor(2^E(k)) of blocks.block_edges, which
+    decide membership exactly in both rings: an integer norm is at most 2^E
+    iff it is at most floor(2^E). pow2_floor fixes each edge by comparing
+    integers with 2^E itself, evaluated with the working precision past its
+    integer part, and raises PrecisionAmbiguity instead of returning an edge
+    within 2^-64 of 2^E; so membership needs no per-irreducible guard at any
+    size of p."""
     ring = basis.ring
     # The first block past the ring's listing limit (sieve width over Z,
     # degree over GF(2)[X]) fails here, before any block is listed and before
@@ -121,44 +127,11 @@ def generate_blocks(k_max: int, params: BlockParams, basis: Basis) -> SequencePr
         ps = [p for p in ps if p not in index]
         block = []
         for lo in range(0, len(ps), _ROWS):
-            block += _encode_rows(ps[lo:lo + _ROWS], k, basis, tables)
+            block += encode_rows(ps[lo:lo + _ROWS], k, basis, tables)
         block.sort(key=attrgetter("value"))
         elements += block
     return SequencePrefix(k_max=k_max, elements=elements, excluded=excluded,
                           block_sizes=block_sizes, basis=basis, params=params)
-
-
-def _encode_rows(ps: list[int], k: int, basis: Basis, tables: dict[int, np.ndarray]
-                 ) -> list[SidonElement]:
-    """The elements of irreducibles ps of block k, none of them a basis
-    modulus: element_in_block for each of them, worked a basis index at a
-    time. Column j is their residues mod q_j as one int64 column, the logs
-    of those by one gather from tables[j] (or by BSGS, one residue at a
-    time, where the block sizes built no table), and their window lifts by
-    one lift_to_window. A zero residue, which only a non-irreducible can
-    give, raises: the table's -1 fails the lift's range check, BSGS raises
-    DLogUndefined. The value of each digit row is summed with Python ints
-    and checked against the rails W_k N_k < a < W_(k+1)."""
-    ring, h = basis.ring, basis.h
-    col = np.array(ps, dtype=np.int64)
-    columns = []
-    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
-        residues = ring.reduce_column(col, q)
-        if j in tables:
-            logs = tables[j][residues].astype(np.int64)
-        else:
-            logs = np.array([ring.dlog(g, r, q) for r in residues.tolist()], dtype=np.int64)
-        columns.append(lift_to_window(logs, n, h))
-    weights = [basis.weight(j) for j in range(1, k + 1)]
-    upper = basis.weight(k + 1)
-    lower = upper // basis.scale
-    elements = []
-    for p, digits in zip(col.tolist(), zip(*[x.tolist() for x in columns])):
-        value = sum(map(mul, digits, weights))
-        if not lower < value < upper:
-            raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
-        elements.append(SidonElement(p=p, k=k, digits=digits, value=value))
-    return elements
 
 
 def count_upto(x: int, prefix: SequencePrefix) -> int:

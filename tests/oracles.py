@@ -3,10 +3,11 @@
 Everything here favors obviousness over speed: trial division, full power
 tables, exhaustive enumeration. Nothing here imports from dlogsidon except
 gf2_irreducibles_rabin, which runs the package's Rabin test (itself checked
-against trial division) on every polynomial of a degree, and
-per_irreducible_blocks, which runs the package's one-irreducible encoder
-on every irreducible of a block, and prune_restarting, which runs the
-package's collision search. log_table_loop takes its ring as an argument.
+against trial division) on every polynomial of a degree, element_walk,
+which takes the package's BSGS logs, window lift and element record,
+per_irreducible_blocks, which lists the package's blocks for it, and
+prune_restarting, which runs the package's collision search.
+log_table_loop takes its ring as an argument.
 """
 
 from collections import defaultdict
@@ -123,20 +124,45 @@ def log_table_loop(ring, g, q):
     return table
 
 
+def element_walk(p, k, basis):
+    """Element of an irreducible p of block k, in one walk over j = 1..k:
+    the residue of p mod q_j (ExcludedPrime when it is 0), its log by BSGS,
+    lifted into the window of the basis order h, and the running value and
+    weight W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
+    checked to land between the block rails W_k N_k < a < W_(k+1). It shares
+    no column, value sum or rails check with encoder.encode_rows."""
+    from dlogsidon.arith import lift_to_window
+    from dlogsidon.encoder import SidonElement
+    from dlogsidon.errors import ConsistencyError, ExcludedPrime
+
+    ring, h, scale = basis.ring, basis.h, basis.scale
+    digits, value, weight = [], 0, 1
+    for j, (q, g, n) in enumerate(basis.moduli(k), start=1):
+        r = ring.reduce(p, q)
+        if r == 0:
+            raise ExcludedPrime(p, k, j)
+        x = lift_to_window(ring.dlog(g, r, q), n, h)
+        digits.append(x)
+        value += x * weight
+        weight *= scale * n
+    if not weight // scale < value < weight:
+        raise ConsistencyError(f"element of {p} escaped (W_k N_k, W_k+1): {value}")
+    return SidonElement(p=p, k=k, digits=tuple(digits), value=value)
+
+
 def per_irreducible_blocks(k_max, params, basis):
     """(elements, exclusions) of blocks k_min..k_max, one irreducible at a
-    time through encoder.element_in_block (BSGS logs): elements sorted by
-    (block, value), and (p, k, basis_index) exclusions sorted by block,
-    then by p within a block."""
+    time through element_walk (BSGS logs): elements sorted by (block, value),
+    and (p, k, basis_index) exclusions sorted by block, then by p within a
+    block."""
     from dlogsidon.blocks import block_edges
-    from dlogsidon.encoder import element_in_block
     from dlogsidon.errors import ExcludedPrime
 
     elements, exclusions = [], []
     for k in range(params.k_min, k_max + 1):
         for p in basis.ring.irreducibles(*block_edges(k, params)):
             try:
-                elements.append(element_in_block(p, k, basis))
+                elements.append(element_walk(p, k, basis))
             except ExcludedPrime as e:
                 exclusions.append((e.p, e.k, e.index))
     elements.sort(key=lambda e: (e.k, e.value))

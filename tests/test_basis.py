@@ -1,11 +1,13 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from dlogsidon import basis
 from dlogsidon.arith import is_primitive_root
 from dlogsidon.basis import MAX_INDEX, Basis, build_basis, dyadic_interval
-from dlogsidon.errors import BasisGap
+from dlogsidon.errors import BasisGap, SieveTooLarge
 
 from oracles import (factorize_trial, is_prime_trial, primes_between_sieve, primes_upto_trial,
                      primitive_root_naive)
@@ -109,6 +111,27 @@ def test_random_basis_through_max_index():
         assert 1 <= g < q and all(pow(g, (q - 1) // r, q) != 1 for r in factorize_trial(q - 1)), j
     with pytest.raises(BasisGap):
         b.ensure(MAX_INDEX + 1)
+
+
+def test_window_pool_past_the_sieve_limit_raises_before_allocating(monkeypatch):
+    # Entry 14's window (2^27, 2^29] holds 3 * 2^27 integers, past the sieve
+    # limit of 2^27, so a random basis allowed a 14th entry must refuse its
+    # pool by name before it allocates, not run out of memory.
+    b = build_basis(9, 13, seed=31)
+    monkeypatch.setattr(basis, "MAX_INDEX", 14)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(SieveTooLarge, match="2\\^27"):
+            basis._window_pool(14)
+        with pytest.raises(SieveTooLarge):
+            b.ensure(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.5
+    assert peak < 1 << 20
+    assert len(b) == 13
 
 
 def test_given_entries_never_extend():

@@ -387,6 +387,27 @@ def test_non_dyadic_basis_document_is_refused(capsys, tmp_path):
     assert err.startswith("error:") and "q_2 = 7 outside" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["basis", "--count", "5", "--seed", "6"],
+    ["basis", "--count", "5", "--basis", "deterministic", "--seed", "6"],
+    ["basis", "--count", "1", "--basis-file", "{doc}"],
+    ["generate", "--kmax", "5", "--seed", "4"],
+    ["generate", "--kmax", "5", "--basis-file", "{doc}", "--basis", "random", "--seed", "4"],
+    ["generate", "--kmax", "5", "--basis-file", "{doc}", "--seed", "4"],
+    ["generate", "--kmax", "5", "--basis-file", "{doc}", "--basis", "deterministic"],
+    ["prune", "--kmax", "4", "--seed", "4"],
+    ["count", "--x", "100", "--kmax", "4", "--basis-file", "{doc}", "--seed", "4"],
+    ["bh", "generate", "--kmax", "5", "--seed", "4"],
+])
+def test_basis_flags_name_exactly_one_basis(capsys, tmp_path, flags):
+    # --seed goes with --basis random alone, and --basis-file with neither;
+    # the basis subcommand has no --basis-file.
+    doc = tmp_path / "basis.json"
+    doc.write_text(run_cli(capsys, ["basis", "--count", "3"])[1])
+    err = run_usage_error(capsys, [f.format(doc=doc) for f in flags])
+    assert "--seed" in err or "--basis-file" in err
+
+
 def test_basis_random_seeded(capsys):
     run_usage_error(capsys, ["basis", "--count", "3", "--basis", "random"])
     a = run_cli(capsys, ["basis", "--count", "3", "--basis", "random", "--seed", "9"])[1]

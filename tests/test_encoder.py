@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dlogsidon import encoder
+from dlogsidon.arith import is_prime, primes_upto
 from dlogsidon.basis import Basis, build_basis
 from dlogsidon.bh import bh_params
-from dlogsidon.blocks import const_sqrt2, const_sqrt5, sidon_params
+from dlogsidon.blocks import block_of_prime, const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.encoder import (
+    SidonElement,
     decode_value,
     digits_for_block,
     digits_of_prime,
@@ -17,7 +20,7 @@ from dlogsidon.errors import DigitOutOfRange, ExcludedPrime, ValueTooLarge
 from dlogsidon.generator import generate_blocks
 from dlogsidon.gf2x import gf2_generate_blocks
 
-from oracles import lift_naive, power_table
+from oracles import element_walk, lift_naive, power_table
 
 
 def test_worked_digits_p5(default_basis, sqrt5_params):
@@ -64,7 +67,8 @@ def test_excluded_prime_carries_location(default_basis):
     # 11 = q_2, so any block needing digit 2 rejects it.
     with pytest.raises(ExcludedPrime) as ei:
         digits_for_block(11, 5, default_basis)
-    assert ei.value.p == 11 and ei.value.index == 2
+    assert (ei.value.p, ei.value.k, ei.value.index) == (11, 5, 2)
+    assert str(ei.value) == "prime 11 equals basis prime q_2, no digit in block 5"
 
 
 def test_encode_decode_roundtrip(default_basis, seed=1203):
@@ -121,9 +125,9 @@ def _walk_prefix(law, seed):
                                       ("sqrt2", 1207), ("bh3", None), ("bh3", 1207),
                                       ("gf2", None)])
 def test_walk_values_match_the_encoder(law, seed):
-    # The one walk of element_in_block sums the digits as it lifts them;
-    # encode_value, which checks each digit against its radix, is its oracle,
-    # and the rails come from the basis's own weights.
+    # encode_rows sums the digits of each row as it lifts them; encode_value,
+    # which checks each digit against its radix, is its oracle, and the rails
+    # come from the basis's own weights.
     prefix = _walk_prefix(law, seed)
     basis = prefix.basis
     assert prefix.elements
@@ -143,3 +147,52 @@ def test_generation_never_encodes(monkeypatch, sqrt5_prefix_k7):
     prefix = generate_blocks(7, sqrt5_prefix_k7.params, build_basis(4, 7))
     assert prefix.elements == sqrt5_prefix_k7.elements
     assert gf2_generate_blocks(6, gf2_params).elements == gf2_elements
+
+
+def _walk_or_exclusion(fn, p, *args):
+    """The element fn gives for p, or the fields of its ExcludedPrime."""
+    try:
+        return fn(p, *args)
+    except ExcludedPrime as e:
+        return ("excluded", e.p, e.k, e.index, str(e))
+
+
+@pytest.mark.parametrize("seed", [None, 1207])
+def test_one_prime_api_matches_the_walk(sqrt5_params, seed):
+    # Every prime of the sqrt5 k <= 6 prefix, its basis primes included:
+    # one row of encode_rows gives the element the walk gives, or the same
+    # ExcludedPrime at the same index.
+    basis = build_basis(4, 6, seed=seed)
+    outcomes = Counter()
+    for p in primes_upto(sqrt5_params.upper_edge(6)):
+        k = block_of_prime(p, sqrt5_params)
+        got = _walk_or_exclusion(element_for_prime, p, basis, sqrt5_params)
+        assert got == _walk_or_exclusion(element_walk, p, k, basis), p
+        outcomes[type(got)] += 1
+        if type(got) is SidonElement:
+            assert digits_for_block(p, k, basis) == digits_of_prime(
+                p, basis, sqrt5_params) == got.digits
+    assert outcomes[SidonElement] > 250 and outcomes[tuple] >= 3, outcomes
+
+
+def _primes_from(n, count):
+    out = []
+    while len(out) < count:
+        n += 1
+        if is_prime(n):
+            out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 1207])
+def test_one_prime_api_serves_primes_past_int64(sqrt2_params, seed):
+    # sqrt2 block 13 runs from below 2^62 past 2^66: a prime from 2^63 on
+    # is held as a Python int, and its value lies past 2^190, between the
+    # rails of block 13.
+    basis = build_basis(4, 13, seed=seed)
+    for bits in (62, 63, 64, 66):
+        for p in _primes_from((1 << bits) - 100, 3):
+            e = element_for_prime(p, basis, sqrt2_params)
+            assert e == element_walk(p, 13, basis), p
+            assert e.k == 13 and type(e.p) is int and e.value >> 190
+            assert basis.weight(13) * basis.norm(13) < e.value < basis.weight(14)

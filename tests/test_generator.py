@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from dlogsidon import auditor, generator
-from dlogsidon.arith import PrimeField, primes_upto, smallest_primitive_root
+from dlogsidon.arith import INTEGERS, PrimeField, primes_upto, smallest_primitive_root
 from dlogsidon.auditor import is_sidon
 from dlogsidon.basis import build_basis
 from dlogsidon.bh import bh_params
@@ -21,6 +21,7 @@ from dlogsidon.generator import (
     finite_dlog_sidon_set,
     generate_blocks,
 )
+from dlogsidon.gf2x import GF2
 
 from oracles import is_sidon_list, per_irreducible_blocks, power_table, primes_upto_trial
 
@@ -304,6 +305,18 @@ def test_finite_set_is_sidon_in_cyclic_group():
 def test_finite_set_respects_supplied_generator():
     g = smallest_primitive_root(101)
     assert finite_dlog_sidon_set(101, g) == finite_dlog_sidon_set(101)
+
+
+@pytest.mark.parametrize("ring, q, g", [
+    (INTEGERS, 23, 2),  # order 11 of 22: it would give {1, 8}
+    (INTEGERS, 7, 2),   # order 3 of 6: it would give {4}
+    (GF2, 0x13, 0x8),   # X^3 has order 5 of 15 mod X^4 + X + 1
+], ids=["Z-23-2", "Z-7-2", "GF2-X4+X+1-X3"])
+def test_finite_set_refuses_a_non_generator(ring, q, g):
+    assert not ring.is_generator(g, q)
+    with pytest.raises(ValueError, match="does not generate"):
+        ring.finite_sidon(q, g)
+    assert ring.finite_sidon(q) == ring.finite_sidon(q, ring.generator(q))
 
 
 def test_finite_set_tests_its_modulus_once(monkeypatch):
