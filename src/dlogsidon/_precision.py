@@ -26,7 +26,10 @@ def cmp_log2(n: int, e) -> int:
     """Sign of log2(n) - e for a positive integer n, guard-banded.
 
     Returns -1 or +1; a difference smaller than 2^-64 raises
-    PrecisionAmbiguity.
+    PrecisionAmbiguity. The absolute guard tells neighbouring integers apart
+    only below about 2^64, so no block decision in the package uses it:
+    blocks are the integer edges of pow2_floor. It is the primitive of the
+    tests' log2 oracle for those edges, block_walk in tests/oracles.py.
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")

@@ -241,9 +241,9 @@ class UnitGroupRing:
                     if all(self.pow(g, order // r, q) != 1 for r in radicals))
 
     def baby_steps(self, q: int) -> int:
-        """m = 2 ceil(sqrt(N(q) - 1)), the baby steps of a BSGS table mod q;
-        DLogTooLarge when m > MAX_BABY_STEPS."""
-        m = 2 * (isqrt(self.norm(q) - 2) + 1)
+        """m = 2 ceil(sqrt(N(q) - 1)), the baby steps of a BSGS table mod q
+        (2 for N(q) <= 2); DLogTooLarge when m > MAX_BABY_STEPS."""
+        m = 2 * (isqrt(max(self.norm(q) - 2, 0)) + 1)
         if m > MAX_BABY_STEPS:
             raise DLogTooLarge(f"discrete logs mod {q} need {m} baby steps, above the "
                                f"limit of 2^20 = {MAX_BABY_STEPS}")
@@ -327,8 +327,11 @@ class UnitGroupRing:
 
         Products of two such irreducibles have norm below N(q), so they are
         their own residues mod q: distinct pairs give distinct products, and
-        the logs form a Sidon set in Z_(N(q) - 1).
+        the logs form a Sidon set in Z_(N(q) - 1). A q whose logs need
+        more than MAX_BABY_STEPS baby steps raises DLogTooLarge first,
+        before N(q) - 1 is factored.
         """
+        self.baby_steps(q)
         if g is None:
             g = self.generator(q)  # which tests q
         elif not self.is_generator(g, q):  # which tests q too

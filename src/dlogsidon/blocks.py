@@ -8,9 +8,11 @@ Block k holds the irreducibles p whose norm N(p) (p itself over Z,
 for a constant 0 < c < 1/2. The plain law uses taper(k) = 1 and offset -3;
 the tapered law uses taper(k) = 1 - 1/sqrt(ln k) and offset 0. Norms are
 integers, so block_edges gives block k as floor(2^E(k-1)) < N(p) <=
-floor(2^E(k)) for both rings. All edge decisions go through the
-guard-banded comparisons in _precision, so an edge too close to call
-raises PrecisionAmbiguity instead of misassigning an irreducible.
+floor(2^E(k)) for both rings, and those integer edges are the one block
+rule: generation lists between them, and block_of_prime places a single
+norm by them. Each edge is fixed by the guard-banded pow2_floor of
+_precision, so an edge too close to call raises PrecisionAmbiguity
+instead of misassigning an irreducible.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from ._precision import PRECISION, cmp_log2, pow2_floor
+from ._precision import PRECISION, pow2_floor
 from .arith import INTEGERS
 
 
@@ -103,14 +105,15 @@ def tapered_params(h: int) -> BlockParams:
     return BlockParams(c=const_window(h), offset=0, taper=True)
 
 
-def block_of_prime(p: int, params: BlockParams) -> int:
-    """The unique k >= k_min with E(k-1) < log2(p) <= E(k)."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if cmp_log2(p, params.exponent(params.k_min - 1)) <= 0:
-        raise ValueError(f"{p} at or below the lower edge of block {params.k_min}")
+def block_of_prime(n: int, params: BlockParams) -> int:
+    """The block whose block_edges hold the integer norm n: the unique
+    k >= k_min with upper_edge(k-1) < n <= upper_edge(k). Exact at any size
+    of n, or PrecisionAmbiguity where an edge it passes cannot be floored,
+    as generation raises there."""
     k = params.k_min
-    while cmp_log2(p, params.exponent(k)) > 0:
+    if n <= max(params.upper_edge(k - 1), 1):
+        raise ValueError(f"{n} at or below the lower edge of block {k}")
+    while n > params.upper_edge(k):
         k += 1
     return k
 

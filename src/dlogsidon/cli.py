@@ -237,9 +237,9 @@ def _cmd_count(ns: argparse.Namespace) -> int:
 
 def _finite(ns: argparse.Namespace, ring, q, g, head: dict) -> int:
     """The finite Sidon set mod q over the ring, written after `head`.
-    Refuses, before the first log, a set whose logs need too large a BSGS
-    table or whose pair audit mod N(q) - 1 cannot fit."""
-    ring.baby_steps(q)
+    Refuses, before the first log, a set whose pair audit mod N(q) - 1
+    cannot fit or (in finite_sidon) whose logs need too large a BSGS
+    table."""
     check_one_bucket(len(ring.irreducibles_below(q)))
     residues = sorted(ring.finite_sidon(q, g))
     modulus = ring.norm(q) - 1
@@ -251,6 +251,7 @@ def _finite(ns: argparse.Namespace, ring, q, g, head: dict) -> int:
 
 def _cmd_finite(ns: argparse.Namespace) -> int:
     q, g = ns.q, ns.g
+    INTEGERS.baby_steps(q)  # before the generator search factors q - 1
     try:  # each raises InvalidModulus for a non-prime q first
         if g is None:
             g = smallest_primitive_root(q)

@@ -13,6 +13,11 @@ irreducible alike. It works a basis index j at a time, as numpy columns:
 residues mod q_j, their discrete logs, their window lifts. The logs come
 from a full log table of (g_j, q_j) where the caller built one, else from
 BSGS one residue at a time.
+
+The one-prime API (element_for_prime, digits_of_prime) applies
+generation's two rules to one irreducible: its block is the one whose
+integer edges hold its norm (blocks.block_of_prime), and it is excluded
+exactly when it is one of the basis moduli q_1..q_k.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def digits_for_block(p: int, k: int, basis: Basis) -> tuple[int, ...]:
 
 
 def digits_of_prime(p: int, basis: Basis, params: BlockParams) -> tuple[int, ...]:
-    return digits_for_block(p, block_of_prime(p, params), basis)
+    """The digits of element_for_prime(p, basis, params)."""
+    return element_for_prime(p, basis, params).digits
 
 
 def encode_value(digits, basis: Basis) -> int:
@@ -118,15 +124,16 @@ def encode_rows(ps: list, k: int, basis: Basis, tables: dict[int, np.ndarray]
 
 
 def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
-    """Element of an irreducible p of block k: ExcludedPrime at the first
-    j <= k with p = 0 mod q_j, else encode_rows of p alone, its logs by
-    BSGS."""
+    """Element of an irreducible p of block k: ExcludedPrime(p, k, j) when p
+    is the basis modulus q_j, j <= k, as generation excludes it, else
+    encode_rows of p alone, its logs by BSGS."""
     for j, (q, _, _) in enumerate(basis.moduli(k), start=1):
-        if basis.ring.reduce(p, q) == 0:
+        if p == q:
             raise ExcludedPrime(p, k, j)
     return encode_rows([p], k, basis, {})[0]
 
 
 def element_for_prime(p: int, basis: Basis, params: BlockParams) -> SidonElement:
-    """Element of p: its block by block_of_prime, its digits by BSGS."""
-    return element_in_block(p, block_of_prime(p, params), basis)
+    """Element of an irreducible p: its block by block_of_prime of its norm,
+    from the integer edges generation lists between, its digits by BSGS."""
+    return element_in_block(p, block_of_prime(basis.ring.norm(p), params), basis)

@@ -192,9 +192,9 @@ def _degrees(lo: int, hi: int) -> range:
 
 
 def block_of_degree(d: int, params: BlockParams) -> int:
-    """block_of_prime(2^d): the unique k >= k_min with E(k-1) < d <= E(k)."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    """block_of_prime(2^d), the block of the irreducibles of degree d: the
+    one whose integer edges hold the norm 2^d. ValueError for d < 1, whose
+    norm 1 lies below every block, or whose shift is negative."""
     return block_of_prime(1 << d, params)
 
 

@@ -2,8 +2,10 @@
 
 Everything here favors obviousness over speed: trial division, full power
 tables, exhaustive enumeration. Nothing here imports from dlogsidon except
-gf2_irreducibles_rabin, which runs the package's Rabin test (itself checked
-against trial division) on every polynomial of a degree, element_walk,
+block_walk, which compares log2 of a norm with the law's exponents under
+the package's guarded cmp_log2, gf2_irreducibles_rabin, which runs the
+package's Rabin test (itself checked against trial division) on every
+polynomial of a degree, element_walk,
 which takes the package's BSGS logs, window lift and element record,
 per_irreducible_blocks, which lists the package's blocks for it, and
 prune_restarting, which runs the package's collision search.
@@ -122,6 +124,25 @@ def log_table_loop(ring, g, q):
     if x != 1 or table[1] != 0:
         raise ValueError(f"powers of {g} mod {q} miss residues; is g a generator?")
     return table
+
+
+def block_walk(n, params):
+    """The block of an integer norm n by logarithms: the unique k >= k_min
+    with E(k-1) < log2(n) <= E(k), each side decided by cmp_log2 under its
+    2^-64 guard. It never forms the integer edges floor(2^E(k)) that
+    generation and blocks.block_of_prime read. The guard is absolute, so it
+    tells neighbouring integers apart only below about 2^64; past that it
+    raises PrecisionAmbiguity for norms within about n * 2^-64 of an edge."""
+    from dlogsidon._precision import cmp_log2
+
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if cmp_log2(n, params.exponent(params.k_min - 1)) <= 0:
+        raise ValueError(f"{n} at or below the lower edge of block {params.k_min}")
+    k = params.k_min
+    while cmp_log2(n, params.exponent(k)) > 0:
+        k += 1
+    return k
 
 
 def element_walk(p, k, basis):

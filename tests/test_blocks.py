@@ -6,8 +6,11 @@ import pytest
 
 from dlogsidon import blocks
 from dlogsidon._precision import PRECISION
+from dlogsidon.arith import is_prime
+from dlogsidon.basis import Basis
 from dlogsidon.bh import montecarlo_bad_ratio
 from dlogsidon.blocks import (
+    block_edges,
     block_of_prime,
     const_decimal,
     const_sqrt2,
@@ -18,8 +21,9 @@ from dlogsidon.blocks import (
     tapered_params,
 )
 from dlogsidon.errors import PrecisionAmbiguity
+from dlogsidon.generator import generate_blocks
 
-from oracles import primes_upto_trial
+from oracles import block_walk, primes_upto_trial
 
 
 
@@ -123,7 +127,7 @@ def test_block_partition_covers_primes(sqrt2_params):
     assert merged == primes_upto_trial(sqrt2_params.upper_edge(5))
     for k, ps in blocks.items():
         for p in ps[:3] + ps[-3:]:
-            assert block_of_prime(p, sqrt2_params) == k
+            assert block_walk(p, sqrt2_params) == k
 
 
 def test_rational_c_edge_tie_raises():
@@ -134,3 +138,33 @@ def test_rational_c_edge_tie_raises():
         params.upper_edge(6)
     with pytest.raises(PrecisionAmbiguity):
         block_of_prime(64, params)
+
+
+def test_block_of_prime_places_the_primes_next_to_sqrt2_edges_14_and_15(sqrt2_params):
+    # Edges 14 and 15 lie near 2^78 and 2^90, where neighbouring integers sit
+    # closer than 2^-64 apart in log2: no guarded log comparison can place
+    # the primes next to them, and the integer edges place every one.
+    for k, count in ((14, 45), (15, 30)):
+        edge = sqrt2_params.upper_edge(k)
+        primes = [n for n in range(edge - 1000, edge + 1001) if is_prime(n)]
+        assert len(primes) == count
+        for p in primes:
+            got = block_of_prime(p, sqrt2_params)
+            lo, hi = block_edges(got, sqrt2_params)
+            assert lo < p <= hi and got == (k if p <= edge else k + 1), p
+
+
+def test_block_of_prime_refuses_where_generation_refuses():
+    # c = 1/4, offset -3: E(4) = 1 and E(6) = 6 exactly, so edges 4 and 6
+    # cannot be floored. Generation refuses at block 4, and the blocks of
+    # 61 and 67 have no edges; a single prime is refused the same way,
+    # where a log comparison would have put them in blocks 6 and 7.
+    params = sidon_params(c=const_decimal("0.25"), offset=-3)
+    for k in (4, 6, 7):
+        with pytest.raises(PrecisionAmbiguity):
+            block_edges(k, params)
+    with pytest.raises(PrecisionAmbiguity):
+        generate_blocks(7, params, Basis(4))
+    for p in (2, 61, 67):
+        with pytest.raises(PrecisionAmbiguity):
+            block_of_prime(p, params)

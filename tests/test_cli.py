@@ -90,6 +90,19 @@ def test_finite_past_the_baby_step_limit_is_an_error(capsys):
         assert err.startswith("error:") and reason in err
 
 
+@pytest.mark.parametrize("g", [[], ["--g", "2"]])
+def test_finite_past_the_baby_step_limit_refuses_before_factoring(capsys, g):
+    # Safe primes above 2^56 and 2^70: the generator search or test would
+    # factor q - 1 = 2r, r prime, by trial division for seconds to hours
+    # before the first log. The baby-step limit refuses first.
+    for q in ("72057594037930967", "1180591620717411303659"):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, ["finite", "--q", q, *g])
+        assert time.perf_counter() - start < 1
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "baby steps" in err
+
+
 def test_finite_past_the_audit_limit_refuses_before_any_log(capsys):
     # The largest prime below 2^38 passes the baby-step limit, but its 43,390
     # residues would take C(43391, 2) = 9.4e8 keys in the one bucket of their

@@ -7,20 +7,21 @@ from dlogsidon import encoder
 from dlogsidon.arith import is_prime, primes_upto
 from dlogsidon.basis import Basis, build_basis
 from dlogsidon.bh import bh_params
-from dlogsidon.blocks import block_of_prime, const_sqrt2, const_sqrt5, sidon_params
+from dlogsidon.blocks import block_edges, const_decimal, const_sqrt2, const_sqrt5, sidon_params
 from dlogsidon.encoder import (
     SidonElement,
     decode_value,
     digits_for_block,
     digits_of_prime,
     element_for_prime,
+    element_in_block,
     encode_value,
 )
-from dlogsidon.errors import DigitOutOfRange, ExcludedPrime, ValueTooLarge
+from dlogsidon.errors import DigitOutOfRange, DLogUndefined, ExcludedPrime, ValueTooLarge
 from dlogsidon.generator import generate_blocks
 from dlogsidon.gf2x import gf2_generate_blocks
 
-from oracles import element_walk, lift_naive, power_table
+from oracles import block_walk, element_walk, lift_naive, power_table
 
 
 def test_worked_digits_p5(default_basis, sqrt5_params):
@@ -69,6 +70,10 @@ def test_excluded_prime_carries_location(default_basis):
         digits_for_block(11, 5, default_basis)
     assert (ei.value.p, ei.value.k, ei.value.index) == (11, 5, 2)
     assert str(ei.value) == "prime 11 equals basis prime q_2, no digit in block 5"
+    # 33 = 3 * 11 is no basis modulus: its zero residue mod q_1 = 3 has no
+    # log, and the encoder raises.
+    with pytest.raises(DLogUndefined):
+        digits_for_block(33, 5, default_basis)
 
 
 def test_encode_decode_roundtrip(default_basis, seed=1203):
@@ -165,7 +170,7 @@ def test_one_prime_api_matches_the_walk(sqrt5_params, seed):
     basis = build_basis(4, 6, seed=seed)
     outcomes = Counter()
     for p in primes_upto(sqrt5_params.upper_edge(6)):
-        k = block_of_prime(p, sqrt5_params)
+        k = block_walk(p, sqrt5_params)
         got = _walk_or_exclusion(element_for_prime, p, basis, sqrt5_params)
         assert got == _walk_or_exclusion(element_walk, p, k, basis), p
         outcomes[type(got)] += 1
@@ -196,3 +201,34 @@ def test_one_prime_api_serves_primes_past_int64(sqrt2_params, seed):
             assert e == element_walk(p, 13, basis), p
             assert e.k == 13 and type(e.p) is int and e.value >> 190
             assert basis.weight(13) * basis.norm(13) < e.value < basis.weight(14)
+
+
+def test_one_prime_api_matches_generation_over_gf2():
+    # An irreducible polynomial's block is that of its norm 2^deg p, not of
+    # its bit pattern: X + 1 (0b11, norm 2) is a block-2 element. Every
+    # element and exclusion of the k <= 6 prefix is rebuilt alone.
+    params = sidon_params(offset=0)
+    prefix = gf2_generate_blocks(6, params)
+    basis = prefix.basis
+    assert len(prefix.elements) == 1371 and len(prefix.excluded) == 6
+    assert element_for_prime(0b11, basis, params).k == 2
+    for e in prefix.elements:
+        assert element_for_prime(e.p, basis, params) == e, e.p
+        assert digits_of_prime(e.p, basis, params) == e.digits, e.p
+    for r in prefix.excluded:
+        with pytest.raises(ExcludedPrime) as ei:
+            element_for_prime(r.p, basis, params)
+        assert (ei.value.p, ei.value.k, ei.value.index) == (r.p, r.k, r.basis_index)
+
+
+def test_one_prime_api_places_a_prime_just_below_an_edge_past_2_64():
+    # Under c = 0.4321, edge 13 is a 71-bit integer and its largest prime
+    # lies 23 below it: log2 p lies about 2^-65 below E(13), inside the
+    # 2^-64 guard of a log comparison, and the integer edges decide it.
+    params = sidon_params(c=const_decimal("0.4321"))
+    lo, hi = block_edges(13, params)
+    p = next(n for n in range(hi, lo, -1) if is_prime(n))
+    assert hi - p == 23 and hi.bit_length() == 71
+    basis = Basis(4)
+    e = element_for_prime(p, basis, params)
+    assert e == element_in_block(p, 13, basis) == element_walk(p, 13, basis)

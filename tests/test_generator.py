@@ -13,7 +13,7 @@ from dlogsidon.bh import bh_params
 from dlogsidon.blocks import (block_edges, block_of_prime, const_decimal, const_sqrt2,
                               const_sqrt5, primes_in_block, sidon_params)
 from dlogsidon.encoder import element_for_prime
-from dlogsidon.errors import (BasisGap, DLogUndefined, ExcludedPrime, InvalidModulus,
+from dlogsidon.errors import (BasisGap, DLogTooLarge, DLogUndefined, ExcludedPrime, InvalidModulus,
                               PrefixTooShort, SieveTooLarge)
 from dlogsidon.generator import (
     count_upto,
@@ -23,7 +23,7 @@ from dlogsidon.generator import (
 )
 from dlogsidon.gf2x import GF2
 
-from oracles import is_sidon_list, per_irreducible_blocks, power_table, primes_upto_trial
+from oracles import block_walk, is_sidon_list, per_irreducible_blocks, power_table, primes_upto_trial
 
 
 def test_prefix_shape_sqrt5_k7(sqrt5_prefix_k7):
@@ -104,7 +104,8 @@ def _law(name):
 @pytest.mark.parametrize("seed", [None, 1207])
 def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
     # Blocks from integer edges and digits from log tables must agree with
-    # block_of_prime and BSGS, the per-prime route, on every prime in range.
+    # block_walk, which places each prime by logarithms, and with the
+    # one-prime API, on every prime in range.
     params, h, k_max = _law(law)
     basis = build_basis(h * h, k_max, seed=seed)
     calls = Counter()
@@ -128,7 +129,8 @@ def test_generation_matches_per_prime_oracle(law, seed, monkeypatch):
     primes = primes_upto(params.upper_edge(k_max))
     assert len(primes) == len(elements) + len(excluded) == sum(prefix.block_sizes.values())
     for p in primes:
-        k = block_of_prime(p, params)
+        k = block_walk(p, params)
+        assert block_of_prime(p, params) == k, p
         if p in excluded:
             r = excluded[p]
             assert r.k == k
@@ -328,5 +330,18 @@ def test_finite_set_tests_its_modulus_once(monkeypatch):
         calls.clear()
         assert finite_dlog_sidon_set(101, g) == {1, 9, 24, 69}
         assert calls == [101], g
-        with pytest.raises(InvalidModulus):
-            finite_dlog_sidon_set(100, g)
+        for q in (100, 1, 0):  # below the baby-step check's norm 2 too
+            with pytest.raises(InvalidModulus):
+                finite_dlog_sidon_set(q, g)
+
+
+@pytest.mark.parametrize("q", [72057594037930967, 1180591620717411303659])
+def test_finite_set_past_the_baby_step_limit_refuses_before_factoring(q):
+    # Safe primes above 2^56 and 2^70: q - 1 = 2r with r prime, which trial
+    # division in the generator search or test would take seconds to hours
+    # to factor. The baby-step limit refuses first.
+    start = time.perf_counter()
+    for g in (None, 2):
+        with pytest.raises(DLogTooLarge, match="baby steps"):
+            finite_dlog_sidon_set(q, g)
+    assert time.perf_counter() - start < 1

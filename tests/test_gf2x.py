@@ -31,6 +31,7 @@ from dlogsidon.gf2x import (
 )
 
 from oracles import (
+    block_walk,
     cyclic_sidon,
     gf2_divmod,
     gf2_irreducible_naive,
@@ -292,8 +293,9 @@ def test_block_partition_of_degrees():
         2: [1], 3: [2, 3], 4: [4, 5, 6], 5: [7, 8, 9]}
     assert {d: block_of_degree(d, params) for d in (1, 2, 3, 4, 6, 7, 10)} == {
         1: 2, 2: 3, 3: 3, 4: 4, 6: 4, 7: 5, 10: 6}
-    with pytest.raises(ValueError):
-        block_of_degree(0, params)
+    for d in (0, -1):  # norm 1 lies below every block; 1 << -1 is no norm
+        with pytest.raises(ValueError):
+            block_of_degree(d, params)
     with pytest.raises(ValueError):
         degrees_in_block(1, params)
 
@@ -302,10 +304,11 @@ def test_block_partition_of_degrees():
                          ids=["sqrt5", "sqrt2", "bh:3"])
 @pytest.mark.parametrize("offset", [0, -3])
 def test_degrees_in_block_match_block_of_degree(c, offset):
-    # The listing's degrees come from the integer edges 2^d; block_of_degree
-    # decides each degree on its own by cmp_log2.
+    # The listing's degrees and block_of_degree come from the integer edges;
+    # block_walk decides each norm 2^d on its own by logarithms.
     params = sidon_params(c=c(), offset=offset)
-    blocks = {d: block_of_degree(d, params) for d in range(1, 25)}
+    blocks = {d: block_walk(1 << d, params) for d in range(1, 25)}
+    assert blocks == {d: block_of_degree(d, params) for d in range(1, 25)}
     for k in range(params.k_min, blocks[24] + 1):
         want = {d for d, kd in blocks.items() if kd == k}
         assert {d for d in degrees_in_block(k, params) if d <= 24} == want, k
@@ -381,7 +384,7 @@ def test_prefix_k6_tables_agree_with_bsgs(monkeypatch):
             == sum(prefix.block_sizes.values())
             == sum(irreducible_count(d) for d in range(1, top + 1)))
     for e in prefix.elements:
-        assert e.k == block_of_degree(gf2_deg(e.p), params)
+        assert e.k == block_walk(1 << gf2_deg(e.p), params)
     for r in prefix.excluded:
         assert r.p == prefix.basis.q(r.basis_index)
     for k_max, gen in ((6, prefix), (5, gf2_generate_blocks(5, params))):
