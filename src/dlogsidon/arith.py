@@ -3,24 +3,28 @@ the unit-group core shared by both rings.
 
 Everything here is exact integer arithmetic. Primality is deterministic
 Miller-Rabin (the fixed witness set is proven complete far beyond 64 bits).
-Prime enumeration is a segmented sieve over numpy bool flags, read out with
-np.flatnonzero into an int64 array (prime_array; primes_in_interval is the
-same primes as Python ints), and it refuses an interval of more than
-SIEVE_LIMIT integers with SieveTooLarge before allocating. Prime counting is
-the Lucy_Hedgehog recursion in O(n^(3/4)) steps, run as whole-array updates
-on int64 arrays, for n below 2^62. UnitGroupRing holds the generator search,
-baby-step giant-step and full log tables, and the finite Sidon set, once for
-Z and GF(2)[X]; a ring supplies its arithmetic and irreducibles. INTEGERS is
-the Z ring, and is_primitive_root, smallest_primitive_root, discrete_log and
-log_table are its methods.
+Prime enumeration is a segmented sieve over numpy bool flags for the odd
+numbers only, read out with np.flatnonzero into an int64 array
+(prime_array; primes_in_interval is the same primes as Python ints), and it
+refuses an interval of more than SIEVE_LIMIT integers with SieveTooLarge
+before allocating. Prime counting is the Lucy_Hedgehog recursion in
+O(n^(3/4)) steps, run as whole-array updates on int64 arrays, for n below
+2^62. UnitGroupRing holds the generator search, Pohlig-Hellman discrete
+logs (a baby-step giant-step search in each subgroup of prime order) and
+full log tables, and the finite Sidon set, once for Z and GF(2)[X]; a ring
+supplies its arithmetic and irreducibles. The factors of a group order come
+from one cached factorize. INTEGERS is the Z ring, and is_primitive_root,
+smallest_primitive_root, discrete_log and log_table are its methods.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,17 +33,22 @@ from .errors import DLogTooLarge, DLogUndefined, InvalidModulus, SieveTooLarge
 # Proven deterministic for n < 3.3 * 10^24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SEGMENT = 1 << 22
+# Odd flags one sieve segment holds: 1 MiB of bools for 2^21 integers. On
+# a 2-core Xeon with 2 MiB of L2 cache a core, segments of 2^22 flags sieved
+# the j = 12 and 13 window pools 1.3 to 1.6 times as slowly.
+_SEGMENT = 1 << 20
 
 # Most integers one sieve lists. Its primes fill an int64 array of up to
 # about 60 MB, beside their uint32 offsets while it is filled. The largest
 # basis window, j = 13's (2^25, 2^27], holds 1.0e8 integers.
 SIEVE_LIMIT = 1 << 27
 
-# Most baby steps one BSGS table holds, m = 2 (isqrt(N(q) - 2) + 1), so
-# norms up to 2^38 + 1. At the limit the powers and their dict hold 106 MiB
-# (123 MiB while built, by tracemalloc, for the largest prime below 2^38);
-# the largest table a basis needs, a random q_13 < 2^27, has about 23k.
+# Most baby steps of a BSGS over the whole unit group, baby_steps(q) =
+# 2 (isqrt(N(q) - 2) + 1), so discrete logs reach norms up to 2^38 + 1. A
+# log plan's tables are those of the subgroups of prime order r, of
+# 2 (isqrt(r - 1) + 1) steps each, so none is larger: 106 MiB at most, for
+# a group of prime order at the limit. A basis modulus q_13 < 2^27 needs at
+# most 16,384 steps, when q_13 is a safe prime 2r + 1.
 MAX_BABY_STEPS = 1 << 20
 
 # Exponents one log-table chunk writes: its base powers and the chunk's
@@ -107,33 +116,46 @@ def check_sieve(lo: int, hi: int) -> None:
 def prime_array(iv: PrimeInterval) -> np.ndarray:
     """Primes p with iv.lo < p <= iv.hi, ascending, as an int64 array.
 
-    A segmented sieve: each segment is one numpy bool buffer, reused, in
-    which each base prime p up to sqrt(iv.hi) clears its multiples from p^2
-    on with one strided slice, and np.flatnonzero reads the survivors out,
-    kept as uint32 offsets into the segment until one int64 array of the
-    total length is filled, so the primes are held one and a half times at
-    most. The base primes come from the same sieve, one level down; a base
-    prime inside the interval survives its own marking, which starts at p^2.
+    A segmented sieve over the odd numbers only, 2 added by hand: flag i of
+    a segment stands for seg_lo + 2i, so a segment of _SEGMENT flags spans
+    twice as many integers. Each segment is one numpy bool buffer, reused,
+    in which each odd base prime p up to sqrt(iv.hi) clears its odd
+    multiples from p^2 on with one slice of stride p, and np.flatnonzero
+    reads the survivors out, kept as uint32 flag indices into the segment
+    until one int64 array of the total length is filled, so the primes are
+    held one and a half times at most. The base primes come from the same
+    sieve, one level down; a base prime inside the interval survives its
+    own marking, which starts at p^2.
     """
     check_sieve(iv.lo, iv.hi)
     lo, hi = iv.lo + 1, iv.hi
     root = isqrt(hi)
-    base = prime_array(PrimeInterval(1, root)).tolist() if root >= 2 else []
+    base = prime_array(PrimeInterval(2, root)).tolist() if root >= 3 else []
+    first = lo | 1  # the least odd number >= lo; lo >= 2, so 1 never is
+    count = (hi - first) // 2 + 1  # odd numbers in [lo, hi], 0 for (1, 2]
     offsets = []
-    buffer = np.empty(min(_SEGMENT, hi - lo + 1), dtype=bool)
-    for seg_lo in range(lo, hi + 1, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT - 1, hi)
-        flags = buffer[: seg_hi - seg_lo + 1]
+    buffer = np.empty(min(_SEGMENT, count), dtype=bool)
+    for start in range(0, count, _SEGMENT):
+        seg_lo = first + 2 * start
+        size = min(_SEGMENT, count - start)
+        seg_hi = seg_lo + 2 * (size - 1)
+        flags = buffer[:size]
         flags[:] = True
         for p in base:
             if p * p > seg_hi:
                 break
-            flags[max(p * p, (seg_lo + p - 1) // p * p) - seg_lo :: p] = False
+            m = max(p * p, (seg_lo + p - 1) // p * p)
+            m += p * (m % 2 == 0)  # the first odd multiple
+            flags[(m - seg_lo) // 2 :: p] = False
         offsets.append((seg_lo, np.flatnonzero(flags).astype(np.uint32)))
-    primes = np.empty(sum(len(off) for _, off in offsets), dtype=np.int64)
-    pos = 0
+    two = int(lo == 2)
+    primes = np.empty(two + sum(len(off) for _, off in offsets), dtype=np.int64)
+    primes[:two] = 2
+    pos = two
     for seg_lo, off in offsets:
-        np.add(off, seg_lo, out=primes[pos : pos + len(off)], dtype=np.int64)
+        out = primes[pos : pos + len(off)]
+        np.multiply(off, 2, out=out, dtype=np.int64)
+        out += seg_lo
         pos += len(off)
     return primes
 
@@ -189,8 +211,14 @@ def prime_count(n: int) -> int:
     return int(large[1])
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division. Intended for n up to ~2^40."""
+@lru_cache(maxsize=256)
+def factorize(n: int) -> Mapping[int, int]:
+    """Prime factorization {r: e} by trial division. Intended for n up to
+    ~2^40.
+
+    Cached, so the group order N(q) - 1 of a modulus is factored once for
+    its generator search, its generator tests and its log plan; its callers
+    share one read-only mapping."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -207,13 +235,40 @@ def factorize(n: int) -> dict[int, int]:
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return MappingProxyType(out)
+
+
+def _table_size(order: int) -> int:
+    """2 ceil(sqrt(order)), the baby steps of a BSGS table over a cyclic
+    group of that order: twice the square root costs fewer products in all
+    from 4 logs on, since a log takes order / (2m) giant steps on average."""
+    return 2 * (isqrt(max(order - 1, 0)) + 1)
+
+
+@dataclass(frozen=True)
+class _Subgroup:
+    """One prime power r^e of a group order n in a log plan: the cofactor
+    n / r^e that projects into it, the CRT coefficient (1 mod r^e, 0 mod
+    the cofactor), the inverse of its base of order r^e, and the BSGS
+    table of the subgroup of order r, m baby steps {gamma^j: j} and the
+    giant step gamma^-m."""
+
+    r: int
+    e: int
+    cofactor: int
+    crt: int
+    inverse: int
+    m: int
+    baby: dict
+    giant: int
 
 
 class UnitGroupRing:
     """The cyclic unit group of the residue field R/q, written once for
     R = Z (PrimeField, the field F_q) and R = GF(2)[X] (gf2x.Gf2Ring,
-    GF(2^n)). Residues are the ints 0..N(q) - 1.
+    GF(2^n)). Residues are the ints 0..N(q) - 1. Discrete logs work in the
+    subgroups of prime-power order of the group, by Pohlig-Hellman, from
+    one cached plan per (g, q); log tables hold every log at once.
 
     A subclass supplies check_modulus(q), which raises unless q is
     irreducible, reduce(a, q), the norm N(q) = |R/q|, mul(a, b, q) and
@@ -241,52 +296,94 @@ class UnitGroupRing:
                     if all(self.pow(g, order // r, q) != 1 for r in radicals))
 
     def baby_steps(self, q: int) -> int:
-        """m = 2 ceil(sqrt(N(q) - 1)), the baby steps of a BSGS table mod q
-        (2 for N(q) <= 2); DLogTooLarge when m > MAX_BABY_STEPS."""
-        m = 2 * (isqrt(max(self.norm(q) - 2, 0)) + 1)
+        """m = 2 ceil(sqrt(N(q) - 1)), the baby steps of a BSGS table over
+        the whole unit group mod q (2 for N(q) <= 2); DLogTooLarge when
+        m > MAX_BABY_STEPS. It bounds every subgroup table of a log plan."""
+        m = _table_size(self.norm(q) - 1)
         if m > MAX_BABY_STEPS:
             raise DLogTooLarge(f"discrete logs mod {q} need {m} baby steps, above the "
                                f"limit of 2^20 = {MAX_BABY_STEPS}")
         return m
 
     @lru_cache(maxsize=128)
-    def _bsgs_table(self, g: int, q: int):
-        """Baby steps {g^j: j} for j < m = baby_steps(q), g^-m, and the
-        group order.
+    def _dlog_plan(self, g: int, q: int):
+        """The Pohlig-Hellman plan of base g mod q: the group order n =
+        N(q) - 1 and one _Subgroup per prime power r^e of n.
 
-        A table serves many logs (the blocks of a generation, a finite set),
-        and a log takes (N(q) - 1) / (2m) giant steps on average, so twice
-        the square root costs fewer products in all from 4 logs on. Raises
-        DLogTooLarge, before any power is taken, when m > MAX_BABY_STEPS.
+        Raises DLogTooLarge, before n is factored or any power is taken,
+        when baby_steps(q) > MAX_BABY_STEPS. Then it proves that g has
+        order n: g^n = 1 and, as the base of order r of each subgroup,
+        g^(n/r) != 1. A reducible q has fewer than n units, so that proves
+        q irreducible and g a generator, and each log of the plan exact;
+        any other g or q raises ValueError.
         """
+        self.baby_steps(q)
         order = self.norm(q) - 1
-        m = self.baby_steps(q)
-        mul = self.mul
-        powers = []
-        x = 1
-        for _ in range(m):
-            powers.append(x)
-            x = mul(x, g, q)
-        if x == 0:  # g = 0 mod q has no inverse power to step by
-            raise ValueError(f"{g} is 0 mod {q}, not a generator")
-        return m, dict(zip(powers, range(m))), self.pow(x, order - 1, q), order
+        given, g = g, self.reduce(g, q)
+        if self.pow(g, order, q) != 1:
+            raise ValueError(f"{given} does not generate the unit group mod {q}")
+        subgroups = []
+        for r, e in factorize(order).items():
+            size = r ** e
+            cofactor = order // size
+            base = g if cofactor == 1 else self.pow(g, cofactor, q)  # of order r^e
+            gamma = self.pow(base, size // r, q) if e > 1 else base  # of order r
+            if gamma == 1:
+                raise ValueError(f"{given} does not generate the unit group mod {q}")
+            m = _table_size(r)
+            powers, x = [], 1
+            for _ in range(m):
+                powers.append(x)
+                x = self.mul(x, gamma, q)
+            subgroups.append(_Subgroup(
+                r=r, e=e, cofactor=cofactor, crt=cofactor * pow(cofactor, -1, size) % order,
+                inverse=self.pow(base, size - 1, q), m=m, baby=dict(zip(powers, range(m))),
+                giant=self.pow(x, r - 1, q)))
+        return order, subgroups
 
     def dlog(self, g: int, a: int, q: int) -> int:
-        """x in [0, N(q) - 2] with g^x = a in R/q, baby-step giant-step.
+        """x in [0, N(q) - 2] with g^x = a in R/q, by Pohlig-Hellman.
 
-        g must generate the unit group; a = 0 mod q has no logarithm and
-        raises DLogUndefined, a g that does not reach a raises ValueError.
+        Each prime power r^e of N(q) - 1 gets the projection
+        a^((N(q) - 1) / r^e), skipped when that cofactor is 1, and its e
+        base-r digits, each a BSGS over the subgroup of order r; the
+        Chinese remainder theorem joins them. In a group of prime order
+        that is one BSGS over the whole group, of baby_steps(q) baby steps.
+        a = 0 mod q has no logarithm and raises DLogUndefined; a g that does
+        not generate the unit group, or a q that is not irreducible, raises
+        ValueError when the plan is made.
         """
         y = self.reduce(a, q)
         if y == 0:
             raise DLogUndefined(f"0 has no discrete log mod {q}")
-        m, baby, giant, order = self._bsgs_table(g, q)
-        mul = self.mul
-        for i in range(m):
-            if y in baby:
-                return (i * m + baby[y]) % order
-            y = mul(y, giant, q)
-        raise ValueError(f"no discrete log of {a} base {g} mod {q}; is g a generator?")
+        order, subgroups = self._dlog_plan(g, q)
+        x = 0
+        for sub in subgroups:
+            t = y if sub.cofactor == 1 else self.pow(y, sub.cofactor, q)
+            x += sub.crt * self._subgroup_log(sub, t, q)
+        return x % order
+
+    def _subgroup_log(self, sub: _Subgroup, t: int, q: int) -> int:
+        """The log of t, of order dividing r^e, to the plan's base of order
+        r^e, one base-r digit at a time from the lowest: the digit of place
+        r^k is the BSGS log, in the subgroup of order r, of t^(r^(e-1-k))
+        once the lower digits are divided out of t."""
+        mul, r, m, baby, giant = self.mul, sub.r, sub.m, sub.baby, sub.giant
+        x, place = 0, 1
+        for i in range(sub.e - 1, -1, -1):
+            y = self.pow(t, r ** i, q) if i else t
+            for step in range(m):
+                if y in baby:
+                    digit = (step * m + baby[y]) % r
+                    break
+                y = mul(y, giant, q)
+            else:  # the plan proved that gamma generates this subgroup
+                raise AssertionError(f"BSGS missed a residue of order {r} mod {q}")
+            if digit and i:
+                t = mul(t, self.pow(sub.inverse, digit * place, q), q)
+            x += digit * place
+            place *= r
+        return x
 
     def log_table(self, g: int, q: int) -> np.ndarray:
         """Full table t with t[g^x mod q] = x for x in [0, N(q) - 2]; t[0] = -1.

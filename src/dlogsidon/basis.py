@@ -30,8 +30,8 @@ from .arith import INTEGERS, dyadic_interval, is_prime, prime_array
 from .errors import BasisGap
 
 # Largest index materialized on demand; a random j = 13 entry needs a sieve
-# of (2^25, 2^27], 1.0e8 integers and 5.5M primes, just inside the sieve
-# limit. Anything past this is out of desk range.
+# of (2^25, 2^27], 1.0e8 integers (5.0e7 odd flags) and 5.5M primes, just
+# inside the sieve limit, about 0.3 s. Entry 14's window is past that limit.
 MAX_INDEX = 13
 
 

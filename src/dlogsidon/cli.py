@@ -83,6 +83,10 @@ def _bh_law(ns: argparse.Namespace):
 
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# An element line as _canon writes SidonElement.to_json_obj: keys sorted,
+# no spaces, the value a as a decimal string.
+_ELEMENT_LINE = '{{"a":"{}","digits":[{}],"k":{},"p":{}}}\n'.format
+
 
 def _write_text(path: str | None, text: str) -> None:
     if path in (None, "-"):
@@ -94,6 +98,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _write_lines(path: str | None, objs) -> None:
     _write_text(path, "".join(_canon(o) + "\n" for o in objs))
+
+
+def _write_elements(path: str | None, elements, hex_p: bool = False) -> None:
+    """One line per element, from one fixed format string: the bytes _canon
+    writes for its to_json_obj, with p as a hex string where hex_p."""
+    p_field = '"{:x}"'.format if hex_p else str
+    _write_text(path, "".join(
+        _ELEMENT_LINE(e.value, ",".join(map(str, e.digits)), e.k, p_field(e.p))
+        for e in elements))
 
 
 def _write_doc(path: str | None, obj) -> None:
@@ -157,7 +170,7 @@ def _audit_value(line: str, where: str) -> int:
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
     prefix = _sidon_prefix(ns, parse_constant(ns.c))
-    _write_lines(ns.out, (e.to_json_obj() for e in prefix.elements))
+    _write_elements(ns.out, prefix.elements)
     _write_doc(ns.summary, {
         "c": ns.c,
         "h": prefix.basis.h,
@@ -173,7 +186,7 @@ def _cmd_prune(ns: argparse.Namespace) -> int:
     if not c > const_sqrt5():  # pruned_generate's own check, before any block
         raise UsageError(f"--c {ns.c!r}: pruning needs c above (3 - sqrt 5)/2")
     result = pruned_generate(_sidon_prefix(ns, c))
-    _write_lines(ns.out, (e.to_json_obj() for e in result.pruned.elements))
+    _write_elements(ns.out, result.pruned.elements)
     if ns.bad_out:
         _write_lines(ns.bad_out, (r.to_json_obj() for r in result.records))
     _write_doc(ns.summary, {
@@ -194,7 +207,7 @@ def _cmd_bh_generate(ns: argparse.Namespace) -> int:
     else:
         result = bh_mod.bh_prune(prefix)
         kept, removed = result.pruned.elements, result.removed
-    _write_lines(ns.out, (e.to_json_obj() for e in kept))
+    _write_elements(ns.out, kept)
     _write_doc(ns.summary, {
         "h": ns.h,
         "k_max": ns.k_max,
@@ -238,8 +251,8 @@ def _cmd_count(ns: argparse.Namespace) -> int:
 def _finite(ns: argparse.Namespace, ring, q, g, head: dict) -> int:
     """The finite Sidon set mod q over the ring, written after `head`.
     Refuses, before the first log, a set whose pair audit mod N(q) - 1
-    cannot fit or (in finite_sidon) whose logs need too large a BSGS
-    table."""
+    cannot fit or (in finite_sidon) whose logs need more baby steps than
+    the limit."""
     check_one_bucket(len(ring.irreducibles_below(q)))
     residues = sorted(ring.finite_sidon(q, g))
     modulus = ring.norm(q) - 1
@@ -283,7 +296,7 @@ def _cmd_gf2_generate(ns: argparse.Namespace) -> int:
     params = _checked_law(sidon_params(c=parse_constant(ns.c), offset=0), ns.k_max)
     prefix = gf2x.gf2_generate_blocks(ns.k_max, params)
     # Polynomials are written as hex bit patterns.
-    _write_lines(ns.out, (dict(e.to_json_obj(), p=format(e.p, "x")) for e in prefix.elements))
+    _write_elements(ns.out, prefix.elements, hex_p=True)
     _write_doc(ns.summary, {
         "c": ns.c,
         "k_max": ns.k_max,

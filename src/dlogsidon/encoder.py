@@ -12,7 +12,7 @@ encode_rows is the one encoder, for a block's listing and for one
 irreducible alike. It works a basis index j at a time, as numpy columns:
 residues mod q_j, their discrete logs, their window lifts. The logs come
 from a full log table of (g_j, q_j) where the caller built one, else from
-BSGS one residue at a time.
+ring.dlog (Pohlig-Hellman) one residue at a time.
 
 The one-prime API (element_for_prime, digits_of_prime) applies
 generation's two rules to one irreducible: its block is the one whose
@@ -95,10 +95,10 @@ def encode_rows(ps: list, k: int, basis: Basis, tables: dict[int, np.ndarray]
     """The elements of irreducibles ps of block k, none of them a basis
     modulus, worked a basis index at a time. Column j is their residues mod
     q_j as one column (int64, or Python ints once some p reaches 2^63), the
-    logs of those by one gather from tables[j] (or by BSGS, one residue at a
-    time, where no table was built), and their window lifts by one
+    logs of those by one gather from tables[j] (or by ring.dlog, one residue
+    at a time, where no table was built), and their window lifts by one
     lift_to_window. A zero residue, which only a non-irreducible can give,
-    raises: the table's -1 fails the lift's range check, BSGS raises
+    raises: the table's -1 fails the lift's range check, dlog raises
     DLogUndefined. The value of each digit row is summed with Python ints
     and checked against the rails W_k N_k < a < W_(k+1)."""
     ring, h = basis.ring, basis.h
@@ -126,7 +126,7 @@ def encode_rows(ps: list, k: int, basis: Basis, tables: dict[int, np.ndarray]
 def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
     """Element of an irreducible p of block k: ExcludedPrime(p, k, j) when p
     is the basis modulus q_j, j <= k, as generation excludes it, else
-    encode_rows of p alone, its logs by BSGS."""
+    encode_rows of p alone, its logs by ring.dlog."""
     for j, (q, _, _) in enumerate(basis.moduli(k), start=1):
         if p == q:
             raise ExcludedPrime(p, k, j)
@@ -135,5 +135,5 @@ def element_in_block(p: int, k: int, basis: Basis) -> SidonElement:
 
 def element_for_prime(p: int, basis: Basis, params: BlockParams) -> SidonElement:
     """Element of an irreducible p: its block by block_of_prime of its norm,
-    from the integer edges generation lists between, its digits by BSGS."""
+    from the integer edges generation lists between, its digits by ring.dlog."""
     return element_in_block(p, block_of_prime(basis.ring.norm(p), params), basis)

@@ -14,8 +14,9 @@ class DLogUndefined(DlogSidonError):
 
 
 class DLogTooLarge(DlogSidonError):
-    """A baby-step giant-step table would hold more than arith.MAX_BABY_STEPS
-    powers."""
+    """A baby-step giant-step search over the whole unit group mod q would
+    take more than arith.MAX_BABY_STEPS baby steps, so no log mod q is
+    taken."""
 
 
 class PrecisionAmbiguity(DlogSidonError):

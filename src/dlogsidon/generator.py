@@ -11,9 +11,10 @@ order, instead of encoded.
 The block's other irreducibles go to encoder.encode_rows, _ROWS of them at
 a time. The logs of column j come from a full log table of (g_j, q_j) once
 some block has at least isqrt(N_j) irreducibles (N_j the norm of q_j), the
-point where N_j - 1 table steps cost no more than that many BSGS searches
-of up to sqrt(N_j) steps each. Smaller blocks keep BSGS, so a sparse
-prefix over a large basis builds no big tables.
+point where N_j - 1 table steps cost no more than that many searches of up
+to sqrt(N_j) steps each, the most a log by ring.dlog takes (when N_j - 1 is
+prime). Smaller blocks take ring.dlog, so a sparse prefix over a large
+basis builds no big tables.
 """
 
 from __future__ import annotations

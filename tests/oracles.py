@@ -6,10 +6,10 @@ block_walk, which compares log2 of a norm with the law's exponents under
 the package's guarded cmp_log2, gf2_irreducibles_rabin, which runs the
 package's Rabin test (itself checked against trial division) on every
 polynomial of a degree, element_walk,
-which takes the package's BSGS logs, window lift and element record,
+which takes the package's discrete logs, window lift and element record,
 per_irreducible_blocks, which lists the package's blocks for it, and
 prune_restarting, which runs the package's collision search.
-log_table_loop takes its ring as an argument.
+log_table_loop and bsgs_logs take their ring as an argument.
 """
 
 from collections import defaultdict
@@ -126,6 +126,34 @@ def log_table_loop(ring, g, q):
     return table
 
 
+def bsgs_logs(ring, g, q):
+    """The log function of base g mod q by one baby-step giant-step search
+    over the whole unit group, as the package ran every log before it
+    factored the group order: m = ring.baby_steps(q) baby steps {g^j: j},
+    giant steps by g^-m, at most m of them. The function raises
+    ValueError when the powers of g miss a."""
+    order = ring.norm(q) - 1
+    m = ring.baby_steps(q)
+    powers, x = [], 1
+    for _ in range(m):
+        powers.append(x)
+        x = ring.mul(x, g, q)
+    if x == 0:  # g = 0 mod q has no inverse power to step by
+        raise ValueError(f"{g} is 0 mod {q}, not a generator")
+    baby = dict(zip(powers, range(m)))
+    giant = ring.pow(x, order - 1, q)
+
+    def log(a):
+        y = ring.reduce(a, q)
+        for i in range(m):
+            if y in baby:
+                return (i * m + baby[y]) % order
+            y = ring.mul(y, giant, q)
+        raise ValueError(f"no discrete log of {a} base {g} mod {q}")
+
+    return log
+
+
 def block_walk(n, params):
     """The block of an integer norm n by logarithms: the unique k >= k_min
     with E(k-1) < log2(n) <= E(k), each side decided by cmp_log2 under its
@@ -147,7 +175,7 @@ def block_walk(n, params):
 
 def element_walk(p, k, basis):
     """Element of an irreducible p of block k, in one walk over j = 1..k:
-    the residue of p mod q_j (ExcludedPrime when it is 0), its log by BSGS,
+    the residue of p mod q_j (ExcludedPrime when it is 0), its log by dlog,
     lifted into the window of the basis order h, and the running value and
     weight W_j. The last weight is W_(k+1) = scale * W_k N_k, and the value is
     checked to land between the block rails W_k N_k < a < W_(k+1). It shares
@@ -173,7 +201,7 @@ def element_walk(p, k, basis):
 
 def per_irreducible_blocks(k_max, params, basis):
     """(elements, exclusions) of blocks k_min..k_max, one irreducible at a
-    time through element_walk (BSGS logs): elements sorted by (block, value),
+    time through element_walk (logs by ring.dlog): elements sorted by (block, value),
     and (p, k, basis_index) exclusions sorted by block, then by p within a
     block."""
     from dlogsidon.blocks import block_edges

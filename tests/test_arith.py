@@ -30,6 +30,7 @@ from dlogsidon.errors import DLogTooLarge, DLogUndefined, InvalidModulus, SieveT
 from dlogsidon.gf2x import GF2, least_irreducible
 
 from oracles import (
+    bsgs_logs,
     factorize_trial,
     is_prime_trial,
     lift_naive,
@@ -112,10 +113,16 @@ def test_prime_array_is_int64_and_matches_the_list():
 
 
 def test_prime_array_matches_oracle_at_the_smallest_edges():
-    for lo in (1, 2, 3):
-        for hi in (2, 3, 4):
-            if lo < hi:
-                assert primes_in_interval(PrimeInterval(lo, hi)) == primes_between_sieve(lo, hi)
+    # (1, 2], (2, 3] and (1, 3] among them: 2 is the one prime the odd flags
+    # do not hold, and (1, 2] has no odd number at all. Then lo and hi of
+    # each parity.
+    assert primes_in_interval(PrimeInterval(1, 2)) == [2]
+    assert primes_in_interval(PrimeInterval(2, 3)) == [3]
+    assert primes_in_interval(PrimeInterval(1, 3)) == [2, 3]
+    for lo in range(1, 130):
+        for hi in range(lo + 1, 140):
+            assert primes_in_interval(PrimeInterval(lo, hi)) == primes_between_sieve(lo, hi), (
+                lo, hi)
 
 
 def test_prime_array_matches_oracle_around_base_prime_squares():
@@ -139,9 +146,27 @@ def test_prime_array_matches_oracle_across_three_segments(monkeypatch):
                 primes_between_sieve(lo, lo + width)), (lo, width)
 
 
+@pytest.mark.parametrize("segment", [1, 2, 3, 8, 13])
+def test_prime_array_segments_starting_on_an_even_number_or_a_square(monkeypatch, segment):
+    # Segment i holds the odd numbers from first + 2 i _SEGMENT on, first
+    # the least odd number past lo. Put the start of segment 1, 2 or 3 on a
+    # base prime's square p^2, with the interval starting on the odd first
+    # (lo = first - 1) or on the even number before it (lo = first - 2).
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    for p in (3, 5, 7, 11, 13, 31):
+        for i in (1, 2, 3):
+            first = p * p - 2 * i * segment
+            for lo in (first - 1, first - 2):
+                for hi in (p * p, p * p + 1, p * p + 2 * segment, p * p + 97):
+                    if 1 <= lo < hi:
+                        got = primes_in_interval(PrimeInterval(lo, hi))
+                        assert got == primes_between_sieve(lo, hi), (segment, p, lo, hi)
+
+
 def test_prime_array_holds_its_primes_once_and_a_half(monkeypatch):
-    # 128 segments: their primes wait as uint32 offsets, half the size of the
-    # int64 result they fill, beside one segment's flags and survivors.
+    # 64 segments (_SEGMENT counts odd flags, so each spans 2^14 integers):
+    # their primes wait as uint32 offsets, half the size of the int64 result
+    # they fill, beside one segment's flags and survivors.
     iv = PrimeInterval(1 << 22, (1 << 22) + (1 << 20))
     expected = prime_array(iv)  # one segment
     segment = 1 << 13
@@ -293,7 +318,78 @@ def test_discrete_log_roundtrip_large(seed=815):
             discrete_log(g, 2, q)
 
 
-def test_bsgs_refuses_a_table_past_the_limit():
+# Group orders N(q) - 1 of each shape: over Z 2 x 1019 (2039, a safe
+# prime), 2^16 (65537), 2^12 x 3 (12289), 2^4 x 3^3 (433) and
+# 2 x 5 x 19 x 22,605,091 (4294967291); over GF(2)[X] the Mersenne primes
+# 2^17 - 1 and 2^19 - 1 and the composite 2^12 - 1 = 3^2 x 5 x 7 x 13.
+_PH_MODULI = ([(INTEGERS, q) for q in (2039, 65537, 12289, 433, 4294967291)]
+              + [(GF2, least_irreducible(d)) for d in (17, 19, 12)])
+
+
+@pytest.mark.parametrize("ring, q", _PH_MODULI,
+                         ids=[f"{type(r).__name__}-{q:#x}" for r, q in _PH_MODULI])
+def test_pohlig_hellman_matches_the_whole_group_bsgs_oracle(ring, q):
+    order = ring.norm(q) - 1
+    least = ring.generator(q)
+    # A second generator: the least power of the least one coprime to the order.
+    u = next(u for u in range(2, order) if all(u % r for r in factorize_trial(order)))
+    rng = random.Random(q)
+    for g in (least, ring.pow(least, u, q)):
+        oracle = bsgs_logs(ring, g, q)
+        for e in [0, 1, 2, order // 2, order - 1] + [rng.randrange(order) for _ in range(20)]:
+            a = ring.pow(g, e, q)
+            assert ring.dlog(g, a, q) == oracle(a) == e, (g, e)
+        for zero in (0, q):
+            with pytest.raises(DLogUndefined):
+                ring.dlog(g, zero, q)
+
+
+def test_pohlig_hellman_tables_keep_the_size_rule():
+    # Each subgroup of prime order r gets 2 (isqrt(r - 1) + 1) baby steps;
+    # in a group of prime order that is the whole group's baby_steps(q).
+    plan = INTEGERS._dlog_plan(smallest_primitive_root(4294967291), 4294967291)
+    assert plan[0] == 4294967290
+    assert {(s.r, s.e): (s.m, s.cofactor) for s in plan[1]} == {
+        (2, 1): (4, 2147483645), (5, 1): (6, 858993458), (19, 1): (10, 226050910),
+        (22605091, 1): (9510, 190)}
+    plan = INTEGERS._dlog_plan(5, 433)
+    assert {(s.r, s.e): s.m for s in plan[1]} == {(2, 4): 4, (3, 3): 4}
+    for d in (5, 7, 13, 17, 19):
+        q = least_irreducible(d)
+        order, (sub,) = GF2._dlog_plan(GF2.generator(q), q)
+        assert (sub.r, sub.e, sub.cofactor) == (order, 1, 1)
+        assert sub.m == len(sub.baby) == GF2.baby_steps(q), d
+
+
+def test_dlog_refuses_a_non_generator_or_a_composite_modulus():
+    # g and a are reduced mod q first. 433 - 1 = 2^4 x 3^3: 1, 0 and q
+    # generate nothing, the square 25 and the cube 125 of the generator 5
+    # miss the subgroups of order 2 and 3, and 432 = -1 has order 2.
+    assert discrete_log(5, 2, 433) == discrete_log(5 + 433, 2 + 433, 433)
+    for g in (1, 0, 433, 25, 125, 432):
+        with pytest.raises(ValueError, match="does not generate"):
+            discrete_log(g, 2, 433)
+    # 2 has order 4 mod 15, not 14: a composite q has fewer units than q - 1.
+    with pytest.raises(ValueError, match="does not generate"):
+        discrete_log(2, 4, 15)
+    # X^2 + 1 = (X + 1)^2 over GF(2): X has order 2, not 3.
+    with pytest.raises(ValueError, match="does not generate"):
+        GF2.dlog(2, 3, 0b101)
+
+
+def test_a_modulus_is_factored_once():
+    # The generator search, a generator test and the log plan of one
+    # modulus share the cached factors of its order.
+    q = 1_000_003
+    factorize.cache_clear()
+    g = smallest_primitive_root(q)
+    assert is_primitive_root(g, q) and discrete_log(g, pow(g, 12345, q), q) == 12345
+    assert INTEGERS.finite_sidon(q) == {discrete_log(g, p, q) for p in primes_upto(1000)}
+    info = factorize.cache_info()
+    assert (info.misses, info.maxsize) == (1, 256)
+
+
+def test_bsgs_refuses_a_table_past_the_limit(monkeypatch):
     # The largest prime below 2^38 needs 2^20 baby steps, the least one
     # above it 2^20 + 2: that one refuses before any power is taken.
     assert arith.MAX_BABY_STEPS == 1 << 20
@@ -311,6 +407,17 @@ def test_bsgs_refuses_a_table_past_the_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+    # Nor is q - 1 factored, for a generator or not.
+    def untouched(*args):
+        raise AssertionError("factored or took a power before the refusal")
+
+    monkeypatch.setattr(arith, "factorize", untouched)
+    for name in ("pow", "mul"):
+        monkeypatch.setattr(arith.PrimeField, name, staticmethod(untouched))
+    for base in (g, 2, 0):
+        with pytest.raises(DLogTooLarge, match="1048578 baby steps"):
+            discrete_log(base, 2, above)
 
 
 def test_log_table_matches_bsgs_and_power_table():

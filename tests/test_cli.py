@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -11,6 +12,7 @@ from dlogsidon import cli
 from dlogsidon.arith import PrimeField, is_prime, is_primitive_root
 from dlogsidon.blocks import const_window
 from dlogsidon.cli import main
+from dlogsidon.encoder import SidonElement
 
 
 def run_cli(capsys, argv):
@@ -165,6 +167,23 @@ def test_generate_to_files(capsys, tmp_path):
     assert rc == 0 and out == ""
     assert len(elems.read_text().splitlines()) == 3
     assert json.loads(summary.read_text())["k_max"] == 4
+
+
+@pytest.mark.parametrize("hex_p", [False, True])
+def test_element_lines_match_canonical_json(capsys, hex_p):
+    # Random elements of both rings, values and primes past 2^64: the fixed
+    # format writes the bytes of _canon, with p as hex bits over GF(2)[X].
+    rng = random.Random(2064 + hex_p)
+    elements = [SidonElement(p=rng.randrange(1, 1 << rng.choice((5, 40, 70))), k=k,
+                             digits=tuple(rng.randrange(1 << 30) for _ in range(k)),
+                             value=rng.randrange(1 << rng.choice((10, 64, 65, 300))))
+                for k in (1, 2, 7, 13) for _ in range(50)]
+    cli._write_elements("-", elements, hex_p=hex_p)
+    want = "".join(cli._canon(dict(e.to_json_obj(), **({"p": format(e.p, "x")} if hex_p else {})))
+                   + "\n" for e in elements)
+    assert capsys.readouterr().out == want
+    cli._write_elements("-", [], hex_p=hex_p)
+    assert capsys.readouterr().out == ""
 
 
 def test_window_constant_flag(capsys):
@@ -461,9 +480,9 @@ def test_bh_generate_through_max_index(capsys, tmp_path):
 @pytest.mark.slow
 def test_random_basis_b3_k13_elements_are_pinned(tmp_path):
     # 3,473 elements over a random basis up to q_13 < 2^27: most digits by
-    # BSGS, eleven log tables of 6.8e6 entries in all (the largest mod
-    # 5,825,503), and the j = 13 window pool sieved from 1.0e8 integers.
-    # About 3 s on a 2-core VM.
+    # Pohlig-Hellman, eleven log tables of 6.8e6 entries in all (the largest
+    # mod 5,825,503), and the j = 13 window pool sieved from 1.0e8 integers.
+    # About 1 s on a 2-core VM.
     out = tmp_path / "elements.jsonl"
     t0 = time.perf_counter()
     rc = main(["bh", "generate", "--h", "3", "--kmax", "13", "--raw", "--basis", "random",
@@ -473,6 +492,21 @@ def test_random_basis_b3_k13_elements_are_pinned(tmp_path):
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "d47a4f48f561b66a932f18f13d68548b06c6f5b7e07c105e660ddb9ccce16080")
     assert elapsed < 15.0, elapsed
+
+
+@pytest.mark.slow
+def test_finite_below_2_to_the_32_is_pinned(capsys):
+    # 6,542 logs mod the largest prime below 2^32, whose group order
+    # 2 x 5 x 19 x 22,605,091 puts each Pohlig-Hellman search in a subgroup
+    # of 22.6M elements, against 4.3e9 for one BSGS over the whole group.
+    # About 3 s on a 2-core VM.
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["finite", "--q", "4294967291"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and err == ""
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e6d8d20c313f2f0ced0ee0956dac443ad8cc1f74b94f1d9455bb11206e1bb2c3")
+    assert elapsed < 20.0, elapsed
 
 
 @pytest.mark.parametrize("argv", [
