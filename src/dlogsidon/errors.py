@@ -54,10 +54,6 @@ class PrefixTooShort(DlogSidonError):
     """The counting bound exceeds the range covered by the generated prefix."""
 
 
-class IneligiblePair(DlogSidonError):
-    """The block pair fails the eligibility inequality for range bounds."""
-
-
 class ArityOutOfRange(DlogSidonError):
     """Collision arity below 2 was requested."""
 

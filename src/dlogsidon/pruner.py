@@ -1,15 +1,19 @@
 """Range-bound pruning: the finitely many primes that can head a pair collision.
 
-For block indices k2 < k1 with k2^2 < (c/(1-c)) k1^2, any pair collision
-whose largest prime p1 lies in block k1 and whose smaller pair lies in block
-k2 forces p1 to divide a nonzero integer
+For block indices k_min <= k2 < k1, any pair collision whose largest prime
+p1 lies in block k1 and whose smaller pair lies in block k2 forces p1 to
+divide a nonzero integer
 
     s = s1 * Q1 + s2 * p2' * Q2,   Q1 = q_1..q_k2,  Q2 = q_(k2+1)..q_k1,
 
-with 1 <= |s1| <= 2^(E(k1)+E(k2))/Q1 and 1 <= |s2| <= 2^E(k1)/Q2. Rather
-than enumerate all s, membership is solved per prime: s1 is determined mod
-p1 by (s2, p2'), so each candidate costs one modular inverse and a short
-arithmetic progression scan.
+with 1 <= |s1| <= 2^(E(k1)+E(k2))/Q1 and 1 <= |s2| <= 2^E(k1)/Q2. These
+exact integer ranges alone decide which pairs can hold a collision: a pair
+with an empty range holds none. (Asymptotically the s1 range is empty
+unless k2^2 < (c/(1-c)) k1^2; that inequality explains the ranges, it does
+not decide them.)
+Rather than enumerate all s, membership is solved per prime: s1 is
+determined mod p1 by (s2, p2'), so each candidate costs one modular
+inverse and a short arithmetic progression scan.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import mpmath
 
-from ._precision import PRECISION, cmp_int, pow2_ratio_floor
+from ._precision import PRECISION, pow2_ratio_floor
 from .arith import INTEGERS
 from .basis import Basis
 from .blocks import BlockParams, const_sqrt5, primes_in_block
-from .errors import ConsistencyError, IneligiblePair, RatioBoundExceeded
+from .errors import ConsistencyError, RatioBoundExceeded
 from .generator import SequencePrefix
 
 # Allowed removed fraction per block above 1/2.
@@ -31,7 +35,7 @@ SLACK = 0.1
 
 @dataclass(frozen=True)
 class SRangeBounds:
-    """Solution ranges for one eligible block pair."""
+    """Solution ranges (s1, s2) for one block pair k2 < k1; empty when either is."""
 
     k2: int
     k1: int
@@ -66,22 +70,16 @@ class BadPrimeRecord:
                 "s2": str(self.s2), "p2": self.p2, "s": str(self.s)}
 
 
-def _is_eligible(k2: int, k1: int, params: BlockParams) -> bool:
-    with mpmath.workprec(PRECISION):
-        c = params.c
-        return cmp_int(k2 * k2, c / (1 - c) * k1 * k1) < 0
-
-
-def eligible_k2s(k1: int, params: BlockParams) -> list[int]:
-    return [k2 for k2 in range(params.k_min, k1) if _is_eligible(k2, k1, params)]
+def eligible_k2s(k1: int, params: BlockParams, basis: Basis) -> list[int]:
+    """The partner blocks k2 < k1 whose s-ranges are not empty."""
+    return [k2 for k2 in range(params.k_min, k1)
+            if not s_bounds(k2, k1, params, basis).is_empty()]
 
 
 def s_bounds(k2: int, k1: int, params: BlockParams, basis: Basis) -> SRangeBounds:
-    """Ranges of (s1, s2) for the pair (k2, k1); IneligiblePair otherwise."""
+    """Ranges of (s1, s2) for the pair (k2, k1); ValueError unless k_min <= k2 < k1."""
     if not params.k_min <= k2 < k1:
-        raise IneligiblePair(f"need k_min <= k2 < k1, got k2 = {k2}, k1 = {k1}")
-    if not _is_eligible(k2, k1, params):
-        raise IneligiblePair(f"k2 = {k2}, k1 = {k1} fails k2^2 < (c/(1-c)) k1^2")
+        raise ValueError(f"need k_min = {params.k_min} <= k2 < k1, got k2 = {k2}, k1 = {k1}")
     q1_product = basis.prime_product(1, k2)
     q2_product = basis.prime_product(k2 + 1, k1)
     with mpmath.workprec(PRECISION):
@@ -144,22 +142,23 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
     if basis.ring is not INTEGERS:
         raise ValueError(f"bad primes need a basis over Z, not {type(basis.ring).__name__}")
     plans = []
-    for k2 in eligible_k2s(k1, params):
-        b = s_bounds(k2, k1, params, basis)
-        if b.is_empty():
-            continue
+    for k2 in eligible_k2s(k1, params, basis):
         p2s = primes_in_block(k2, params)
         if len(p2s) == 0:
             continue
-        plans.append((b, p2s))
+        with mpmath.workprec(PRECISION):
+            # |s| <= 2^(E(k1)+E(k2)+1) < (block k1 floor)^2 in this regime.
+            regime = (2 * params.exponent(k1 - 1)
+                      > params.exponent(k1) + params.exponent(k2) + 1)
+        plans.append((s_bounds(k2, k1, params, basis), p2s, regime))
     if not plans:
         # Plans come first so that no plan means no sieve of block k1; on the
-        # deterministic basis every plan through k1 = 11 is empty.
+        # deterministic basis every plan through k1 = 13 is empty.
         return []
     p_list = primes_in_block(k1, params)
     records = []
     for p1 in p_list:
-        for b, p2s in plans:
+        for b, p2s, regime in plans:
             found = _witness(p1, b, p2s)
             if found is None:
                 continue
@@ -168,10 +167,6 @@ def bad_primes(k1: int, params: BlockParams, basis: Basis) -> list[BadPrimeRecor
                                  q1_product=b.q1_product, q2_product=b.q2_product)
             if rec.s % p1 != 0:
                 raise ConsistencyError(f"witness for {p1} is not divisible by it")
-            with mpmath.workprec(PRECISION):
-                # |s| <= 2^(E(k1)+E(k2)+1) < (block k1 floor)^2 in this regime.
-                regime = (2 * params.exponent(k1 - 1)
-                          > params.exponent(k1) + params.exponent(b.k2) + 1)
             if regime:
                 others = [p for p in p_list if p != p1 and rec.s % p == 0]
                 if others:

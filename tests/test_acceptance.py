@@ -60,26 +60,25 @@ def classify_pair_reports(reports, params, basis):
     """Count collision shapes the deletion argument covers and its misses.
 
     A pair collision is in scope when the smaller block index k2 sits below
-    the larger one k1 and inside the window the s-range scan enumerates.
-    For those, the largest participating prime must be on the bad list of
-    its block; anything else is a miss.
+    the larger one k1. For those, the largest participating prime must be on
+    the bad list of its block; anything else is a miss.
     """
     bad_cache = {}
-    eligible = 0
+    in_scope = 0
     misses = 0
     for rep in reports:
         elems = list(rep.left) + list(rep.right)
         p1 = max(e.p for e in elems)
         k1 = block_of_prime(p1, params)
         k2 = min(e.k for e in elems)
-        if k2 >= k1 or k2 not in eligible_k2s(k1, params):
+        if k2 >= k1:
             continue
-        eligible += 1
+        in_scope += 1
         if k1 not in bad_cache:
             bad_cache[k1] = {r.p1 for r in bad_primes(k1, params, basis)}
         if p1 not in bad_cache[k1]:
             misses += 1
-    return eligible, misses, bad_cache
+    return in_scope, misses, bad_cache
 
 
 def block_prime_count(prefix, k):
@@ -161,11 +160,12 @@ SIDON_FIXTURES = (
 def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
                               fake_basis, capsys):
     with verdict(capsys, 5, "deletion pipeline c=sqrt2-1") as note:
-        pairs = [(k2, k1) for k1 in range(2, 8)
-                 for k2 in eligible_k2s(k1, sqrt2_params)]
-        assert len(pairs) == 14
+        pairs = [(k2, k1) for k1 in range(2, 8) for k2 in range(2, k1)]
+        assert len(pairs) == 15
         assert all(s_bounds(k2, k1, sqrt2_params, default_basis).is_empty()
                    for k2, k1 in pairs)
+        assert all(eligible_k2s(k1, sqrt2_params, default_basis) == []
+                   for k1 in range(2, 8))
         assert all(bad_primes(k1, sqrt2_params, default_basis) == []
                    for k1 in range(2, 8))
 
@@ -177,16 +177,16 @@ def test_c5_deletion_pipeline(default_basis, sqrt2_params, sqrt2_prefix_k7,
         assert all(0.0 <= r["ratio"] <= 0.6 for r in res.reports)
         assert find_collisions(sqrt2_prefix_k7.elements, 2) == []
 
-        for qs, cdec, offset, n, eligible, bad4 in SIDON_FIXTURES:
+        for qs, cdec, offset, n, in_scope, bad4 in SIDON_FIXTURES:
             basis = fake_basis(qs, 4)
             params = sidon_params(c=const_decimal(cdec), offset=offset)
             prefix = generate_blocks(4, params, basis)
             assert len(prefix.elements) == n
             reports = find_collisions(prefix.elements, 2)
             assert reports
-            got_eligible, misses, bad_cache = classify_pair_reports(
+            got_in_scope, misses, bad_cache = classify_pair_reports(
                 reports, params, basis)
-            assert got_eligible == eligible
+            assert got_in_scope == in_scope
             assert misses == 0
             assert len(bad_cache[4]) == bad4 == block_prime_count(prefix, 4)
 
